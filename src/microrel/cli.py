@@ -89,11 +89,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UsageError(Exception):
+    """A command-line value the study cannot use."""
+
+
 def _load_scenario(path: str, seed_override: Optional[int]) -> Scenario:
     text = Path(path).read_text()
     scenario = scenario_io.parse_scenario(text)
     if seed_override is not None:
-        scenario = dataclasses.replace(scenario, seed=seed_override)
+        try:
+            scenario = dataclasses.replace(scenario, seed=seed_override)
+        except ValueError as exc:
+            raise _UsageError(f"--seed: {exc}") from None
     return scenario
 
 
@@ -119,7 +126,7 @@ def _trace_text(result: engine.RunResult) -> str:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario, args.seed)
-    result = engine.run(scenario, workers=max(1, args.workers))
+    result = engine.run(scenario, workers=args.workers)
     report = scenario_io.build_report(result, scenario)
     _write_artifact(scenario_io.emit_report(report, args.format), args.out)
     if args.trace:
@@ -145,8 +152,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not p_values or any(not 0.0 <= p <= 1.0 for p in p_values):
         _diag(f"sweep probabilities must lie in [0, 1], got {p_values}")
         return EXIT_USAGE
-    sweep = engine.sensitivity_sweep(scenario, p_values,
-                                     workers=max(1, args.workers))
+    sweep = engine.sensitivity_sweep(scenario, p_values, workers=args.workers)
     report = scenario_io.build_report(sweep.base, scenario, sweep_rows=sweep.rows)
     _write_artifact(scenario_io.emit_report(report, args.format), args.out)
     _diag(f"{scenario.name}: sweep over {len(p_values)} probabilities, "
@@ -205,8 +211,14 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        _diag(f"--workers must be >= 1, got {args.workers}")
+        return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        _diag(str(exc))
+        return EXIT_USAGE
     except ScenarioError as exc:
         _diag(f"configuration error [{exc.code}] {exc}")
         return EXIT_CONFIG

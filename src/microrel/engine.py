@@ -406,11 +406,18 @@ class SweepResult:
 
 def _running_ens_series(counts: np.ndarray, ctx_lp_ids: Sequence[str],
                         network: NetworkModel, table: ContributionTable,
-                        p_islanding: float) -> np.ndarray:
-    """Running ENS estimate after each simulated year (vectorized)."""
+                        p_islanding: float,
+                        prior_counts: Union[np.ndarray, int] = 0,
+                        prior_years: int = 0) -> np.ndarray:
+    """Running ENS estimate after each simulated year (vectorized).
+
+    ``prior_counts`` (supplied days per load point) and ``prior_years``
+    continue a series whose earlier years are not in ``counts``.
+    """
     years = counts.shape[0]
-    cumulative = np.cumsum(counts, axis=0, dtype=np.float64)
-    total_days = DAYS_PER_YEAR * np.arange(1, years + 1, dtype=np.float64)
+    cumulative = np.cumsum(counts, axis=0, dtype=np.float64) + prior_counts
+    total_days = DAYS_PER_YEAR * np.arange(
+        prior_years + 1, prior_years + years + 1, dtype=np.float64)
     p = cumulative / total_days[:, None]
     upstream = network.upstream
     levels = np.array([network.load_point(lp).load_level for lp in ctx_lp_ids])
@@ -421,43 +428,95 @@ def _running_ens_series(counts: np.ndarray, ctx_lp_ids: Sequence[str],
     return u @ levels
 
 
-def _moving_average(series: np.ndarray, window: int) -> np.ndarray:
-    """means[t] = mean(series[t-window+1 .. t]); NaN before the window fills."""
-    out = np.full(series.size, np.nan)
-    if series.size >= window:
-        csum = np.concatenate(([0.0], np.cumsum(series)))
-        out[window - 1:] = (csum[window:] - csum[:-window]) / window
-    return out
+def _cumulative_sums(head: np.ndarray, series: np.ndarray) -> np.ndarray:
+    """``head`` followed by the sums of ``series`` continuing from head[-1]."""
+    continued = np.cumsum(np.concatenate((head[-1:], series)))
+    return np.concatenate((head[:-1], continued))
 
 
-def _convergence_statistic(running_ens: np.ndarray, window: int) -> np.ndarray:
-    """Relative change between window-mean ENS and its value a window earlier."""
-    means = _moving_average(running_ens, window)
-    stat = np.full(running_ens.size, np.nan)
-    if running_ens.size >= 2 * window:
-        current = means[2 * window - 1:]
-        earlier = means[window - 1:-window]
+def _convergence_statistic(running_ens: np.ndarray, window: int,
+                           head: Optional[np.ndarray] = None) -> np.ndarray:
+    """Relative change between window-mean ENS and its value a window earlier.
+
+    ``head`` continues a series: the cumulative sums of the running ENS
+    before ``running_ens``, either all of them from the 0 before year one
+    (the default, no earlier years) or at least the last ``2 * window + 1``.
+    The result covers the years of ``running_ens`` and is NaN until
+    ``2 * window`` years exist.
+    """
+    csum = _cumulative_sums(np.zeros(1) if head is None else head, running_ens)
+    means = (csum[window:] - csum[:-window]) / window  # means[j]: year j + window
+    stat = np.full(csum.size - 1, np.nan)
+    if means.size > window:
+        current = means[window:]
+        earlier = means[:-window]
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.abs(current - earlier) / np.abs(earlier)
         rel = np.where(
             earlier == 0.0, np.where(current == 0.0, 0.0, np.inf), rel
         )
         stat[2 * window - 1:] = rel
-    return stat
+    return stat[stat.size - running_ens.size:]
 
 
 def _find_stop_year(statistic: np.ndarray, tolerance: float,
-                    max_years: int) -> Optional[int]:
-    """First year (1-based) meeting the convergence rule, or None."""
-    first = MIN_CONVERGENCE_YEARS
-    limit = min(statistic.size, max_years)
+                    max_years: int, offset: int) -> Optional[int]:
+    """First year (1-based) meeting the convergence rule, or None.
+
+    ``statistic[i]`` belongs to year ``offset + i + 1``.
+    """
+    first = max(MIN_CONVERGENCE_YEARS - offset, 1)
+    limit = min(statistic.size, max_years - offset)
     if limit < first:
         return None
-    window = statistic[first - 1:limit]
-    hits = np.flatnonzero(window < tolerance)
+    hits = np.flatnonzero(statistic[first - 1:limit] < tolerance)
     if hits.size == 0:
         return None
-    return first + int(hits[0])
+    return offset + first + int(hits[0])
+
+
+class _Convergence:
+    """The convergence rule applied wave by wave to the new years only.
+
+    It carries forward what the rule needs of earlier years: the supplied
+    days per load point, the latest year's counts and the last cumulative
+    sums of the running ENS.  The statistic it sees for every year is
+    bit-identical to one recomputed over all years simulated so far.
+    """
+
+    def __init__(self, scenario: Scenario, lp_ids: Sequence[str],
+                 table: ContributionTable):
+        self._scenario = scenario
+        self._lp_ids = lp_ids
+        self._table = table
+        self._years = 0
+        self._totals = np.zeros(len(lp_ids), dtype=np.int64)
+        self._latest = np.zeros((0, len(lp_ids)), dtype=np.int64)
+        self._head = np.zeros(1)
+
+    def add(self, counts: np.ndarray) -> Optional[int]:
+        """Take the counts of the next years; return the stop year, if any."""
+        scenario = self._scenario
+        # numpy takes a one-row product through a dot kernel that can round
+        # differently from the matrix-vector kernel of longer series, so a
+        # lone new year is evaluated together with the year before it.
+        lead = self._latest if counts.shape[0] == 1 else self._latest[:0]
+        rows = np.concatenate((lead, counts))
+        running = _running_ens_series(
+            rows, self._lp_ids, scenario.network, self._table,
+            scenario.p_islanding,
+            prior_counts=self._totals - lead.sum(axis=0),
+            prior_years=self._years - lead.shape[0],
+        )[lead.shape[0]:]
+        window = CONVERGENCE_WINDOW_YEARS
+        statistic = _convergence_statistic(running, window, self._head)
+        stop = _find_stop_year(statistic, scenario.tolerance,
+                               scenario.max_years, self._years)
+        self._head = _cumulative_sums(self._head, running)[-(2 * window + 1):]
+        self._totals += counts.sum(axis=0)
+        self._latest = counts[-1:]
+        self._years += counts.shape[0]
+        return stop
 
 
 def run(scenario: Scenario, workers: int = 1) -> RunResult:
@@ -482,45 +541,28 @@ def run(scenario: Scenario, workers: int = 1) -> RunResult:
         years_run = 1
     else:
         blocks: list[np.ndarray] = []
-        simulated = 0
-        converged = False
-        years_run = 0
+        convergence = _Convergence(scenario, ctx.lp_ids, table)
+        stop = None
+        start = 0
         pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
         try:
-            while simulated < scenario.max_years:
-                wave = []
-                for _ in range(max(workers, 1)):
-                    if simulated + sum(n for _, n in wave) >= scenario.max_years:
-                        break
-                    start = simulated + sum(n for _, n in wave)
+            while stop is None and start < scenario.max_years:
+                tasks = []
+                while len(tasks) < workers and start < scenario.max_years:
                     size = min(_YEARS_PER_BLOCK, scenario.max_years - start)
-                    wave.append((start, size))
-                if not wave:
-                    break
-                tasks = [(ctx, start, size) for start, size in wave]
+                    tasks.append((ctx, start, size))
+                    start += size
                 if pool is not None and len(tasks) > 1:
                     results = list(pool.map(_simulate_block_task, tasks))
                 else:
                     results = [_simulate_block_task(t) for t in tasks]
                 blocks.extend(results)
-                simulated += sum(size for _, size in wave)
-
-                counts_so_far = np.concatenate(blocks, axis=0)
-                running = _running_ens_series(
-                    counts_so_far, ctx.lp_ids, scenario.network, table,
-                    scenario.p_islanding,
-                )
-                statistic = _convergence_statistic(running, CONVERGENCE_WINDOW_YEARS)
-                stop = _find_stop_year(statistic, scenario.tolerance, scenario.max_years)
-                if stop is not None:
-                    converged = True
-                    years_run = stop
-                    break
-            if not converged:
-                years_run = min(simulated, scenario.max_years)
+                stop = convergence.add(np.concatenate(results, axis=0))
         finally:
             if pool is not None:
                 pool.shutdown()
+        converged = stop is not None
+        years_run = stop if converged else start
         counts = np.concatenate(blocks, axis=0)[:years_run]
 
     running_ens = _running_ens_series(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.special import betainc
@@ -255,11 +255,87 @@ def wind_power(spec: WindTurbineSpec, v):
     return _scalar_or_array(power, scalar)
 
 
+# The inverse-CDF table has _BETA_CELLS equal cells in u: a query u falls in
+# cell floor(u * _BETA_CELLS), whose two knots sit near the cell's u-edges.
+_BETA_CELLS = 2**13
+# Coarse CDF grid the knots are interpolated from, in t where x = 3t^2 - 2t^3
+# so that the steep or flat ends of the CDF get extra points.
+_BETA_COARSE_KNOTS = 1025
+
+
+class _BetaTable(NamedTuple):
+    """Knots at approximate u-quantiles with the exact CDF at every knot.
+
+    ``knots``/``cdf`` hold _BETA_CELLS + 1 entries.  For cell j the start
+    point x_j + du * (slope_j + du * curve_j), du = u - cdf_j, meets both
+    knots of the cell and the inverse CDF's slope at its lower knot.
+    """
+
+    knots: np.ndarray
+    cdf: np.ndarray
+    slope: np.ndarray
+    curve: np.ndarray
+
+
+def _smoothstep(t: np.ndarray) -> np.ndarray:
+    return t * t * (3.0 - 2.0 * t)
+
+
 @lru_cache(maxsize=16)
-def _beta_bracket_table(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (x, CDF(x)) knot table used to bracket inverse-CDF queries."""
-    knots = np.linspace(0.0, 1.0, 65537)
-    return knots, betainc(alpha, beta, knots)
+def _beta_bracket_table(alpha: float, beta: float) -> _BetaTable:
+    """The u-indexed knot table used to bracket inverse-CDF queries.
+
+    Costs _BETA_COARSE_KNOTS + _BETA_CELLS + 1 CDF evaluations.  Only the
+    knot placement is approximate: the CDF is evaluated exactly at every
+    knot, so a cell whose CDF values enclose u is a valid bracket.
+    """
+    t = np.linspace(0.0, 1.0, _BETA_COARSE_KNOTS)
+    coarse_cdf = betainc(alpha, beta, _smoothstep(t))
+    knots = _smoothstep(np.interp(np.arange(_BETA_CELLS + 1) / _BETA_CELLS,
+                                  coarse_cdf, t))
+    knots[0], knots[-1] = 0.0, 1.0
+    cdf = betainc(alpha, beta, knots)
+
+    dx = np.diff(knots)
+    dc = np.diff(cdf)
+    lower = knots[:-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        secant = dx / dc
+        tangent = np.exp(_beta_log_norm(alpha, beta)
+                         - (alpha - 1.0) * np.log(lower)
+                         - (beta - 1.0) * np.log1p(-lower))
+        curve = (dx - dc * tangent) / (dc * dc)
+    secant = np.where(np.isfinite(secant), secant, 0.0)
+    # Keep the quadratic only where it is finite and monotone across the
+    # cell; elsewhere start from the secant.
+    quadratic = np.isfinite(curve) & (tangent >= 0.0) & (2.0 * secant >= tangent)
+    return _BetaTable(knots, cdf, np.where(quadratic, tangent, secant),
+                      np.where(quadratic, curve, 0.0))
+
+
+def _beta_cells(table: _BetaTable, u: np.ndarray) -> np.ndarray:
+    """Cell index j per query with cdf[j] <= u <= cdf[j + 1].
+
+    The cell floor(u * _BETA_CELLS) holds u unless a knot's CDF lands on
+    the far side of u; then the neighbour does, as long as the knots are
+    within one cell of their u-edges.  A query that neither cell holds is
+    searched for.
+    """
+    cdf = table.cdf
+    last = _BETA_CELLS - 1
+    cell = np.minimum((u * _BETA_CELLS).astype(np.intp), last)
+    below = u < cdf.take(cell)
+    above = u > cdf.take(cell + 1)
+    off = np.flatnonzero(below | above)
+    if off.size:
+        u_off = u[off]
+        moved = np.clip(cell[off] - below[off] + above[off], 0, last)
+        miss = (u_off < cdf.take(moved)) | (u_off > cdf.take(moved + 1))
+        if miss.any():
+            found = np.searchsorted(cdf, u_off[miss], side="right") - 1
+            moved[miss] = np.clip(found, 0, last)
+        cell[off] = moved
+    return cell
 
 
 def _beta_log_norm(alpha: float, beta: float) -> float:
@@ -271,9 +347,11 @@ def beta_inverse_cdf(params: BetaParams, u, tol: float = 1e-10,
     """Invert the regularized incomplete beta function.
 
     Returns x in [0, 1] with ``|I_x(alpha, beta) - u| <= tol`` for each
-    element of ``u`` in [0, 1].  The root is found by bracketed bisection
-    refined with Newton steps; brackets come from a cached knot table of the
-    CDF so that large batches converge in a handful of vectorized passes.
+    element of ``u`` in [0, 1].  A cached table indexed by u gives every
+    query a bracketing cell and a start point that usually meets ``tol``
+    already; the rest are refined by Newton steps that fall back to
+    bisection whenever a step would leave the bracket.  ``max_iter`` counts
+    CDF evaluations per query, the first one included.
 
     Raises:
         ValueError: if any ``u`` is outside [0, 1] or ``tol`` is not positive.
@@ -286,58 +364,47 @@ def beta_inverse_cdf(params: BetaParams, u, tol: float = 1e-10,
         raise ValueError("uniform variate must lie in [0, 1]")
 
     flat = np.atleast_1d(arr).ravel()
-    knots, cdf_knots = _beta_bracket_table(params.alpha, params.beta)
-    idx = np.clip(np.searchsorted(cdf_knots, flat, side="right"), 1, len(knots) - 1)
-    lo = knots[idx - 1].copy()
-    hi = knots[idx].copy()
-    cdf_lo = cdf_knots[idx - 1]
-    cdf_hi = cdf_knots[idx]
+    table = _beta_bracket_table(params.alpha, params.beta)
+    cell = _beta_cells(table, flat)
+    du = flat - table.cdf.take(cell)
+    x = table.knots.take(cell) + du * (table.slope.take(cell)
+                                       + du * table.curve.take(cell))
+    x[flat == 1.0] = 1.0  # u = 0 already lands exactly on the knot x = 0
 
-    # Secant guess inside the bracketing cell; exact endpoints stay exact.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = (flat - cdf_lo) / (cdf_hi - cdf_lo)
-    frac = np.where(np.isfinite(frac), np.clip(frac, 0.0, 1.0), 0.5)
-    x = lo + frac * (hi - lo)
-    x = np.where(flat == 0.0, 0.0, np.where(flat == 1.0, 1.0, x))
-
-    ln_b = _beta_log_norm(params.alpha, params.beta)
-    a_m1 = params.alpha - 1.0
-    b_m1 = params.beta - 1.0
-    active = np.arange(flat.size)
-    residual = np.zeros_like(flat)
-    for _ in range(max_iter):
-        if active.size == 0:
-            break
-        xa = x[active]
-        r = betainc(params.alpha, params.beta, xa) - flat[active]
-        residual[active] = r
-        pending = np.abs(r) > tol
-        if not pending.any():
-            active = active[:0]
-            break
-        act = active[pending]
-        xa = xa[pending]
-        r = r[pending]
-        lo_a = lo[act]
-        hi_a = hi[act]
-        hi_a = np.where(r > 0.0, xa, hi_a)
-        lo_a = np.where(r <= 0.0, xa, lo_a)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            density = np.exp(a_m1 * np.log(xa) + b_m1 * np.log1p(-xa) - ln_b)
-            step = r / density
-            x_new = xa - step
-        reject = ~np.isfinite(x_new) | (x_new <= lo_a) | (x_new >= hi_a)
-        x_new = np.where(reject, 0.5 * (lo_a + hi_a), x_new)
-        x[act] = x_new
-        lo[act] = lo_a
-        hi[act] = hi_a
-        active = act
-    else:
-        worst = float(np.abs(residual[active]).max())
-        raise NumericsError(
-            f"beta inverse CDF did not converge within {max_iter} iterations",
-            residual=worst,
-        )
+    # First pass over the whole batch; only the few queries the start point
+    # leaves outside tol are gathered for the Newton refinement.
+    r = betainc(params.alpha, params.beta, x) - flat
+    pending = np.flatnonzero(np.abs(r) > tol)
+    if pending.size:
+        u_p = flat[pending]
+        x_p = x[pending]
+        r_p = r[pending]
+        lo = table.knots.take(cell[pending])
+        hi = table.knots.take(cell[pending] + 1)
+        ln_b = _beta_log_norm(params.alpha, params.beta)
+        a_m1 = params.alpha - 1.0
+        b_m1 = params.beta - 1.0
+        for _ in range(max_iter - 1):
+            hi = np.where(r_p > 0.0, x_p, hi)
+            lo = np.where(r_p <= 0.0, x_p, lo)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                density = np.exp(a_m1 * np.log(x_p) + b_m1 * np.log1p(-x_p) - ln_b)
+                x_new = x_p - r_p / density
+            reject = ~np.isfinite(x_new) | (x_new <= lo) | (x_new >= hi)
+            x_p = np.where(reject, 0.5 * (lo + hi), x_new)
+            r_p = betainc(params.alpha, params.beta, x_p) - u_p
+            done = np.abs(r_p) <= tol
+            x[pending[done]] = x_p[done]
+            if done.all():
+                break
+            keep = ~done
+            pending, u_p, x_p, r_p, lo, hi = (
+                v[keep] for v in (pending, u_p, x_p, r_p, lo, hi))
+        else:
+            raise NumericsError(
+                f"beta inverse CDF did not converge within {max_iter} iterations",
+                residual=float(np.abs(r_p).max()),
+            )
 
     out = x.reshape(np.atleast_1d(arr).shape)
     if arr.ndim == 0:
@@ -410,11 +477,25 @@ def _stream_labels(dists: ResourceDistributions,
     return labels
 
 
-def _year_generator(seed: int, year: int) -> np.random.Generator:
-    # Counter-based substream: one Philox key per (seed, year) so results do
-    # not depend on execution order or worker count.
-    key = np.array([seed, year], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
+def _rekey(bit_generator: np.random.Philox, seed: int, year: int) -> None:
+    """Reset ``bit_generator`` to the state of a new Philox keyed by (seed, year).
+
+    Counter-based substream: one Philox key per (seed, year) so results do
+    not depend on execution order or worker count.  Setting the state
+    skips the entropy draw a new Philox would make only to discard it.
+    """
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _PHILOX_ZEROS,
+                  "key": np.array([seed, year], dtype=np.uint64)},
+        "buffer": _PHILOX_ZEROS,
+        "buffer_pos": _PHILOX_ZEROS.size,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def sample_daily_resources(dists: ResourceDistributions,
@@ -433,22 +514,19 @@ def sample_daily_resources(dists: ResourceDistributions,
     if n_days < 1:
         raise ValueError(f"n_days must be >= 1, got {n_days}")
     labels = _stream_labels(dists, fleet)
-    n_streams = len(labels)
-    chunks = []
     n_years = -(-n_days // DAYS_PER_YEAR)
-    for year_offset in range(n_years):
-        rng = _year_generator(seed, start_year + year_offset)
-        if n_streams:
-            chunks.append(rng.random((n_streams, DAYS_PER_YEAR)))
-    if n_streams:
-        uniforms = np.concatenate(chunks, axis=1)[:, :n_days]
-    else:
-        uniforms = np.empty((0, n_days))
+    uniforms = np.empty((n_years, len(labels), DAYS_PER_YEAR))
+    if labels:
+        bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        rng = np.random.Generator(bit_generator)
+        for year_offset in range(n_years):
+            _rekey(bit_generator, seed, start_year + year_offset)
+            rng.random(out=uniforms[year_offset])
 
     wind_speeds: dict[str, np.ndarray] = {}
     irradiance: dict[str, np.ndarray] = {}
     for row, (kind, key) in enumerate(labels):
-        u = uniforms[row]
+        u = uniforms[:, row].reshape(-1)[:n_days]
         if kind == "wind":
             u = np.maximum(u, MIN_UNIFORM)
             wind_speeds[key] = sample_wind_speed(dists.wind_regions[key], u)

@@ -214,3 +214,34 @@ def test_sample_unknown_unit_is_usage_error(case_paths):
 
 def test_sample_empty_fleet_is_usage_error(case_paths):
     assert main(["sample", case_paths["case1"]]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command, case", [
+    ("run", "case3"), ("sweep", "sweep"), ("sample", "case3"),
+])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_is_usage_error(case_paths, capsys, command, case,
+                                             seed):
+    code = main([command, case_paths[case], "--seed", seed])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "--seed" in err and seed in err
+
+
+def test_largest_64_bit_seed_is_accepted(case_paths, capsys):
+    code = main(["sample", case_paths["case3"], "--days", "3", "--unit", "PV1",
+                 "--seed", str(2**64 - 1)])
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("command, case", [("run", "case3"), ("sweep", "sweep")])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_worker_count_below_one_is_usage_error(case_paths, capsys, tmp_path,
+                                               command, case, workers):
+    out = tmp_path / "report.csv"
+    code = main([command, case_paths[case], "--workers", workers,
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()

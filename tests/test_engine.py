@@ -364,6 +364,89 @@ def test_disjoint_half_runs_agree_within_sampling_error(cases):
         assert abs(p1 - p2) <= 3.0 * se, f"{lp_id}: {p1} vs {p2} (se {se})"
 
 
+def _recorded_statistic_calls(monkeypatch):
+    calls = []
+    original = engine._convergence_statistic
+
+    def recording(running_ens, window, head=None):
+        statistic = original(running_ens, window, head)
+        calls.append((running_ens, statistic))
+        return statistic
+
+    monkeypatch.setattr(engine, "_convergence_statistic", recording)
+    return calls
+
+
+def _full_series(scenario, counts):
+    # What a recomputation over every year so far gives.
+    ctx = engine._context_for(scenario)
+    running = engine._running_ens_series(
+        counts, ctx.lp_ids, scenario.network,
+        build_contribution_table(scenario.network), scenario.p_islanding,
+    )
+    return running, engine._convergence_statistic(
+        running, engine.CONVERGENCE_WINDOW_YEARS)
+
+
+@pytest.mark.parametrize("max_years, workers",
+                         [(1000, 1), (1000, 2), (3000, 1), (3000, 2)])
+def test_wave_bookkeeping_is_bit_identical_to_full_recompute(
+        cases, monkeypatch, max_years, workers):
+    scenario = dataclasses.replace(cases["case3"], max_years=max_years,
+                                   tolerance=1e-300)
+    calls = _recorded_statistic_calls(monkeypatch)
+    result = run(scenario, workers=workers)
+    counts = engine._simulate_block(engine._context_for(scenario), 0, max_years)
+
+    *waves, final = calls
+    wave_years = [running.size for running, _ in waves]
+    assert sum(wave_years) == max_years
+    assert max(wave_years) <= engine._YEARS_PER_BLOCK * workers
+    end = 0
+    for running, statistic in waves:
+        start, end = end, end + running.size
+        full_running, full_statistic = _full_series(scenario, counts[:end])
+        np.testing.assert_array_equal(running, full_running[start:])
+        np.testing.assert_array_equal(statistic, full_statistic[start:])
+
+    full_running, full_statistic = _full_series(scenario, counts)
+    assert result.years_run == max_years and not result.converged
+    np.testing.assert_array_equal(result.running_ens, full_running)
+    np.testing.assert_array_equal(result.statistic, full_statistic)
+    np.testing.assert_array_equal(final[1], full_statistic)
+
+
+def test_lone_last_year_matches_full_recompute(cases, monkeypatch):
+    # With 6 * 512 + 1 years the last wave holds one year; its running ENS
+    # must round like the matrix-vector product over all years does.
+    scenario = cases["case3"]
+    lp_ids = engine._context_for(scenario).lp_ids
+    table = build_contribution_table(scenario.network)
+    calls = _recorded_statistic_calls(monkeypatch)
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        counts = rng.integers(0, 366, size=(6 * 512 + 1, len(lp_ids)))
+        convergence = engine._Convergence(scenario, lp_ids, table)
+        for start in range(0, counts.shape[0], 512):
+            convergence.add(counts[start:start + 512])
+        lone_year, _ = calls[-1]
+        full, _ = _full_series(scenario, counts)
+        assert lone_year.size == 1 and lone_year[0] == full[-1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stop_year_matches_full_recompute(cases, workers):
+    scenario = cases["case3"]
+    result = run(scenario, workers=workers)
+    counts = engine._simulate_block(engine._context_for(scenario), 0, 2048)
+    _, statistic = _full_series(scenario, counts)
+    window = statistic[engine.MIN_CONVERGENCE_YEARS - 1:]
+    expected = engine.MIN_CONVERGENCE_YEARS + int(
+        np.flatnonzero(window < scenario.tolerance)[0])
+    assert result.converged
+    assert result.years_run == expected
+
+
 def test_run_rejects_bad_worker_count(cases):
     with pytest.raises(ValueError):
         run(cases["case1"], workers=0)

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from microrel.res_models import (
+    _BETA_CELLS,
     MIN_UNIFORM,
     BetaParams,
     DgUnit,
@@ -22,6 +24,10 @@ from microrel.res_models import (
     sample_wind_speed,
     trace_to_delimited,
     wind_power,
+    _BetaTable,
+    _beta_bracket_table,
+    _beta_cells,
+    _rekey,
 )
 from oracles import BruteForceBetaCdf, ks_statistic, KS_CRITICAL_5PCT, weibull_cdf
 
@@ -373,3 +379,124 @@ def test_trace_to_delimited_format():
     assert day == "0"
     assert float(resource) >= 0.0
     assert float(power) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# Uniform streams: one re-keyed Philox per call
+# ---------------------------------------------------------------------------
+
+def _reference_uniforms(seed: int, start_year: int, n_streams: int,
+                        n_days: int) -> np.ndarray:
+    # A fresh generator per (seed, year).  The key is built as uint64
+    # explicitly: a plain list would not hold seed 2**64 - 1 exactly.
+    years = -(-n_days // 365)
+    chunks = [
+        np.random.Generator(np.random.Philox(
+            key=np.array([seed, start_year + y], dtype=np.uint64)
+        )).random((n_streams, 365))
+        for y in range(years)
+    ]
+    return np.concatenate(chunks, axis=1)[:, :n_days]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("start_year", [0, 511, 100_000])
+def test_daily_draws_equal_fresh_generator_per_year(seed, start_year):
+    # Independent irradiance gives four streams: region1, region2, PV1, PV2.
+    # 1000 days end with a partial year.
+    dists = _two_region_dists(shared=False)
+    got = sample_daily_resources(dists, _mixed_fleet(), seed=seed,
+                                 n_days=1000, start_year=start_year)
+    u = _reference_uniforms(seed, start_year, 4, 1000)
+    for row, region in enumerate(("region1", "region2")):
+        expected = sample_wind_speed(dists.wind_regions[region],
+                                     np.maximum(u[row], MIN_UNIFORM))
+        np.testing.assert_array_equal(got.wind_speeds[region], expected)
+    for row, unit in ((2, "PV1"), (3, "PV2")):
+        np.testing.assert_array_equal(got.irradiance[unit],
+                                      sample_irradiance(FITTED_BETA, u[row]))
+
+
+def test_rekey_leaves_no_state_from_the_previous_year():
+    bit_generator = np.random.Philox(key=np.array([3, 4], dtype=np.uint64))
+    rng = np.random.Generator(bit_generator)
+    rng.random(5)
+    rng.integers(0, 2**31, size=3, dtype=np.uint32)  # leaves a spare 32-bit half
+    assert bit_generator.state["has_uint32"] == 1
+    assert bit_generator.state["buffer_pos"] < 4
+    _rekey(bit_generator, 2**64 - 1, 7)
+    fresh = np.random.Philox(key=np.array([2**64 - 1, 7], dtype=np.uint64))
+    got, want = bit_generator.state, fresh.state
+    for name in ("counter", "key"):
+        np.testing.assert_array_equal(got["state"][name], want["state"][name])
+    np.testing.assert_array_equal(got["buffer"], want["buffer"])
+    for name in ("buffer_pos", "has_uint32", "uinteger"):
+        assert got[name] == want[name]
+    np.testing.assert_array_equal(
+        rng.integers(0, 2**31, size=9, dtype=np.uint32),
+        np.random.Generator(fresh).integers(0, 2**31, size=9, dtype=np.uint32),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The u-indexed beta bracket table
+# ---------------------------------------------------------------------------
+
+TABLE_SHAPES = [(FITTED_BETA.alpha, FITTED_BETA.beta)] + [
+    (a, b) for a in (0.5, 1.0, 5.0) for b in (0.5, 1.0, 5.0)
+]
+CELL_EDGES = np.arange(_BETA_CELLS + 1) / _BETA_CELLS
+
+
+def _assert_brackets_hold(table, u):
+    cell = _beta_cells(table, u)
+    assert np.all((cell >= 0) & (cell < _BETA_CELLS))
+    assert np.all(table.cdf[cell] <= u)
+    assert np.all(u <= table.cdf[cell + 1])
+
+
+@pytest.mark.parametrize("alpha, beta", TABLE_SHAPES)
+def test_beta_table_brackets_every_cell(alpha, beta):
+    table = _beta_bracket_table(alpha, beta)
+    assert table.knots[0] == 0.0 and table.knots[-1] == 1.0
+    assert np.all(np.diff(table.knots) >= 0.0)
+    # The CDF is exact at every knot, so a bracket that holds in the table
+    # holds for the distribution.
+    np.testing.assert_array_equal(table.cdf, betainc(alpha, beta, table.knots))
+    # Knots sit within one cell of their u-edge, which is what lets the
+    # neighbour comparison stand in for a search.
+    assert np.abs(table.cdf - CELL_EDGES).max() < 1.0 / _BETA_CELLS
+    midpoints = (CELL_EDGES[:-1] + CELL_EDGES[1:]) / 2
+    _assert_brackets_hold(table, np.concatenate((CELL_EDGES, midpoints)))
+
+
+def test_beta_cells_search_when_no_neighbour_holds_u():
+    # Knots at equal x steps are many cells away from their u-edges for a
+    # skewed shape, so most queries need the search fallback.
+    knots = np.linspace(0.0, 1.0, _BETA_CELLS + 1)
+    cdf = betainc(0.5, 5.0, knots)
+    zeros = np.zeros(_BETA_CELLS)
+    table = _BetaTable(knots, cdf, zeros, zeros)
+    _assert_brackets_hold(table, np.random.default_rng(4).random(20_000))
+
+
+@pytest.mark.parametrize("alpha, beta", TABLE_SHAPES)
+def test_beta_inverse_cdf_residual_at_edges_and_extremes(alpha, beta):
+    params = BetaParams(alpha, beta)
+    tol = 1e-10
+    u = np.concatenate(([0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53], CELL_EDGES))
+    x = beta_inverse_cdf(params, u, tol=tol)
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    assert np.abs(betainc(alpha, beta, x) - u).max() <= tol
+    assert x[0] == 0.0 and x[1] == 1.0
+
+
+@pytest.mark.parametrize("alpha, beta", TABLE_SHAPES)
+def test_beta_inverse_cdf_agrees_with_oracle_for_each_shape(alpha, beta):
+    oracle = BruteForceBetaCdf(alpha, beta)
+    # The oracle drops the finite endpoint density of a shape below 1 from
+    # its first Simpson panel, which costs it about 1e-6.
+    allowed = 2e-6 if min(alpha, beta) < 1.0 else 1e-8
+    u = np.arange(0.005, 1.0, 0.01)
+    x = beta_inverse_cdf(BetaParams(alpha, beta), u)
+    assert np.abs(oracle.cdf(x) - u).max() <= allowed
