@@ -6,7 +6,8 @@ Subcommands:
     sample    emit synthetic per-day resource/power traces for the fleet
     validate  schema-check a scenario file without simulating
 
-Exit codes: 0 success, 2 argument error, 3 configuration error,
+Exit codes: 0 success, 2 argument error, 3 configuration error (including a
+scenario the model cannot evaluate, such as one with no failures at all),
 4 simulation did not converge, 5 I/O failure.  Progress and diagnostics go
 to stderr; report artifacts are written to --out or stdout and are
 byte-identical for identical invocations, whatever the worker count.
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 
 from . import engine, scenario_io
 from .engine import Scenario
-from .res_models import emit_trace, trace_to_delimited
+from .res_models import NumericsError, emit_trace, trace_to_delimited
 from .scenario_io import ScenarioError
 
 EXIT_OK = 0
@@ -221,6 +222,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except ScenarioError as exc:
         _diag(f"configuration error [{exc.code}] {exc}")
+        return EXIT_CONFIG
+    except (ZeroDivisionError, NumericsError, ValueError) as exc:
+        # The scenario parsed, but the model cannot evaluate it.
+        _diag(f"configuration error: {type(exc).__name__}: {exc}")
         return EXIT_CONFIG
     except OSError as exc:
         _diag(f"i/o error: {exc}")

@@ -342,16 +342,142 @@ def _beta_log_norm(alpha: float, beta: float) -> float:
     return math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)
 
 
+# A cell whose polynomial errs by more than this is exact-only; only cells at
+# the ends of the support, where the density is steep or singular, do.
+_BETA_POLY_MAX_ERROR = 1e-13
+# Added to every cell's bound for what the table does not see: betainc's own
+# rounding at a point it did not sample, a few ulps of 1 at most.
+_BETAINC_ROUNDING = 1e-14
+# Queries handled per pass, so the per-query temporaries stay in cache.
+_BETA_CHUNK = 2**15
+
+
+class _BetaPoly(NamedTuple):
+    """Degree-4 Taylor polynomial of the CDF about each cell's lower knot.
+
+    For x in cell j, with h = x - knots[j],
+    I_x - cdf[j] = h * (c1 + h * (c2 + h * (c3 + h * c4))) to within
+    ``bound[j]``; ``bound`` is infinite for an exact-only cell, whose
+    queries are always checked with betainc.
+    """
+
+    c1: np.ndarray
+    c2: np.ndarray
+    c3: np.ndarray
+    c4: np.ndarray
+    bound: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _beta_poly_table(alpha: float, beta: float) -> _BetaPoly:
+    """Per-cell CDF polynomials for the cells of ``_beta_bracket_table``.
+
+    The coefficients come from the closed-form density and its first three
+    derivatives at the lower knot.  Each cell's error is measured against
+    betainc at a quarter, half and three quarters of the cell and at its
+    upper knot (3 * _BETA_CELLS CDF evaluations); as the error is only
+    sampled, the bound is twice the largest one seen, plus
+    _BETAINC_ROUNDING.  A cell with a non-finite
+    coefficient or an error above _BETA_POLY_MAX_ERROR is exact-only.
+    """
+    table = _beta_bracket_table(alpha, beta)
+    lower = table.knots[:-1]
+    width = np.diff(table.knots)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        density = np.exp((alpha - 1.0) * np.log(lower)
+                         + (beta - 1.0) * np.log1p(-lower)
+                         - _beta_log_norm(alpha, beta))
+        # Derivatives of the log density g = (a-1) ln x + (b-1) ln(1-x).
+        p = (alpha - 1.0) / lower
+        q = (beta - 1.0) / (1.0 - lower)
+        g1 = p - q
+        g2 = -p / lower - q / (1.0 - lower)
+        g3 = 2.0 * p / (lower * lower) - 2.0 * q / ((1.0 - lower) * (1.0 - lower))
+        coef = np.stack((density,
+                         density * g1 / 2.0,
+                         density * (g2 + g1 * g1) / 6.0,
+                         density * (g3 + 3.0 * g1 * g2 + g1 * g1 * g1) / 24.0))
+        # Rows: a quarter, half and three quarters of each cell, then the
+        # upper knot, whose CDF the bracket table already holds.
+        inner = lower + np.array([[0.25], [0.5], [0.75]]) * width
+        x = np.vstack((inner, table.knots[1:]))
+        cdf_x = np.vstack((betainc(alpha, beta, inner), table.cdf[1:]))
+        h = x - lower
+        poly = h * (coef[0] + h * (coef[1] + h * (coef[2] + h * coef[3])))
+        error = np.abs(poly - (cdf_x - table.cdf[:-1])).max(axis=0)
+        usable = np.all(np.isfinite(coef), axis=0) & (error <= _BETA_POLY_MAX_ERROR)
+    coef = np.where(usable, coef, 0.0)
+    bound = np.where(usable, 2.0 * error + _BETAINC_ROUNDING, np.inf)
+    return _BetaPoly(*coef, bound)
+
+
+def _beta_refine(params: BetaParams, table: _BetaTable, cell: np.ndarray,
+                 u: np.ndarray, x: np.ndarray, r: np.ndarray, tol: float,
+                 max_iter: int) -> np.ndarray:
+    """Refine start points ``x`` whose residuals ``r = I_x - u`` exceed tol.
+
+    Newton steps fall back to bisection whenever a step would leave the
+    bracket, which starts as the query's cell.  When the bracket has
+    collapsed to two adjacent doubles and neither met tol, the end with the
+    smaller residual is returned.
+    """
+    out = x.copy()
+    pending = np.arange(x.size)
+    lo = table.knots.take(cell)
+    hi = table.knots.take(cell + 1)
+    r_lo = table.cdf.take(cell) - u
+    r_hi = table.cdf.take(cell + 1) - u
+    ln_b = _beta_log_norm(params.alpha, params.beta)
+    a_m1 = params.alpha - 1.0
+    b_m1 = params.beta - 1.0
+    for _ in range(max_iter - 1):
+        above = r > 0.0
+        hi, r_hi = np.where(above, x, hi), np.where(above, r, r_hi)
+        lo, r_lo = np.where(above, lo, x), np.where(above, r_lo, r)
+        collapsed = np.nextafter(lo, hi) >= hi
+        if collapsed.any():
+            nearer = np.where(np.abs(r_lo) <= np.abs(r_hi), lo, hi)
+            out[pending[collapsed]] = nearer[collapsed]
+            keep = ~collapsed
+            pending, u, x, r, lo, hi, r_lo, r_hi = (
+                v[keep] for v in (pending, u, x, r, lo, hi, r_lo, r_hi))
+            if not pending.size:
+                return out
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            density = np.exp(a_m1 * np.log(x) + b_m1 * np.log1p(-x) - ln_b)
+            x_new = x - r / density
+        reject = ~np.isfinite(x_new) | (x_new <= lo) | (x_new >= hi)
+        x = np.where(reject, 0.5 * (lo + hi), x_new)
+        r = betainc(params.alpha, params.beta, x) - u
+        done = np.abs(r) <= tol
+        out[pending[done]] = x[done]
+        if done.all():
+            return out
+        keep = ~done
+        pending, u, x, r, lo, hi, r_lo, r_hi = (
+            v[keep] for v in (pending, u, x, r, lo, hi, r_lo, r_hi))
+    raise NumericsError(
+        f"beta inverse CDF did not converge within {max_iter} iterations",
+        residual=float(np.abs(r).max()),
+    )
+
+
 def beta_inverse_cdf(params: BetaParams, u, tol: float = 1e-10,
                      max_iter: int = 200):
     """Invert the regularized incomplete beta function.
 
     Returns x in [0, 1] with ``|I_x(alpha, beta) - u| <= tol`` for each
-    element of ``u`` in [0, 1].  A cached table indexed by u gives every
+    element of ``u`` in [0, 1], or the nearest double to the exact inverse
+    when no double meets tol.  A cached table indexed by u gives every
     query a bracketing cell and a start point that usually meets ``tol``
-    already; the rest are refined by Newton steps that fall back to
-    bisection whenever a step would leave the bracket.  ``max_iter`` counts
-    CDF evaluations per query, the first one included.
+    already.  A second cached table holds, per cell, a polynomial of the
+    CDF with a measured error bound, which accepts most start points
+    without a betainc call; betainc checks the rest, and those outside tol
+    are refined by Newton steps that fall back to bisection whenever a step
+    would leave the bracket.  A start point is accepted only when betainc
+    would accept it too, so the result is that of checking every start
+    point with betainc.  ``max_iter`` counts CDF evaluations per query, the
+    first one included.
 
     Raises:
         ValueError: if any ``u`` is outside [0, 1] or ``tol`` is not positive.
@@ -365,48 +491,30 @@ def beta_inverse_cdf(params: BetaParams, u, tol: float = 1e-10,
 
     flat = np.atleast_1d(arr).ravel()
     table = _beta_bracket_table(params.alpha, params.beta)
-    cell = _beta_cells(table, flat)
-    du = flat - table.cdf.take(cell)
-    x = table.knots.take(cell) + du * (table.slope.take(cell)
-                                       + du * table.curve.take(cell))
-    x[flat == 1.0] = 1.0  # u = 0 already lands exactly on the knot x = 0
+    poly = _beta_poly_table(params.alpha, params.beta)
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _BETA_CHUNK):
+        u_c = flat[start:start + _BETA_CHUNK]
+        cell = _beta_cells(table, u_c)
+        lower = table.knots.take(cell)
+        du = u_c - table.cdf.take(cell)
+        x = lower + du * (table.slope.take(cell) + du * table.curve.take(cell))
+        x[u_c == 1.0] = 1.0  # u = 0 already lands exactly on the knot x = 0
 
-    # First pass over the whole batch; only the few queries the start point
-    # leaves outside tol are gathered for the Newton refinement.
-    r = betainc(params.alpha, params.beta, x) - flat
-    pending = np.flatnonzero(np.abs(r) > tol)
-    if pending.size:
-        u_p = flat[pending]
-        x_p = x[pending]
-        r_p = r[pending]
-        lo = table.knots.take(cell[pending])
-        hi = table.knots.take(cell[pending] + 1)
-        ln_b = _beta_log_norm(params.alpha, params.beta)
-        a_m1 = params.alpha - 1.0
-        b_m1 = params.beta - 1.0
-        for _ in range(max_iter - 1):
-            hi = np.where(r_p > 0.0, x_p, hi)
-            lo = np.where(r_p <= 0.0, x_p, lo)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                density = np.exp(a_m1 * np.log(x_p) + b_m1 * np.log1p(-x_p) - ln_b)
-                x_new = x_p - r_p / density
-            reject = ~np.isfinite(x_new) | (x_new <= lo) | (x_new >= hi)
-            x_p = np.where(reject, 0.5 * (lo + hi), x_new)
-            r_p = betainc(params.alpha, params.beta, x_p) - u_p
-            done = np.abs(r_p) <= tol
-            x[pending[done]] = x_p[done]
-            if done.all():
-                break
-            keep = ~done
-            pending, u_p, x_p, r_p, lo, hi = (
-                v[keep] for v in (pending, u_p, x_p, r_p, lo, hi))
-        else:
-            raise NumericsError(
-                f"beta inverse CDF did not converge within {max_iter} iterations",
-                residual=float(np.abs(r_p).max()),
-            )
+        h = x - lower
+        estimate = h * (poly.c1.take(cell) + h * (poly.c2.take(cell)
+                        + h * (poly.c3.take(cell) + h * poly.c4.take(cell))))
+        check = np.flatnonzero(np.abs(estimate - du) > tol - poly.bound.take(cell))
+        if check.size:
+            r = betainc(params.alpha, params.beta, x[check]) - u_c[check]
+            far = np.abs(r) > tol
+            if far.any():
+                idx = check[far]
+                x[idx] = _beta_refine(params, table, cell[idx], u_c[idx],
+                                      x[idx], r[far], tol, max_iter)
+        out[start:start + _BETA_CHUNK] = x
 
-    out = x.reshape(np.atleast_1d(arr).shape)
+    out = out.reshape(np.atleast_1d(arr).shape)
     if arr.ndim == 0:
         return float(out[0])
     return _scalar_or_array(out, scalar)

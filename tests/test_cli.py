@@ -1,6 +1,7 @@
 """Command-line interface tests (in-process through cli.main)."""
 
 import json
+import re
 
 import pytest
 
@@ -95,6 +96,23 @@ def test_run_reports_nonconvergence_with_exit_4(case_paths, tmp_path):
     code = main(["run", str(path), "--out", str(out)])
     assert code == EXIT_NO_CONVERGENCE
     assert "converged,false" in out.read_text()
+
+
+def test_scenario_the_model_cannot_evaluate_is_config_error(tmp_path, capsys):
+    # With no failure anywhere SAIFI is zero, so CAIDI has no value.
+    doc = bundled_scenario_path("case3").read_text()
+    doc = re.sub(r"(sum_lambda\w*: )[0-9.]+", r"\g<1>0.0", doc)
+    doc = doc.replace("failure_rate_per_yr: 0.5", "failure_rate_per_yr: 0.0")
+    doc = doc.replace("max_years: 100000", "max_years: 5")
+    path = tmp_path / "no_failures.yaml"
+    path.write_text(doc)
+    out = tmp_path / "r.csv"
+    code = main(["run", str(path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "SAIFI is zero" in err
+    assert not out.exists()
 
 
 def test_validate_accepts_bundled_scenarios(case_paths, tmp_path, capsys):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import betainc
 
+import microrel.res_models as res_models
 from microrel.res_models import (
     _BETA_CELLS,
+    _BETA_CHUNK,
     MIN_UNIFORM,
     BetaParams,
     DgUnit,
@@ -27,6 +29,8 @@ from microrel.res_models import (
     _BetaTable,
     _beta_bracket_table,
     _beta_cells,
+    _beta_poly_table,
+    _beta_refine,
     _rekey,
 )
 from oracles import BruteForceBetaCdf, ks_statistic, KS_CRITICAL_5PCT, weibull_cdf
@@ -189,6 +193,20 @@ def test_beta_inverse_cdf_scalar_and_vector_paths_agree():
     batch = beta_inverse_cdf(FITTED_BETA, u)
     singles = np.array([beta_inverse_cdf(FITTED_BETA, ui) for ui in u[:32]])
     assert np.abs(batch[:32] - singles).max() < 1e-9
+
+
+@pytest.mark.parametrize("alpha, beta, u", [
+    (0.5, 0.5, 0.9999998646762783),
+    (5.0, 0.5, 0.9999994270772085),
+])
+def test_beta_inverse_cdf_returns_nearest_double_when_none_meets_tol(alpha, beta, u):
+    # Near u = 1 with beta < 1, adjacent doubles of x step the CDF by more
+    # than 2 * tol, so no double meets tol and the nearest one is returned.
+    x = beta_inverse_cdf(BetaParams(alpha, beta), u)
+    residual = abs(betainc(alpha, beta, x) - u)
+    assert residual > 1e-10
+    for neighbour in (np.nextafter(x, 0.0), np.nextafter(x, 1.0)):
+        assert residual <= abs(betainc(alpha, beta, neighbour) - u)
 
 
 def test_beta_inverse_cdf_iteration_cap():
@@ -494,9 +512,95 @@ def test_beta_inverse_cdf_residual_at_edges_and_extremes(alpha, beta):
 @pytest.mark.parametrize("alpha, beta", TABLE_SHAPES)
 def test_beta_inverse_cdf_agrees_with_oracle_for_each_shape(alpha, beta):
     oracle = BruteForceBetaCdf(alpha, beta)
-    # The oracle drops the finite endpoint density of a shape below 1 from
-    # its first Simpson panel, which costs it about 1e-6.
-    allowed = 2e-6 if min(alpha, beta) < 1.0 else 1e-8
     u = np.arange(0.005, 1.0, 0.01)
     x = beta_inverse_cdf(BetaParams(alpha, beta), u)
-    assert np.abs(oracle.cdf(x) - u).max() <= allowed
+    assert np.abs(oracle.cdf(x) - u).max() <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The per-cell CDF polynomials that stand in for betainc
+# ---------------------------------------------------------------------------
+
+def _betainc_only_inverse(params: BetaParams, u: np.ndarray,
+                          tol: float = 1e-10) -> np.ndarray:
+    """The inverse with every start point checked by betainc."""
+    table = _beta_bracket_table(params.alpha, params.beta)
+    cell = _beta_cells(table, u)
+    du = u - table.cdf[cell]
+    x = table.knots[cell] + du * (table.slope[cell] + du * table.curve[cell])
+    x[u == 1.0] = 1.0
+    r = betainc(params.alpha, params.beta, x) - u
+    far = np.abs(r) > tol
+    x[far] = _beta_refine(params, table, cell[far], u[far], x[far], r[far],
+                          tol, 200)
+    return x
+
+
+@pytest.mark.parametrize("alpha, beta", TABLE_SHAPES)
+def test_beta_inverse_cdf_equals_betainc_only_path(alpha, beta):
+    params = BetaParams(alpha, beta)
+    midpoints = (CELL_EDGES[:-1] + CELL_EDGES[1:]) / 2
+    u = np.concatenate((np.random.default_rng(31).random(10**6),
+                        CELL_EDGES, midpoints))
+    np.testing.assert_array_equal(beta_inverse_cdf(params, u),
+                                  _betainc_only_inverse(params, u))
+
+
+@pytest.mark.parametrize("alpha, beta", [(FITTED_BETA.alpha, FITTED_BETA.beta),
+                                         (0.5, 0.5)])
+def test_beta_inverse_cdf_does_not_depend_on_batch_size(alpha, beta):
+    params = BetaParams(alpha, beta)
+    block = 365 * 512
+    u = np.random.default_rng(32).random(block)
+    whole = beta_inverse_cdf(params, u)
+    for size in (_BETA_CHUNK - 1, _BETA_CHUNK, _BETA_CHUNK + 1, block):
+        pieces = [beta_inverse_cdf(params, u[i:i + size])
+                  for i in range(0, block, size)]
+        np.testing.assert_array_equal(np.concatenate(pieces), whole)
+    # One at a time, across the first chunk boundary.
+    edge = slice(_BETA_CHUNK - 100, _BETA_CHUNK + 100)
+    singles = [beta_inverse_cdf(params, ui) for ui in u[edge]]
+    np.testing.assert_array_equal(np.array(singles), whole[edge])
+
+
+@pytest.mark.parametrize("alpha, beta", TABLE_SHAPES)
+def test_beta_poly_table_keeps_its_bound_at_fresh_points(alpha, beta):
+    table = _beta_bracket_table(alpha, beta)
+    poly = _beta_poly_table(alpha, beta)
+    usable = np.isfinite(poly.bound)
+    # Exact-only cells sit at the two ends of the support.
+    lead = int(np.argmax(usable))
+    trail = int(np.argmax(usable[::-1]))
+    assert not usable[:lead].any() and not usable[_BETA_CELLS - trail:].any()
+    assert usable[lead:_BETA_CELLS - trail].all()
+    assert (~usable).sum() < 0.05 * _BETA_CELLS
+    lower = table.knots[:-1][usable]
+    width = np.diff(table.knots)[usable]
+    for frac in (0.1, 0.3, 0.6, 0.9, 0.99):
+        h = frac * width
+        estimate = h * (poly.c1[usable] + h * (poly.c2[usable]
+                        + h * (poly.c3[usable] + h * poly.c4[usable])))
+        exact = betainc(alpha, beta, lower + h) - table.cdf[:-1][usable]
+        assert np.all(np.abs(estimate - exact) <= poly.bound[usable])
+
+
+def test_beta_draws_in_exact_only_cells_reach_betainc(monkeypatch):
+    params = FITTED_BETA
+    table = _beta_bracket_table(params.alpha, params.beta)
+    poly = _beta_poly_table(params.alpha, params.beta)
+    exact_only = np.flatnonzero(~np.isfinite(poly.bound))
+    u = (table.cdf[exact_only] + table.cdf[exact_only + 1]) / 2
+    assert np.all(_beta_cells(table, u) == exact_only)
+    seen = []
+
+    def recording_betainc(a, b, x):
+        seen.append(np.size(x))
+        return betainc(a, b, x)
+
+    monkeypatch.setattr(res_models, "betainc", recording_betainc)
+    beta_inverse_cdf(params, u)
+    assert seen[0] == u.size
+    # Elsewhere the polynomial settles nearly every draw without betainc.
+    seen.clear()
+    beta_inverse_cdf(params, np.random.default_rng(33).random(100_000))
+    assert sum(seen) < 0.1 * 100_000
