@@ -166,16 +166,18 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.days < 1:
         _diag(f"--days must be >= 1, got {args.days}")
         return EXIT_USAGE
-    fleet = scenario.fleet
-    if args.unit is not None:
-        fleet = tuple(u for u in fleet if u.name == args.unit)
-        if not fleet:
-            _diag(f"no fleet unit named {args.unit!r} in {scenario.name}")
-            return EXIT_USAGE
-    if not fleet:
+    if args.unit is not None and all(u.name != args.unit for u in scenario.fleet):
+        _diag(f"no fleet unit named {args.unit!r} in {scenario.name}")
+        return EXIT_USAGE
+    if not scenario.fleet:
         _diag(f"{scenario.name} has no fleet units to sample")
         return EXIT_USAGE
-    traces = emit_trace(fleet, scenario.distributions, args.days, scenario.seed)
+    # The stream layout follows the whole fleet, so one unit's trace is the
+    # one it has in a whole-fleet sample.
+    traces = emit_trace(scenario.fleet, scenario.distributions, args.days,
+                        scenario.seed)
+    if args.unit is not None:
+        traces = [t for t in traces if t.unit == args.unit]
     if args.out is None:
         if len(traces) > 1:
             _diag("writing multiple units to stdout is ambiguous; "

@@ -30,9 +30,14 @@ from .network import (
 )
 from .res_models import (
     DAYS_PER_YEAR,
+    SHARED_IRRADIANCE_KEY,
+    DailyResources,
     DgUnit,
     ResourceDistributions,
-    sample_daily_resources,
+    WindTurbineSpec,
+    draw_uniforms,
+    sample_daily_resources,  # noqa: F401  (wrapped by perfbench/tracing.py)
+    stream_days,
     unit_power_series,
 )
 
@@ -65,6 +70,9 @@ DISPATCH_BLOCKING = "blocking"
 CONVERGENCE_WINDOW_YEARS = 100
 MIN_CONVERGENCE_YEARS = 1000
 _YEARS_PER_BLOCK = 512
+# Years per pass of the chain from Weibull to dispatch within a block, so
+# that a pass's per-day arrays (~190 KB each) stay in cache.
+_YEARS_PER_PASS = 64
 
 _IDENTITY_RTOL = 1e-9
 _MAX_SEED = 2**64
@@ -200,6 +208,25 @@ class SystemIndices:
 # Priority dispatch
 # ---------------------------------------------------------------------------
 
+def _dispatch(remaining: np.ndarray, needs: np.ndarray, blocking: bool,
+              counts: np.ndarray) -> None:
+    """Priority dispatch of every day of ``remaining``, in place.
+
+    ``remaining`` (rows x days) holds each day's generation and ends as the
+    curtailed surplus.  ``needs[k]`` is load k's level on each day, loads in
+    priority order.  ``counts[:, k]`` receives the days per row on which
+    load k is served.
+    """
+    fits = np.empty(remaining.shape, dtype=bool)
+    served = np.ones(remaining.shape, dtype=bool) if blocking else fits
+    for column, need in enumerate(needs):
+        np.less_equal(need, remaining, out=fits)
+        if blocking:
+            served &= fits
+        counts[:, column] = np.count_nonzero(served, axis=1)
+        np.subtract(remaining, need, out=remaining, where=served)
+
+
 def priority_dispatch(total_res: float,
                       loads: Sequence[tuple[str, float]],
                       blocking: bool = False) -> set[str]:
@@ -214,17 +241,13 @@ def priority_dispatch(total_res: float,
     """
     if total_res < 0.0:
         raise ValueError(f"generation must be >= 0, got {total_res}")
-    remaining = float(total_res)
-    served: set[str] = set()
     for lp_id, level in loads:
         if level < 0.0:
             raise ValueError(f"load level for {lp_id!r} must be >= 0")
-        if level <= remaining:
-            served.add(lp_id)
-            remaining -= level
-        elif blocking:
-            break
-    return served
+    needs = np.array([level for _, level in loads], dtype=np.float64)
+    counts = np.zeros((1, needs.size), dtype=np.int64)
+    _dispatch(np.array([[float(total_res)]]), needs[:, None], blocking, counts)
+    return {lp_id for (lp_id, _), served in zip(loads, counts[0]) if served}
 
 
 # ---------------------------------------------------------------------------
@@ -258,30 +281,54 @@ def _context_for(scenario: Scenario) -> _SimContext:
     )
 
 
-def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarray:
-    """Supplied-day counts, shape (n_years, n_load_points), priority order."""
-    n_days = n_years * DAYS_PER_YEAR
-    resources = sample_daily_resources(
-        ctx.distributions, ctx.fleet, ctx.seed, n_days, start_year=start_year
-    )
-    total = np.zeros(n_days)
-    for unit in ctx.fleet:
-        total += unit_power_series(unit, resources)
-    remaining = total.reshape(n_years, DAYS_PER_YEAR)
+def _series_key(unit: DgUnit, shared_irradiance: bool) -> tuple:
+    """Units with equal keys have equal power series: same spec and stream."""
+    device = unit.device
+    if isinstance(device, WindTurbineSpec):
+        return device, device.region_id
+    return device, SHARED_IRRADIANCE_KEY if shared_irradiance else unit.name
 
-    factors = np.asarray(ctx.load_factors)
-    counts = np.zeros((n_years, len(ctx.lp_ids)), dtype=np.int64)
-    if ctx.blocking:
-        alive = np.ones((n_years, DAYS_PER_YEAR), dtype=bool)
-    remaining = remaining.copy()
-    for column, level in enumerate(ctx.levels):
-        need = level * factors  # (365,) broadcast over years
-        fits = need <= remaining
-        if ctx.blocking:
-            fits &= alive
-            alive = fits
-        counts[:, column] = fits.sum(axis=1)
-        remaining = remaining - need * fits
+
+def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarray:
+    """Supplied-day counts, shape (n_years, n_load_points), priority order.
+
+    The block draws its uniforms and inverts its irradiance streams once;
+    the rest of the chain runs in passes of _YEARS_PER_PASS years, each
+    computing every distinct power series once and summing the series in
+    fleet order.
+    """
+    dists = ctx.distributions
+    block = draw_uniforms(dists, ctx.fleet, ctx.seed, n_years, start_year)
+    rows = {label: row for row, label in enumerate(block.labels)}
+    irradiance = {
+        key: stream_days(dists, block, row, 0, n_years * DAYS_PER_YEAR)
+        for (kind, key), row in rows.items() if kind == "irradiance"
+    }
+    regions = {unit.device.region_id: rows["wind", unit.device.region_id]
+               for unit in ctx.fleet if isinstance(unit.device, WindTurbineSpec)}
+    keys = [_series_key(unit, dists.shared_irradiance) for unit in ctx.fleet]
+    distinct: dict[tuple, DgUnit] = {}  # the first unit of each series
+    for key, unit in zip(keys, ctx.fleet):
+        distinct.setdefault(key, unit)
+    needs = np.multiply.outer(ctx.levels, ctx.load_factors)
+
+    counts = np.empty((n_years, len(ctx.lp_ids)), dtype=np.int64)
+    for first in range(0, n_years, _YEARS_PER_PASS):
+        last = min(first + _YEARS_PER_PASS, n_years)
+        start, stop = first * DAYS_PER_YEAR, last * DAYS_PER_YEAR
+        resources = DailyResources(
+            wind_speeds={region: stream_days(dists, block, row, start, stop)
+                         for region, row in regions.items()},
+            irradiance={key: values[start:stop] for key, values in irradiance.items()},
+            n_days=stop - start,
+        )
+        power = {key: unit_power_series(unit, resources)
+                 for key, unit in distinct.items()}
+        remaining = np.zeros(stop - start)
+        for key in keys:
+            remaining += power[key]
+        _dispatch(remaining.reshape(last - first, DAYS_PER_YEAR), needs,
+                  ctx.blocking, counts[first:last])
     return counts
 
 

@@ -36,6 +36,9 @@ __all__ = [
     "sample_irradiance",
     "pv_power",
     "unit_power_series",
+    "UniformBlock",
+    "draw_uniforms",
+    "stream_days",
     "sample_daily_resources",
     "emit_trace",
     "trace_to_delimited",
@@ -606,6 +609,56 @@ def _rekey(bit_generator: np.random.Philox, seed: int, year: int) -> None:
     }
 
 
+class UniformBlock(NamedTuple):
+    """Whole years of uniforms for every stream of a fleet.
+
+    ``values[y, s]`` holds the 365 uniforms of stream ``labels[s]`` in year
+    ``y`` of the block; day d of a stream is year d // 365, day d % 365.
+    """
+
+    labels: list[tuple[str, str]]
+    values: np.ndarray
+
+
+def draw_uniforms(dists: ResourceDistributions,
+                  fleet: Sequence[DgUnit],
+                  seed: int,
+                  n_years: int,
+                  start_year: int = 0) -> UniformBlock:
+    """Draw ``n_years`` whole years of uniforms, from ``start_year`` on.
+
+    Each year consumes an independent RNG substream derived from
+    (seed, year index), so a year's draws do not depend on the block it
+    is drawn in.
+    """
+    labels = _stream_labels(dists, fleet)
+    uniforms = np.empty((n_years, len(labels), DAYS_PER_YEAR))
+    if labels:
+        bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        rng = np.random.Generator(bit_generator)
+        for year_offset in range(n_years):
+            _rekey(bit_generator, seed, start_year + year_offset)
+            rng.random(out=uniforms[year_offset])
+    return UniformBlock(labels, uniforms)
+
+
+def stream_days(dists: ResourceDistributions, block: UniformBlock, row: int,
+                start: int, stop: int, tol: float = 1e-10) -> np.ndarray:
+    """Resource values of stream ``block.labels[row]`` on days [start, stop).
+
+    Wind streams give Weibull speeds, irradiance streams scaled beta draws;
+    each value depends only on its own uniform.
+    """
+    kind, key = block.labels[row]
+    first = start // DAYS_PER_YEAR
+    offset = first * DAYS_PER_YEAR
+    years = block.values[first:-(-stop // DAYS_PER_YEAR), row]
+    u = years.reshape(-1)[start - offset:stop - offset]
+    if kind == "wind":
+        return sample_wind_speed(dists.wind_regions[key], np.maximum(u, MIN_UNIFORM))
+    return sample_irradiance(dists.irradiance, u, tol=tol)
+
+
 def sample_daily_resources(dists: ResourceDistributions,
                            fleet: Sequence[DgUnit],
                            seed: int,
@@ -621,25 +674,13 @@ def sample_daily_resources(dists: ResourceDistributions,
     """
     if n_days < 1:
         raise ValueError(f"n_days must be >= 1, got {n_days}")
-    labels = _stream_labels(dists, fleet)
-    n_years = -(-n_days // DAYS_PER_YEAR)
-    uniforms = np.empty((n_years, len(labels), DAYS_PER_YEAR))
-    if labels:
-        bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        rng = np.random.Generator(bit_generator)
-        for year_offset in range(n_years):
-            _rekey(bit_generator, seed, start_year + year_offset)
-            rng.random(out=uniforms[year_offset])
-
+    block = draw_uniforms(dists, fleet, seed, -(-n_days // DAYS_PER_YEAR),
+                          start_year)
     wind_speeds: dict[str, np.ndarray] = {}
     irradiance: dict[str, np.ndarray] = {}
-    for row, (kind, key) in enumerate(labels):
-        u = uniforms[:, row].reshape(-1)[:n_days]
-        if kind == "wind":
-            u = np.maximum(u, MIN_UNIFORM)
-            wind_speeds[key] = sample_wind_speed(dists.wind_regions[key], u)
-        else:
-            irradiance[key] = sample_irradiance(dists.irradiance, u, tol=tol)
+    for row, (kind, key) in enumerate(block.labels):
+        target = wind_speeds if kind == "wind" else irradiance
+        target[key] = stream_days(dists, block, row, 0, n_days, tol)
     return DailyResources(wind_speeds=wind_speeds, irradiance=irradiance,
                           n_days=n_days)
 

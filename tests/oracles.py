@@ -3,7 +3,10 @@
 Everything here is deliberately brute force and shares no code with the
 implementation under test: the beta CDF is integrated numerically from the
 density, dispatch outcomes are found by enumerating subsets, and the KS
-statistic is computed from the empirical CDF definition.
+statistic is computed from the empirical CDF definition.  The one exception
+is the whole-block simulation reference at the end, which reuses the
+package's samplers and power curves and differs only in how the block is
+organised.
 """
 
 from __future__ import annotations
@@ -139,3 +142,65 @@ def dispatch_by_enumeration(total: float, loads: Sequence[tuple[str, float]],
                 matches.append(set(combo))
     assert len(matches) == 1, f"expected a unique consistent subset, got {matches}"
     return matches[0]
+
+
+def reference_daily_resources(dists, fleet, seed: int, n_days: int,
+                              start_year: int = 0, tol: float = 1e-10):
+    """The whole-block resource draws: one stream at a time over all days."""
+    from microrel import res_models as rm
+
+    labels = rm._stream_labels(dists, fleet)
+    n_years = -(-n_days // rm.DAYS_PER_YEAR)
+    uniforms = np.empty((n_years, len(labels), rm.DAYS_PER_YEAR))
+    if labels:
+        bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        rng = np.random.Generator(bit_generator)
+        for year_offset in range(n_years):
+            rm._rekey(bit_generator, seed, start_year + year_offset)
+            rng.random(out=uniforms[year_offset])
+
+    wind_speeds = {}
+    irradiance = {}
+    for row, (kind, key) in enumerate(labels):
+        u = uniforms[:, row].reshape(-1)[:n_days]
+        if kind == "wind":
+            u = np.maximum(u, rm.MIN_UNIFORM)
+            wind_speeds[key] = rm.sample_wind_speed(dists.wind_regions[key], u)
+        else:
+            irradiance[key] = rm.sample_irradiance(dists.irradiance, u, tol=tol)
+    return rm.DailyResources(wind_speeds=wind_speeds, irradiance=irradiance,
+                             n_days=n_days)
+
+
+def reference_block_counts(ctx, start_year: int, n_years: int) -> np.ndarray:
+    """Supplied-day counts of a block computed the straightforward way.
+
+    The whole block is drawn at once, every unit's power series is computed
+    on its own, and each load's dispatch step builds new arrays.  Only the
+    samplers and power curves are shared with the package.
+    """
+    from microrel import res_models as rm
+
+    n_days = n_years * rm.DAYS_PER_YEAR
+    resources = reference_daily_resources(
+        ctx.distributions, ctx.fleet, ctx.seed, n_days, start_year=start_year
+    )
+    total = np.zeros(n_days)
+    for unit in ctx.fleet:
+        total += rm.unit_power_series(unit, resources)
+    remaining = total.reshape(n_years, rm.DAYS_PER_YEAR)
+
+    factors = np.asarray(ctx.load_factors)
+    counts = np.zeros((n_years, len(ctx.lp_ids)), dtype=np.int64)
+    if ctx.blocking:
+        alive = np.ones((n_years, rm.DAYS_PER_YEAR), dtype=bool)
+    remaining = remaining.copy()
+    for column, level in enumerate(ctx.levels):
+        need = level * factors  # (365,) broadcast over years
+        fits = need <= remaining
+        if ctx.blocking:
+            fits &= alive
+            alive = fits
+        counts[:, column] = fits.sum(axis=1)
+        remaining = remaining - need * fits
+    return counts

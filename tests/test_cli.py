@@ -98,6 +98,16 @@ def test_run_reports_nonconvergence_with_exit_4(case_paths, tmp_path):
     assert "converged,false" in out.read_text()
 
 
+def test_run_one_year_cap_exits_4_with_report(tmp_path):
+    doc = bundled_scenario_path("case3").read_text()
+    path = tmp_path / "one_year.yaml"
+    path.write_text(doc.replace("max_years: 100000", "max_years: 1"))
+    out = tmp_path / "r.csv"
+    assert main(["run", str(path), "--out", str(out)]) == EXIT_NO_CONVERGENCE
+    report = parse_report(out.read_text())
+    assert report.years_run == 1 and not report.converged
+
+
 def test_scenario_the_model_cannot_evaluate_is_config_error(tmp_path, capsys):
     # With no failure anywhere SAIFI is zero, so CAIDI has no value.
     doc = bundled_scenario_path("case3").read_text()
@@ -220,6 +230,21 @@ def test_sample_whole_fleet_to_directory(case_paths, tmp_path):
     assert names == ["PV1.csv", "PV2.csv", "WTG1.csv", "WTG2.csv"]
     for name in names:
         assert len((out_dir / name).read_text().splitlines()) == 21
+
+
+def test_sample_one_unit_with_independent_irradiance(tmp_path, capsys):
+    # Each array has its own irradiance stream; one unit's trace must be
+    # the one it has in the whole-fleet sample.
+    doc = bundled_scenario_path("case3").read_text()
+    path = tmp_path / "independent.yaml"
+    path.write_text(doc.replace("shared_sample: true", "shared_sample: false"))
+    out_dir = tmp_path / "traces"
+    assert main(["sample", str(path), "--days", "40", "--out", str(out_dir)]) == EXIT_OK
+    whole = {name: (out_dir / f"{name}.csv").read_text() for name in ("PV1", "PV2")}
+    assert whole["PV1"] != whole["PV2"]
+    for name in ("PV1", "PV2", "WTG2"):
+        assert main(["sample", str(path), "--days", "40", "--unit", name]) == EXIT_OK
+        assert capsys.readouterr().out == (out_dir / f"{name}.csv").read_text()
 
 
 def test_sample_multi_unit_stdout_is_rejected(case_paths):

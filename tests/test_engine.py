@@ -35,7 +35,7 @@ from microrel.res_models import (
     WindTurbineSpec,
 )
 from microrel.scenario_io import bundled_scenarios
-from oracles import dispatch_by_enumeration
+from oracles import dispatch_by_enumeration, reference_block_counts
 
 PRIORITY_LOADS = [("LP9", 500.0), ("LP3", 3000.0), ("LP4", 1000.0), ("LP2", 1000.0)]
 
@@ -95,6 +95,116 @@ def test_dispatch_matches_subset_enumeration(blocking):
         total = float(rng.integers(0, 60)) * 25.0
         expected = dispatch_by_enumeration(total, loads, blocking=blocking)
         assert priority_dispatch(total, loads, blocking=blocking) == expected
+
+
+def _served_by_kernel(totals, loads, factor, blocking):
+    # One row per total, one day each: counts[i, k] says whether load k is
+    # served on day i.
+    levels = np.array([level for _, level in loads])
+    counts = np.zeros((len(totals), len(loads)), dtype=np.int64)
+    engine._dispatch(np.array(totals, dtype=float)[:, None],
+                     np.multiply.outer(levels, [factor]), blocking, counts)
+    return [{lp_id for (lp_id, _), c in zip(loads, row) if c} for row in counts]
+
+
+@pytest.mark.parametrize("blocking", [False, True])
+def test_dispatch_kernel_matches_subset_enumeration(blocking):
+    rng = np.random.default_rng(2718)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        loads = [(f"L{i}", float(level))
+                 for i, level in enumerate(rng.uniform(0.0, 3000.0, n))]
+        loads[int(rng.integers(0, n))] = ("Z", 0.0)
+        factor = float(rng.choice([1.0, 0.37, 1.9]))
+        scaled = [(lp_id, level * factor) for lp_id, level in loads]
+        # Random totals, and totals exactly at every prefix sum of the
+        # scaled levels, where a load fits with nothing to spare.
+        prefix = np.cumsum([level for _, level in scaled])
+        totals = np.concatenate((rng.uniform(0.0, 1.2 * prefix[-1], 20),
+                                 prefix, [0.0]))
+        served = _served_by_kernel(totals, loads, factor, blocking)
+        for total, got in zip(totals, served):
+            assert got == dispatch_by_enumeration(float(total), scaled,
+                                                  blocking=blocking)
+
+
+@pytest.mark.parametrize("blocking", [False, True])
+def test_zero_level_load_is_always_served_and_never_blocks(cases, blocking):
+    assert priority_dispatch(0.0, [("Z", 0.0), ("A", 1.0), ("B", 0.0)],
+                             blocking=blocking) == ({"Z"} if blocking else {"Z", "B"})
+    # Zero-level loads at the top and below LP9 change no other load's
+    # count; the top one is served every day, the other whenever the scan
+    # reaches it.
+    ctx = dataclasses.replace(engine._context_for(cases["case3"]),
+                              blocking=blocking)
+    with_zero = dataclasses.replace(
+        ctx, lp_ids=("Z0",) + ctx.lp_ids[:1] + ("Z1",) + ctx.lp_ids[1:],
+        levels=(0.0,) + ctx.levels[:1] + (0.0,) + ctx.levels[1:])
+    counts = engine._simulate_block(with_zero, 0, 40)
+    expected = engine._simulate_block(ctx, 0, 40)
+    np.testing.assert_array_equal(np.delete(counts, [0, 2], axis=1), expected)
+    assert np.all(counts[:, 0] == engine.DAYS_PER_YEAR)
+    np.testing.assert_array_equal(
+        counts[:, 2], expected[:, 0] if blocking else engine.DAYS_PER_YEAR)
+
+
+# ---------------------------------------------------------------------------
+# Block kernel against the whole-block reference
+# ---------------------------------------------------------------------------
+
+def _two_specs_per_region(case3):
+    # Two turbine specs in region1 (one repeated), two PV specs (one
+    # repeated), so some units share a power series and some do not.
+    wtg1 = case3.fleet[0].device
+    pv = case3.fleet[2].device
+    fleet = case3.fleet + (
+        DgUnit("WTG5", "LP2", dataclasses.replace(wtg1, p_rated=900.0, v_rated=11.0)),
+        DgUnit("WTG6", "LP3", wtg1),
+        DgUnit("PV3", "LP4", dataclasses.replace(pv, p_sn=700.0, r_c=120.0)),
+    )
+    return dataclasses.replace(case3, name="mixed", fleet=fleet)
+
+
+P = engine._YEARS_PER_PASS
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("dispatch", [engine.DISPATCH_BLOCKING,
+                                      engine.DISPATCH_SERVE_IF_FITS])
+@pytest.mark.parametrize("name", ["case2", "case3", "case4", "sweep", "mixed"])
+def test_block_counts_bit_identical_to_whole_block_reference(
+        cases, name, dispatch, shared):
+    base = _two_specs_per_region(cases["case3"]) if name == "mixed" else cases[name]
+    scenario = dataclasses.replace(
+        base, dispatch=dispatch,
+        distributions=dataclasses.replace(base.distributions,
+                                          shared_irradiance=shared))
+    ctx = engine._context_for(scenario)
+    for n_years in (1, P - 1, P, P + 1, engine._YEARS_PER_BLOCK):
+        for start_year in (0, 511, 100_000):
+            np.testing.assert_array_equal(
+                engine._simulate_block(ctx, start_year, n_years),
+                reference_block_counts(ctx, start_year, n_years),
+                err_msg=f"{n_years} years from {start_year}")
+
+
+def test_each_distinct_power_series_is_computed_once_per_pass(cases, monkeypatch):
+    # case2's WTG3/WTG4 repeat WTG1/WTG2 in the same regions; the mixed
+    # fleet has 5 distinct series among 7 units under shared irradiance.
+    calls = []
+    original = engine.unit_power_series
+
+    def counted(unit, resources):
+        calls.append(unit.name)
+        return original(unit, resources)
+
+    monkeypatch.setattr(engine, "unit_power_series", counted)
+    engine._simulate_block(engine._context_for(cases["case2"]), 0, 2 * P)
+    assert calls == ["WTG1", "WTG2"] * 2
+    calls.clear()
+    mixed = _two_specs_per_region(cases["case3"])
+    engine._simulate_block(engine._context_for(mixed), 0, P)
+    assert len(calls) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +421,25 @@ def test_run_respects_max_years_and_reports_nonconvergence(cases):
     result = run(scenario)
     assert result.years_run == 300
     assert not result.converged
+
+
+def test_one_year_cap_runs_one_year_without_converging(cases):
+    result = run(dataclasses.replace(cases["case3"], max_years=1))
+    assert result.years_run == 1
+    assert not result.converged
+    assert all(p.total_days == engine.DAYS_PER_YEAR for p in result.p_res.values())
+
+
+def test_fleet_that_never_reaches_cut_in_supplies_nothing(cases):
+    base = cases["case2"]
+    fleet = tuple(
+        dataclasses.replace(unit, device=dataclasses.replace(
+            unit.device, v_cut_in=200.0, v_rated=210.0, v_cut_out=250.0))
+        for unit in base.fleet)
+    result = run(dataclasses.replace(base, fleet=fleet, max_years=600))
+    assert result.years_run == 600
+    assert {lp: p.p_res for lp, p in result.p_res.items()} == dict.fromkeys(
+        engine._context_for(base).lp_ids, 0.0)
 
 
 def test_run_convergence_floor(cases):

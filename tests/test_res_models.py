@@ -435,6 +435,22 @@ def test_daily_draws_equal_fresh_generator_per_year(seed, start_year):
                                       sample_irradiance(FITTED_BETA, u[row]))
 
 
+def test_stream_days_over_any_range_is_a_slice_of_the_whole_series():
+    # The engine transforms a block's uniforms pass by pass; every range,
+    # including ones that start or end inside a year, must give the values
+    # the whole-series sampler gives on those days.
+    dists = _two_region_dists(shared=False)
+    whole = sample_daily_resources(dists, _mixed_fleet(), seed=5, n_days=3 * 365,
+                                   start_year=9)
+    block = res_models.draw_uniforms(dists, _mixed_fleet(), 5, 3, start_year=9)
+    series = {**whole.wind_speeds, **whole.irradiance}
+    for row, (_, key) in enumerate(block.labels):
+        for start, stop in ((0, 1095), (0, 365), (365, 730), (100, 900), (729, 731)):
+            np.testing.assert_array_equal(
+                res_models.stream_days(dists, block, row, start, stop),
+                series[key][start:stop])
+
+
 def test_rekey_leaves_no_state_from_the_previous_year():
     bit_generator = np.random.Philox(key=np.array([3, 4], dtype=np.uint64))
     rng = np.random.Generator(bit_generator)
