@@ -38,6 +38,10 @@ __all__ = ["main", "build_parser", "EXIT_OK", "EXIT_USAGE", "EXIT_CONFIG",
 
 
 def _default_workers() -> int:
+    """The CPUs this process may run on, or all of the host's where the
+    platform cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -16,7 +16,6 @@ result is invariant to how many workers simulate the years.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -36,6 +35,7 @@ from .res_models import (
     ResourceDistributions,
     WindTurbineSpec,
     draw_uniforms,
+    prepare_sampling,
     sample_daily_resources,  # noqa: F401  (wrapped by perfbench/tracing.py)
     stream_days,
     unit_power_series,
@@ -566,6 +566,18 @@ class _Convergence:
         return stop
 
 
+def _start_pool(ctx: _SimContext, workers: int):
+    """A process pool of ``workers`` processes to simulate ``ctx``'s blocks.
+
+    The parent first builds the lazily cached sampling tables, so that
+    forked workers inherit them instead of each building its own.
+    """
+    from concurrent.futures import ProcessPoolExecutor  # only pools need it
+
+    prepare_sampling(ctx.distributions, ctx.fleet)
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run(scenario: Scenario, workers: int = 1) -> RunResult:
     """Execute the full evaluation for one scenario.
 
@@ -574,6 +586,8 @@ def run(scenario: Scenario, workers: int = 1) -> RunResult:
     by parallel worker processes; because every year draws from its own
     (seed, year) substream and the stopping year is a function of the
     per-year series alone, the result is identical for any worker count.
+    No more workers are used than the run has blocks, and none are started
+    when that is one.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -591,7 +605,9 @@ def run(scenario: Scenario, workers: int = 1) -> RunResult:
         convergence = _Convergence(scenario, ctx.lp_ids, table)
         stop = None
         start = 0
-        pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+        # A fork-started pool forks all its processes at the first submit.
+        workers = min(workers, -(-scenario.max_years // _YEARS_PER_BLOCK))
+        pool = _start_pool(ctx, workers) if workers > 1 else None
         try:
             while stop is None and start < scenario.max_years:
                 tasks = []

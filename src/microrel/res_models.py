@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.special import betainc
 
 __all__ = [
     "NumericsError",
@@ -38,6 +37,7 @@ __all__ = [
     "unit_power_series",
     "UniformBlock",
     "draw_uniforms",
+    "prepare_sampling",
     "stream_days",
     "sample_daily_resources",
     "emit_trace",
@@ -256,6 +256,17 @@ def wind_power(spec: WindTurbineSpec, v):
         np.where(arr <= spec.v_rated, cubic, spec.p_rated),
     )
     return _scalar_or_array(power, scalar)
+
+
+def betainc(a, b, x):
+    """The regularized incomplete beta function I_x(a, b), elementwise.
+
+    ``scipy.special`` is imported on the first call, not with this module:
+    it is most of the package's import time, and only beta (irradiance)
+    draws use it.
+    """
+    from scipy.special import betainc as scipy_betainc
+    return scipy_betainc(a, b, x)
 
 
 # The inverse-CDF table has _BETA_CELLS equal cells in u: a query u falls in
@@ -588,25 +599,30 @@ def _stream_labels(dists: ResourceDistributions,
     return labels
 
 
-_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
-
-
-def _rekey(bit_generator: np.random.Philox, seed: int, year: int) -> None:
+def _rekey(bit_generator: np.random.Philox, seed: int, year: int,
+           state: dict | None = None) -> dict:
     """Reset ``bit_generator`` to the state of a new Philox keyed by (seed, year).
 
     Counter-based substream: one Philox key per (seed, year) so results do
     not depend on execution order or worker count.  Setting the state
     skips the entropy draw a new Philox would make only to discard it.
+    Returns the state dict; pass it back as ``state`` to re-key again
+    without building a new one (the setter copies the values it reads).
     """
-    bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _PHILOX_ZEROS,
-                  "key": np.array([seed, year], dtype=np.uint64)},
-        "buffer": _PHILOX_ZEROS,
-        "buffer_pos": _PHILOX_ZEROS.size,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    if state is None:
+        # Python ints, which the setter reads faster than numpy elements.
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": [seed, year]},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    key = state["state"]["key"]
+    key[0], key[1] = seed, year
+    bit_generator.state = state
+    return state
 
 
 class UniformBlock(NamedTuple):
@@ -636,10 +652,23 @@ def draw_uniforms(dists: ResourceDistributions,
     if labels:
         bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         rng = np.random.Generator(bit_generator)
+        state = None
         for year_offset in range(n_years):
-            _rekey(bit_generator, seed, start_year + year_offset)
+            state = _rekey(bit_generator, seed, start_year + year_offset, state)
             rng.random(out=uniforms[year_offset])
     return UniformBlock(labels, uniforms)
+
+
+def prepare_sampling(dists: ResourceDistributions,
+                     fleet: Sequence[DgUnit]) -> None:
+    """Build now the lazily cached tables the fleet's draws will use.
+
+    Only irradiance draws use any: the beta inverse CDF's two tables, whose
+    build also imports scipy.  A process about to fork workers calls this
+    so that they inherit the tables instead of each building its own.
+    """
+    if _irradiance_keys(dists, fleet):
+        _beta_poly_table(dists.irradiance.alpha, dists.irradiance.beta)
 
 
 def stream_days(dists: ResourceDistributions, block: UniformBlock, row: int,
@@ -720,7 +749,10 @@ def emit_trace(fleet: Sequence[DgUnit],
     """Emit deterministic per-day resource and power series for a fleet.
 
     The draws use the same (seed, year) substreams as the simulation engine,
-    so a 365-day trace reproduces year 0 of a run with the same seed.
+    so a 365-day trace of a run's whole fleet reproduces year 0 of that run
+    with the same seed.  The stream layout follows the fleet passed in, so
+    for part of a fleet with independent irradiance a PV array may get the
+    stream another array has in the run.
     """
     resources = sample_daily_resources(dists, fleet, seed, n_days)
     traces = []

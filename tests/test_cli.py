@@ -1,16 +1,23 @@
 """Command-line interface tests (in-process through cli.main)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import microrel
+from microrel import cli
 from microrel.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from microrel.scenario_io import bundled_scenario_path, parse_report
@@ -288,3 +295,96 @@ def test_worker_count_below_one_is_usage_error(case_paths, capsys, tmp_path,
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.count("\n") == 1
     assert not out.exists()
+
+
+def test_default_workers_count_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli._default_workers() == 3
+    assert build_parser().parse_args(["run", "s.yaml"]).workers == 3
+    # Without affinity information, all of the host's CPUs.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._default_workers() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._default_workers() == 1
+
+
+# ---------------------------------------------------------------------------
+# What a study loads, in a fresh interpreter
+# ---------------------------------------------------------------------------
+
+LAZY_MODULES = ("scipy.special", "concurrent.futures.process")
+
+# Runs cli.main on the argv given as JSON (none: import only) and prints the
+# exit code and which of LAZY_MODULES are loaded.
+_STUDY = """
+import json, sys
+from microrel import cli
+argv = json.loads(sys.argv[1])
+code = cli.main(argv) if argv else 0
+print(json.dumps([code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))
+"""
+
+# Runs cli.main on sys.argv[1:] with a process pool that records, when it
+# starts, its size and the sizes of the beta table caches.
+_POOLED_STUDY = """
+import json, sys
+import concurrent.futures
+from microrel import cli, res_models
+
+starts = []
+
+class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, max_workers):
+        starts.append([max_workers,
+                       res_models._beta_bracket_table.cache_info().currsize,
+                       res_models._beta_poly_table.cache_info().currsize])
+        super().__init__(max_workers=max_workers)
+
+concurrent.futures.ProcessPoolExecutor = RecordingPool
+print(json.dumps([cli.main(sys.argv[1:]), starts]))
+"""
+
+
+def _fresh_python(*args: str):
+    env = dict(os.environ)
+    src = str(Path(microrel.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _study_loads(argv):
+    return _fresh_python(_STUDY, json.dumps(argv), json.dumps(LAZY_MODULES))
+
+
+@pytest.mark.parametrize("command, case", [
+    (None, None), ("validate", "case1"), ("run", "case1"), ("run", "case2"),
+])
+def test_studies_without_pv_load_neither_scipy_nor_the_pool(
+        case_paths, tmp_path, command, case):
+    argv = [] if command is None else [command, case_paths[case]]
+    if command == "run":
+        argv += ["--workers", "1", "--out", str(tmp_path / "report.csv")]
+    assert _study_loads(argv) == [EXIT_OK, []]
+
+
+def test_pv_study_at_one_worker_loads_scipy_but_not_the_pool(case_paths, tmp_path):
+    argv = ["run", case_paths["case3"], "--workers", "1",
+            "--out", str(tmp_path / "report.csv")]
+    assert _study_loads(argv) == [EXIT_OK, ["scipy.special"]]
+
+
+def test_pv_study_builds_the_beta_tables_before_the_pool_starts(case_paths,
+                                                                tmp_path):
+    pooled, inline = tmp_path / "pooled.csv", tmp_path / "inline.csv"
+    code, starts = _fresh_python(_POOLED_STUDY, "run", case_paths["case3"],
+                                 "--workers", "2", "--out", str(pooled))
+    assert code == EXIT_OK
+    assert starts == [[2, 1, 1]]
+    assert main(["run", case_paths["case3"], "--workers", "1",
+                 "--out", str(inline)]) == EXIT_OK
+    assert pooled.read_bytes() == inline.read_bytes()

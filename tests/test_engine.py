@@ -1,12 +1,13 @@
 """Engine tests: dispatch, analytical combination, indices, full runs."""
 
+import concurrent.futures
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from microrel import engine
+from microrel import engine, res_models
 from microrel.engine import (
     LoadPointIndices,
     PResEstimate,
@@ -579,6 +580,54 @@ def test_stop_year_matches_full_recompute(cases, workers):
 def test_run_rejects_bad_worker_count(cases):
     with pytest.raises(ValueError):
         run(cases["case1"], workers=0)
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Replace the process pool by an in-process stub that records, per
+    pool started, its size and the sizes of the beta table caches."""
+    starts = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            starts.append((max_workers,
+                           res_models._beta_bracket_table.cache_info().currsize,
+                           res_models._beta_poly_table.cache_info().currsize))
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return starts
+
+
+@pytest.mark.parametrize("max_years, workers, pool_size", [
+    (1024, 16, 2), (1025, 16, 3), (1537, 2, 2), (512, 16, None),
+    (100, 4, None), (1024, 1, None),
+])
+def test_pool_is_no_larger_than_the_run_has_blocks(cases, pool_starts,
+                                                   max_years, workers, pool_size):
+    scenario = dataclasses.replace(cases["case2"], max_years=max_years,
+                                   tolerance=1e-300)
+    result = run(scenario, workers=workers)
+    assert [size for size, _, _ in pool_starts] == \
+        ([] if pool_size is None else [pool_size])
+    assert result.years_run == max_years
+    assert result.p_res == run(scenario, workers=1).p_res
+
+
+@pytest.mark.parametrize("case, prebuilt", [("case3", 1), ("case2", 0)])
+def test_beta_tables_are_built_before_the_pool_starts(cases, pool_starts,
+                                                      case, prebuilt):
+    # Forked workers inherit the tables only if the parent has them when
+    # the pool starts; a fleet without PV arrays needs none.
+    res_models._beta_bracket_table.cache_clear()
+    res_models._beta_poly_table.cache_clear()
+    run(dataclasses.replace(cases[case], max_years=1024), workers=2)
+    assert pool_starts == [(2, prebuilt, prebuilt)]
 
 
 # ---------------------------------------------------------------------------

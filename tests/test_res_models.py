@@ -1,5 +1,6 @@
 """Resource-model tests: samplers, power curves, and trace emission."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,13 @@ import pytest
 from scipy.special import betainc
 
 import microrel.res_models as res_models
+from microrel import engine
 from microrel.res_models import (
     _BETA_CELLS,
     _BETA_CHUNK,
+    DAYS_PER_YEAR,
     MIN_UNIFORM,
+    SHARED_IRRADIANCE_KEY,
     BetaParams,
     DgUnit,
     NumericsError,
@@ -33,6 +37,7 @@ from microrel.res_models import (
     _beta_refine,
     _rekey,
 )
+from microrel.scenario_io import bundled_scenarios
 from oracles import BruteForceBetaCdf, ks_statistic, KS_CRITICAL_5PCT, weibull_cdf
 
 REGION1 = WeibullParams(scale_c=7.88, shape_k=2.62, region_id="region1")
@@ -354,6 +359,41 @@ def test_independent_irradiance_gives_distinct_pv_resource():
     pv1 = next(t for t in traces if t.unit == "PV1")
     pv2 = next(t for t in traces if t.unit == "PV2")
     assert not np.array_equal(pv1.resource, pv2.resource)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_whole_fleet_trace_is_year_zero_of_a_run(shared):
+    # Each unit's trace is the engine's year-0 stream of that unit and its
+    # power, so dispatching the traces gives the engine's year-0 counts.
+    case3 = bundled_scenarios()["case3"]
+    scenario = dataclasses.replace(case3, distributions=dataclasses.replace(
+        case3.distributions, shared_irradiance=shared))
+    dists, fleet = scenario.distributions, scenario.fleet
+    traces = emit_trace(fleet, dists, DAYS_PER_YEAR, scenario.seed)
+    block = res_models.draw_uniforms(dists, fleet, scenario.seed, 1)
+    rows = {label: row for row, label in enumerate(block.labels)}
+    total = np.zeros(DAYS_PER_YEAR)
+    for unit, trace in zip(fleet, traces, strict=True):
+        if isinstance(unit.device, WindTurbineSpec):
+            label, curve = ("wind", unit.device.region_id), wind_power
+        else:
+            key = SHARED_IRRADIANCE_KEY if shared else unit.name
+            label, curve = ("irradiance", key), pv_power
+        stream = res_models.stream_days(dists, block, rows[label], 0, DAYS_PER_YEAR)
+        assert trace.unit == unit.name
+        np.testing.assert_array_equal(trace.resource, stream)
+        np.testing.assert_array_equal(trace.power_kw, curve(unit.device, stream))
+        total += trace.power_kw
+    pv1, pv2 = (t.resource for t in traces if t.unit in ("PV1", "PV2"))
+    assert np.array_equal(pv1, pv2) == shared
+
+    ctx = engine._context_for(scenario)
+    counts = np.zeros((1, len(ctx.lp_ids)), dtype=np.int64)
+    engine._dispatch(total.reshape(1, DAYS_PER_YEAR),
+                     np.multiply.outer(ctx.levels, ctx.load_factors),
+                     ctx.blocking, counts)
+    assert dict(zip(ctx.lp_ids, counts[0].tolist())) == \
+        engine.simulate_year(scenario, 0)
 
 
 def test_wind_regions_draw_independent_streams():
