@@ -12,6 +12,7 @@ organised.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -79,6 +80,45 @@ class BruteForceBetaCdf:
             else:
                 hi = mid
         return 0.5 * (lo + hi)
+
+
+def binomial_betainc(a: int, b: int, x: float) -> float:
+    """I_x(a, b) for integer shapes: P(Binomial(a + b - 1, x) >= a).
+
+    The double x is the dyadic rational m / 2^k, so the binomial sum is done
+    in integers over the common denominator 2^(k (a + b - 1)); the only error
+    is the final rounding to a double.
+    """
+    n = a + b - 1
+    exact = Fraction(x)
+    m, den = exact.numerator, exact.denominator
+    r = den - m
+    # Horner in r: after step j, total = sum_{i=a}^{j} C(n, i) m^i r^(j-i).
+    total, comb, m_pow = 0, math.comb(n, a), m**a
+    for j in range(a, n + 1):
+        total = total * r + comb * m_pow
+        comb = comb * (n - j) // (j + 1)
+        m_pow *= m
+    return float(Fraction(total, den**n))
+
+
+def closed_form_betainc(a: float, b: float, x):
+    """I_x(a, b) in closed form for (a, 1), (1, b) and (1/2, 1/2).
+
+    Each form is arranged so that 1 - x enters only where it is exact
+    (x >= 1/2) or through log1p, so the error is a few ulps of the result.
+    """
+    x = np.asarray(x, dtype=float)
+    if b == 1.0:
+        return x**a
+    if a == 1.0:
+        return -np.expm1(b * np.log1p(-x))
+    if a == b == 0.5:
+        # I_x = (2/pi) asin(sqrt(x)), and 1 - I_x = (2/pi) asin(sqrt(1 - x)).
+        upper = x > 0.5
+        low = 2.0 / math.pi * np.arcsin(np.sqrt(np.where(upper, 1.0 - x, x)))
+        return np.where(upper, 1.0 - low, low)
+    raise ValueError(f"no closed form for shapes ({a}, {b})")
 
 
 def weibull_cdf(scale_c: float, shape_k: float, v):

@@ -314,7 +314,7 @@ def test_default_workers_count_the_cpus_this_process_may_use(monkeypatch):
 # What a study loads, in a fresh interpreter
 # ---------------------------------------------------------------------------
 
-LAZY_MODULES = ("scipy.special", "concurrent.futures.process")
+LAZY_MODULES = ("scipy", "concurrent.futures.process")
 
 # Runs cli.main on the argv given as JSON (none: import only) and prints the
 # exit code and which of LAZY_MODULES are loaded.
@@ -372,10 +372,46 @@ def test_studies_without_pv_load_neither_scipy_nor_the_pool(
     assert _study_loads(argv) == [EXIT_OK, []]
 
 
-def test_pv_study_at_one_worker_loads_scipy_but_not_the_pool(case_paths, tmp_path):
-    argv = ["run", case_paths["case3"], "--workers", "1",
-            "--out", str(tmp_path / "report.csv")]
-    assert _study_loads(argv) == [EXIT_OK, ["scipy.special"]]
+@pytest.mark.parametrize("command, case, workers", [
+    ("run", "case3", "1"), ("run", "case3", "2"), ("sweep", "sweep", "2"),
+    ("sample", "case3", None),
+])
+def test_no_study_loads_scipy(case_paths, tmp_path, command, case, workers):
+    # The beta CDF is microrel's own; only a study that forks workers loads
+    # the pool.
+    argv = [command, case_paths[case], "--out", str(tmp_path / "artifact")]
+    if workers is not None:
+        argv += ["--workers", workers]
+    pool = ["concurrent.futures.process"] if workers == "2" else []
+    assert _study_loads(argv) == [EXIT_OK, pool]
+
+
+def test_pv_study_writes_its_report_with_scipy_blocked(case_paths, tmp_path):
+    # A None entry in sys.modules makes any import of scipy fail, here and in
+    # the forked workers.
+    blocked, inline = tmp_path / "blocked.csv", tmp_path / "inline.csv"
+    code, _ = _fresh_python("import sys; sys.modules['scipy'] = None\n" + _STUDY,
+                            json.dumps(["run", case_paths["case3"], "--workers",
+                                        "2", "--out", str(blocked)]), "[]")
+    assert code == EXIT_OK
+    assert main(["run", case_paths["case3"], "--workers", "1",
+                 "--out", str(inline)]) == EXIT_OK
+    assert blocked.read_bytes() == inline.read_bytes()
+
+
+def test_beta_shapes_too_large_to_evaluate_exit_3_with_one_line(tmp_path, capsys):
+    # The CDF of a beta(1e14, 1e14) is a step narrower than 1e-7 at 1/2; the
+    # incomplete beta's continued fraction there needs more than its cap.
+    doc = bundled_scenario_path("case3").read_text()
+    doc = re.sub(r"(alpha|beta): [0-9.]+", r"\g<1>: 1.0e+14", doc)
+    path = tmp_path / "narrow.yaml"
+    path.write_text(doc)
+    out = tmp_path / "r.csv"
+    assert main(["run", str(path), "--workers", "1", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "NumericsError" in err and "did not converge" in err
+    assert not out.exists()
 
 
 def test_pv_study_builds_the_beta_tables_before_the_pool_starts(case_paths,

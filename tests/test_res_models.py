@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import betainc
 
 import microrel.res_models as res_models
 from microrel import engine
@@ -38,7 +37,8 @@ from microrel.res_models import (
     _rekey,
 )
 from microrel.scenario_io import bundled_scenarios
-from oracles import BruteForceBetaCdf, ks_statistic, KS_CRITICAL_5PCT, weibull_cdf
+from oracles import (BruteForceBetaCdf, KS_CRITICAL_5PCT, binomial_betainc,
+                     closed_form_betainc, ks_statistic, weibull_cdf)
 
 REGION1 = WeibullParams(scale_c=7.88, shape_k=2.62, region_id="region1")
 REGION2 = WeibullParams(scale_c=8.46, shape_k=3.18, region_id="region2")
@@ -201,17 +201,17 @@ def test_beta_inverse_cdf_scalar_and_vector_paths_agree():
 
 
 @pytest.mark.parametrize("alpha, beta, u", [
-    (0.5, 0.5, 0.9999998646762783),
+    (0.5, 0.5, 0.9999999735944891),
     (5.0, 0.5, 0.9999994270772085),
 ])
 def test_beta_inverse_cdf_returns_nearest_double_when_none_meets_tol(alpha, beta, u):
     # Near u = 1 with beta < 1, adjacent doubles of x step the CDF by more
     # than 2 * tol, so no double meets tol and the nearest one is returned.
     x = beta_inverse_cdf(BetaParams(alpha, beta), u)
-    residual = abs(betainc(alpha, beta, x) - u)
+    residual = abs(res_models.betainc(alpha, beta, x) - u)
     assert residual > 1e-10
     for neighbour in (np.nextafter(x, 0.0), np.nextafter(x, 1.0)):
-        assert residual <= abs(betainc(alpha, beta, neighbour) - u)
+        assert residual <= abs(res_models.betainc(alpha, beta, neighbour) - u)
 
 
 def test_beta_inverse_cdf_iteration_cap():
@@ -242,6 +242,116 @@ def test_beta_params_validation():
         BetaParams(alpha=0.0, beta=1.0)
     with pytest.raises(ValueError):
         BetaParams(alpha=1.0, beta=1.0, scale_gmax=-10.0)
+
+
+# ---------------------------------------------------------------------------
+# The regularized incomplete beta function
+# ---------------------------------------------------------------------------
+
+# x = 0, 1, the smallest subnormal and the largest double below 1.
+EDGE_X = np.array([0.0, 1.0, 2.0**-1074, 1.0 - 2.0**-53])
+
+
+def _betainc_allowance(alpha, beta):
+    """Half the rounding term the per-cell polynomial bounds allow betainc."""
+    return 0.5 * res_models._BETAINC_ROUNDING * (1.0 + math.sqrt(alpha + beta))
+
+
+def _betainc_points(alpha, beta, n, seed):
+    """Points over the support, around the bulk and close to both ends."""
+    rng = np.random.default_rng(seed)
+    mean = alpha / (alpha + beta)
+    sd = math.sqrt(mean * (1.0 - mean) / (alpha + beta + 1.0))
+    ends = 10.0 ** -rng.uniform(1.0, 15.0, n)
+    return np.clip(np.concatenate((rng.random(n), mean + 3.0 * sd * rng.normal(size=n),
+                                   ends, 1.0 - ends)), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha, beta, n", [
+    (1, 1, 200), (1, 2, 200), (2, 1, 200), (2, 3, 200), (5, 5, 200), (1, 5, 200),
+    (5, 1, 200), (7, 3, 200), (20, 30, 100), (200, 200, 15),
+])
+def test_betainc_matches_exact_binomial_sums(alpha, beta, n):
+    x = np.concatenate((_betainc_points(alpha, beta, n, seed=alpha * 1000 + beta),
+                        EDGE_X))
+    exact = np.array([binomial_betainc(alpha, beta, float(v)) for v in x])
+    error = np.abs(res_models.betainc(alpha, beta, x) - exact)
+    assert error.max() <= _betainc_allowance(alpha, beta)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (0.1, 1.0), (0.5, 1.0), (FITTED_BETA.alpha, 1.0), (5.0, 1.0),
+    (1.0, 0.1), (1.0, 0.5), (1.0, FITTED_BETA.beta), (1.0, 5.0), (0.5, 0.5),
+])
+def test_betainc_matches_closed_forms(alpha, beta):
+    x = np.concatenate((_betainc_points(alpha, beta, 5000, seed=40), EDGE_X))
+    with np.errstate(divide="ignore"):
+        exact = closed_form_betainc(alpha, beta, x)
+    error = np.abs(res_models.betainc(alpha, beta, x) - exact)
+    assert error.max() <= _betainc_allowance(alpha, beta)
+
+
+@pytest.mark.parametrize("alpha, beta", [(FITTED_BETA.alpha, FITTED_BETA.beta),
+                                         (0.5, 5.0), (200.0, 200.0)])
+def test_betainc_keeps_the_shape_of_x(alpha, beta):
+    grid = _betainc_points(alpha, beta, 30, seed=6).reshape(8, 15)
+    flat = res_models.betainc(alpha, beta, grid.ravel())
+    got = res_models.betainc(alpha, beta, grid)
+    assert got.shape == grid.shape
+    np.testing.assert_array_equal(got.ravel(), flat)
+    scalar = res_models.betainc(alpha, beta, grid[3, 4])
+    assert isinstance(scalar, float) and scalar == got[3, 4]
+    assert res_models.betainc(alpha, beta, np.array(grid[3, 4])).shape == ()
+    assert res_models.betainc(alpha, beta, np.empty(0)).shape == (0,)
+    edges = res_models.betainc(alpha, beta, EDGE_X)
+    assert edges[0] == 0.0 and edges[1] == 1.0
+    assert 0.0 <= edges[2] < 1e-150 and 1.0 - 1e-7 < edges[3] <= 1.0
+
+
+@pytest.mark.parametrize("alpha, beta", [(FITTED_BETA.alpha, FITTED_BETA.beta),
+                                         (0.5, 0.5), (5.0, 5.0), (200.0, 200.0)])
+def test_betainc_value_does_not_depend_on_the_rest_of_x(alpha, beta):
+    # The series' term count follows the largest z in a call; an element's
+    # value must not, or draws would depend on how queries are batched.
+    rng = np.random.default_rng(7)
+    x = np.concatenate((0.3 * rng.random(300), 1.0 - 0.3 * rng.random(300),
+                        rng.random(300)))
+    whole = res_models.betainc(alpha, beta, x)
+    np.testing.assert_array_equal(
+        whole, [res_models.betainc(alpha, beta, v) for v in x])
+    np.testing.assert_array_equal(
+        whole, np.concatenate([res_models.betainc(alpha, beta, part)
+                               for part in np.array_split(x[::-1], 7)])[::-1])
+
+
+# Inputs where scipy's betainc is itself wrong, with its value and the
+# exact one: at 1 - 2^-53 by 2.8e-9 (it returns (2/pi) asin(sqrt(x)) with
+# sqrt(x) rounded to x), and at 0.999999 by 2.8e-14.
+SCIPY_WRONG = {
+    (0.5, 0.5): {1.0 - 2.0**-53: (0.9999999905136262, 0.9999999932921207),
+                 0.999999: (0.9993633801215482, 0.9993633801215199)},
+}
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (FITTED_BETA.alpha, FITTED_BETA.beta), (2.0, 3.0)] + [
+    (a, b) for a in (0.5, 1.0, 5.0) for b in (0.5, 1.0, 5.0)])
+def test_betainc_agrees_with_scipy(alpha, beta):
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate((np.random.default_rng(41).random(2000),
+                        np.linspace(0.0, 1.0, 1001), EDGE_X, [1e-6, 0.999999]))
+    wrong = SCIPY_WRONG.get((alpha, beta), {})
+    for point, (scipy_value, exact) in wrong.items():
+        assert special.betainc(alpha, beta, point) == scipy_value
+        assert res_models.betainc(alpha, beta, point) == pytest.approx(exact, abs=1e-15)
+    x = x[~np.isin(x, list(wrong))]
+    np.testing.assert_allclose(res_models.betainc(alpha, beta, x),
+                               special.betainc(alpha, beta, x), rtol=0, atol=1e-14)
+
+
+def test_betainc_raises_where_its_continued_fraction_cannot_converge():
+    with pytest.raises(NumericsError, match="did not converge"):
+        res_models.betainc(1e14, 1e14, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +629,9 @@ def test_rekey_leaves_no_state_from_the_previous_year():
 TABLE_SHAPES = [(FITTED_BETA.alpha, FITTED_BETA.beta)] + [
     (a, b) for a in (0.5, 1.0, 5.0) for b in (0.5, 1.0, 5.0)
 ]
+# A narrow distribution, where betainc's continued fraction takes ~60 steps
+# and its prefactor must be taken about its peak to keep its precision.
+LARGE_SHAPE = (1000.0, 2000.0)
 CELL_EDGES = np.arange(_BETA_CELLS + 1) / _BETA_CELLS
 
 
@@ -536,7 +649,9 @@ def test_beta_table_brackets_every_cell(alpha, beta):
     assert np.all(np.diff(table.knots) >= 0.0)
     # The CDF is exact at every knot, so a bracket that holds in the table
     # holds for the distribution.
-    np.testing.assert_array_equal(table.cdf, betainc(alpha, beta, table.knots))
+    np.testing.assert_array_equal(table.cdf,
+                                  res_models.betainc(alpha, beta, table.knots))
+    assert np.all(np.diff(table.cdf) >= 0.0)
     # Knots sit within one cell of their u-edge, which is what lets the
     # neighbour comparison stand in for a search.
     assert np.abs(table.cdf - CELL_EDGES).max() < 1.0 / _BETA_CELLS
@@ -548,20 +663,20 @@ def test_beta_cells_search_when_no_neighbour_holds_u():
     # Knots at equal x steps are many cells away from their u-edges for a
     # skewed shape, so most queries need the search fallback.
     knots = np.linspace(0.0, 1.0, _BETA_CELLS + 1)
-    cdf = betainc(0.5, 5.0, knots)
+    cdf = res_models.betainc(0.5, 5.0, knots)
     zeros = np.zeros(_BETA_CELLS)
     table = _BetaTable(knots, cdf, zeros, zeros)
     _assert_brackets_hold(table, np.random.default_rng(4).random(20_000))
 
 
-@pytest.mark.parametrize("alpha, beta", TABLE_SHAPES)
+@pytest.mark.parametrize("alpha, beta", TABLE_SHAPES + [LARGE_SHAPE])
 def test_beta_inverse_cdf_residual_at_edges_and_extremes(alpha, beta):
     params = BetaParams(alpha, beta)
     tol = 1e-10
     u = np.concatenate(([0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53], CELL_EDGES))
     x = beta_inverse_cdf(params, u, tol=tol)
     assert np.all((x >= 0.0) & (x <= 1.0))
-    assert np.abs(betainc(alpha, beta, x) - u).max() <= tol
+    assert np.abs(res_models.betainc(alpha, beta, x) - u).max() <= tol
     assert x[0] == 0.0 and x[1] == 1.0
 
 
@@ -585,14 +700,14 @@ def _betainc_only_inverse(params: BetaParams, u: np.ndarray,
     du = u - table.cdf[cell]
     x = table.knots[cell] + du * (table.slope[cell] + du * table.curve[cell])
     x[u == 1.0] = 1.0
-    r = betainc(params.alpha, params.beta, x) - u
+    r = res_models.betainc(params.alpha, params.beta, x) - u
     far = np.abs(r) > tol
     x[far] = _beta_refine(params, table, cell[far], u[far], x[far], r[far],
                           tol, 200)
     return x
 
 
-@pytest.mark.parametrize("alpha, beta", TABLE_SHAPES)
+@pytest.mark.parametrize("alpha, beta", TABLE_SHAPES + [LARGE_SHAPE])
 def test_beta_inverse_cdf_equals_betainc_only_path(alpha, beta):
     params = BetaParams(alpha, beta)
     midpoints = (CELL_EDGES[:-1] + CELL_EDGES[1:]) / 2
@@ -636,7 +751,7 @@ def test_beta_poly_table_keeps_its_bound_at_fresh_points(alpha, beta):
         h = frac * width
         estimate = h * (poly.c1[usable] + h * (poly.c2[usable]
                         + h * (poly.c3[usable] + h * poly.c4[usable])))
-        exact = betainc(alpha, beta, lower + h) - table.cdf[:-1][usable]
+        exact = res_models.betainc(alpha, beta, lower + h) - table.cdf[:-1][usable]
         assert np.all(np.abs(estimate - exact) <= poly.bound[usable])
 
 
@@ -648,6 +763,7 @@ def test_beta_draws_in_exact_only_cells_reach_betainc(monkeypatch):
     u = (table.cdf[exact_only] + table.cdf[exact_only + 1]) / 2
     assert np.all(_beta_cells(table, u) == exact_only)
     seen = []
+    betainc = res_models.betainc
 
     def recording_betainc(a, b, x):
         seen.append(np.size(x))
