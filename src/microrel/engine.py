@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -73,6 +74,8 @@ _YEARS_PER_BLOCK = 512
 # Years per pass of the chain from Weibull to dispatch within a block, so
 # that a pass's per-day arrays (~190 KB each) stay in cache.
 _YEARS_PER_PASS = 64
+_MAX_THRESHOLD_LOADS = 6  # thresholds enumerate the 2^k served sets of k loads
+_THRESHOLD_BRACKET = 128  # ulps; a threshold is a few ulps off a subset sum
 
 _IDENTITY_RTOL = 1e-9
 _MAX_SEED = 2**64
@@ -215,7 +218,7 @@ def _dispatch(remaining: np.ndarray, needs: np.ndarray, blocking: bool,
     ``remaining`` (rows x days) holds each day's generation and ends as the
     curtailed surplus.  ``needs[k]`` is load k's level on each day, loads in
     priority order.  ``counts[:, k]`` receives the days per row on which
-    load k is served.
+    load k is served.  It defines both rules, and the served thresholds.
     """
     fits = np.empty(remaining.shape, dtype=bool)
     served = np.ones(remaining.shape, dtype=bool) if blocking else fits
@@ -289,13 +292,57 @@ def _series_key(unit: DgUnit, shared_irradiance: bool) -> tuple:
     return device, SHARED_IRRADIANCE_KEY if shared_irradiance else unit.name
 
 
+@lru_cache(maxsize=8)
+def _served_thresholds(levels: tuple[float, ...], load_factors: tuple[float, ...],
+                       blocking: bool) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Thresholds that count each load's served days without dispatching.
+
+    A day's served loads, read as a binary code with the first load on top,
+    never decrease with its total T (README, "Evaluation method"): load j
+    is served on sum_c #(T >= tau_c) * (bit_j(c) - bit_j(c - 1)) days, with
+    tau_c the least double whose code is >= c, bisected over the doubles'
+    bit patterns with ``_dispatch`` as the oracle from a bracket at a subset
+    sum of the needs (all doubles where it fails).  Equal rows merge.
+    Returns thresholds (rows x days, one column for one factor) and steps
+    (rows x loads), or None past _MAX_THRESHOLD_LOADS loads.
+    """
+    k = len(levels)
+    if not 0 < k <= _MAX_THRESHOLD_LOADS:
+        return None
+    factors, day_factor = np.unique(load_factors, return_inverse=True)
+    needs = np.multiply.outer(levels, factors)
+    weights = 1 << np.arange(k - 1, -1, -1)
+    bits = (np.arange(2**k)[:, None] & weights) > 0  # bits[c, j]: code c serves load j
+
+    def code(patterns: np.ndarray) -> np.ndarray:  # of the doubles with these bits
+        counts = np.empty((patterns.size, k), dtype=np.int64)
+        _dispatch(patterns.reshape(-1, 1).view(np.float64).copy(),
+                  np.tile(needs, patterns.shape[0])[:, :, None], blocking, counts)
+        return (counts @ weights).reshape(patterns.shape)
+    sums = (bits @ needs).view(np.int64) + _THRESHOLD_BRACKET // 2
+    hi = np.full((2**k, factors.size), np.inf).view(np.int64)  # code(inf) is all ones
+    np.minimum.at(hi, (code(sums), np.arange(factors.size)), sums)
+    hi = np.minimum.accumulate(hi[::-1], axis=0)[-2::-1]
+    c = np.arange(1, 2**k)[:, None]
+    lo = np.maximum(hi - _THRESHOLD_BRACKET, 0)
+    lo = np.where(code(lo) < c, lo, -1)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2  # -1 (a NaN, code 0) only where hi - lo == 1
+        up = code(mid) >= c
+        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+    tau = hi.view(np.float64)[:, day_factor if factors.size > 1 else [0]]
+    rows = np.flatnonzero(np.r_[True, np.any(tau[1:] != tau[:-1], axis=1)])
+    steps = np.add.reduceat(np.diff(bits.astype(np.int64), axis=0), rows, axis=0)
+    return tau[rows], steps
+
+
 def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarray:
     """Supplied-day counts, shape (n_years, n_load_points), priority order.
 
     The block draws its uniforms and inverts its irradiance streams once;
     the rest of the chain runs in passes of _YEARS_PER_PASS years, each
-    computing every distinct power series once and summing the series in
-    fleet order.
+    computing every distinct power series once, summing the series in fleet
+    order and counting the days whose totals reach each served threshold.
     """
     dists = ctx.distributions
     block = draw_uniforms(dists, ctx.fleet, ctx.seed, n_years, start_year)
@@ -310,7 +357,9 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
     distinct: dict[tuple, DgUnit] = {}  # the first unit of each series
     for key, unit in zip(keys, ctx.fleet):
         distinct.setdefault(key, unit)
-    needs = np.multiply.outer(ctx.levels, ctx.load_factors)
+    served = _served_thresholds(ctx.levels, ctx.load_factors, ctx.blocking)
+    if served is None:
+        needs = np.multiply.outer(ctx.levels, ctx.load_factors)
 
     counts = np.empty((n_years, len(ctx.lp_ids)), dtype=np.int64)
     for first in range(0, n_years, _YEARS_PER_PASS):
@@ -324,11 +373,14 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
         )
         power = {key: unit_power_series(unit, resources)
                  for key, unit in distinct.items()}
-        remaining = np.zeros(stop - start)
+        totals = np.zeros((last - first, DAYS_PER_YEAR))
         for key in keys:
-            remaining += power[key]
-        _dispatch(remaining.reshape(last - first, DAYS_PER_YEAR), needs,
-                  ctx.blocking, counts[first:last])
+            totals += power[key].reshape(totals.shape)
+        if served is None:
+            _dispatch(totals, needs, ctx.blocking, counts[first:last])
+            continue
+        reached = [(totals >= tau).sum(axis=1) for tau in served[0]]
+        counts[first:last] = np.stack(reached, axis=1) @ served[1]
     return counts
 
 
@@ -569,12 +621,13 @@ class _Convergence:
 def _start_pool(ctx: _SimContext, workers: int):
     """A process pool of ``workers`` processes to simulate ``ctx``'s blocks.
 
-    The parent first builds the lazily cached sampling tables, so that
-    forked workers inherit them instead of each building its own.
+    The parent first builds the lazily cached sampling tables and served
+    thresholds, so that forked workers inherit them instead of rebuilding.
     """
     from concurrent.futures import ProcessPoolExecutor  # only pools need it
 
     prepare_sampling(ctx.distributions, ctx.fleet)
+    _served_thresholds(ctx.levels, ctx.load_factors, ctx.blocking)
     return ProcessPoolExecutor(max_workers=workers)
 
 

@@ -520,16 +520,21 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 def _beta_bracket_table(alpha: float, beta: float) -> _BetaTable:
     """The u-indexed knot table used to bracket inverse-CDF queries.
 
-    Costs _BETA_COARSE_KNOTS + _BETA_CELLS + 1 CDF evaluations.  Only the
-    knot placement is approximate: the CDF is evaluated exactly at every
-    knot, so a cell whose CDF values enclose u is a valid bracket.
+    Costs _BETA_COARSE_KNOTS + _BETA_CELLS + 1 CDF evaluations (twice the
+    last for a narrow shape).  Only the knot placement is approximate: the
+    CDF is evaluated exactly at every knot, so a cell whose CDF values
+    enclose u is a valid bracket.
     """
     t = np.linspace(0.0, 1.0, _BETA_COARSE_KNOTS)
     coarse_cdf = betainc(alpha, beta, _smoothstep(t))
-    knots = _smoothstep(np.interp(np.arange(_BETA_CELLS + 1) / _BETA_CELLS,
-                                  coarse_cdf, t))
+    edges = np.arange(_BETA_CELLS + 1) / _BETA_CELLS
+    knots = _smoothstep(np.interp(edges, coarse_cdf, t))
     knots[0], knots[-1] = 0.0, 1.0
     cdf = betainc(alpha, beta, knots)
+    if np.abs(cdf - edges).max() >= 1.0 / _BETA_CELLS:  # a narrow shape:
+        knots = np.interp(edges, cdf, knots)  # re-place from the exact CDF
+        knots[0], knots[-1] = 0.0, 1.0
+        cdf = betainc(alpha, beta, knots)
 
     dx = np.diff(knots)
     dc = np.diff(cdf)

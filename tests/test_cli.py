@@ -8,9 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import microrel
-from microrel import cli
+from microrel import cli, scenario_io
 from microrel.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -149,6 +150,21 @@ def test_validate_rejects_broken_file_without_artifacts(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "dangling_reference" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.yaml"]
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_yaml_syntax_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
+                                                 loader):
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML without libyaml")
+    monkeypatch.setattr(scenario_io, "_YAML_LOADER", getattr(yaml, loader))
+    path = tmp_path / "broken.yaml"
+    path.write_text("meta:\n  name: [unbalanced\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "not valid YAML" in err and "line 2" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.yaml"]
 
 

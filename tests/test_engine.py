@@ -150,6 +150,140 @@ def test_zero_level_load_is_always_served_and_never_blocks(cases, blocking):
 
 
 # ---------------------------------------------------------------------------
+# Served thresholds against the dispatch they come from
+# ---------------------------------------------------------------------------
+
+def _dispatched(totals, levels, factors, blocking):
+    # Served loads, shape totals.shape + (loads,): each (total, day) pair is
+    # dispatched on its own.
+    needs = np.multiply.outer(levels, factors)
+    counts = np.empty((totals.size, len(levels)), dtype=np.int64)
+    engine._dispatch(totals.reshape(-1, 1).copy(),
+                     np.tile(needs, totals.shape[0])[:, :, None], blocking, counts)
+    return counts.reshape(totals.shape + (len(levels),))
+
+
+def _assert_thresholds_match_dispatch(levels, factors, blocking, rng):
+    # The thresholds' served sets equal the dispatch's at every threshold,
+    # one double on either side of it, at 0, at the least double and at
+    # random totals; agreement at a threshold and below it proves the
+    # threshold is the least double that reaches its served set.
+    thresholds, steps = engine._served_thresholds.__wrapped__(
+        tuple(levels), tuple(factors), blocking)
+    # One column stands for every day when all days share one factor.
+    assert thresholds.shape == (len(steps), len(factors) if len(set(factors)) > 1 else 1)
+    thresholds = np.broadcast_to(thresholds, (len(steps), len(factors)))
+    needs = np.multiply.outer(levels, factors)
+    totals = np.vstack((thresholds, np.nextafter(thresholds, 0.0),
+                        np.nextafter(thresholds, np.inf),
+                        np.zeros(len(factors)), np.full(len(factors), 5e-324),
+                        rng.uniform(0.0, 1.2, (20, len(factors)))
+                        * (needs.sum(axis=0) + 1.0)))
+    predicted = (totals[:, :, None] >= thresholds.T).astype(np.int64) @ steps
+    np.testing.assert_array_equal(predicted,
+                                  _dispatched(totals, levels, factors, blocking))
+    return thresholds, steps
+
+
+def _random_levels(rng, n):
+    levels = rng.uniform(0.0, 3000.0, n)
+    levels[rng.random(n) < 0.2] = 0.0
+    return levels
+
+
+@pytest.mark.parametrize("blocking", [False, True])
+def test_served_thresholds_match_dispatch_for_random_needs(blocking):
+    rng = np.random.default_rng(1618)
+    for n in [1, 2, 3, 4, 5, 6] * 25:
+        factors = rng.choice([0.0, 1.0, 0.37, 1.9, float(rng.uniform(0.0, 2.0))], 8)
+        thresholds, steps = _assert_thresholds_match_dispatch(
+            _random_levels(rng, n), factors, blocking, rng)
+        # The steps telescope to every load served; blocking only adds loads.
+        np.testing.assert_array_equal(steps.sum(axis=0), 1)
+        assert len(steps) <= (n if blocking else 2**n - 1)
+        assert not blocking or np.all(steps >= 0)
+
+
+@pytest.mark.parametrize("blocking", [False, True])
+def test_served_thresholds_match_dispatch_for_case4_factors(cases, blocking):
+    ctx = engine._context_for(cases["case4"])
+    assert len(set(ctx.load_factors)) == 161
+    _, steps = _assert_thresholds_match_dispatch(
+        np.array(ctx.levels), np.array(ctx.load_factors), blocking,
+        np.random.default_rng(5))
+    # Blocking serves priority prefixes, one row per load; serve-if-fits
+    # reaches 6 of the 15 nonempty served sets of the bundled needs.
+    if blocking:
+        np.testing.assert_array_equal(steps, np.eye(4, dtype=np.int64))
+    else:
+        assert len(steps) == 6
+
+
+@pytest.mark.parametrize("blocking", [False, True])
+def test_served_code_is_nondecreasing_in_total(blocking):
+    rng = np.random.default_rng(1414)
+    for n in [1, 2, 3, 4, 5, 6] * 10:
+        levels = _random_levels(rng, n)
+        subset_sums = np.array([levels[[j for j in range(n) if m >> j & 1]].sum()
+                                for m in range(2**n)])
+        totals = np.concatenate((rng.uniform(0.0, 1.2 * levels.sum() + 1.0, 200),
+                                 subset_sums, np.nextafter(subset_sums, 0.0),
+                                 np.nextafter(subset_sums, np.inf), [0.0, 5e-324]))
+        totals = np.sort(totals)[:, None]
+        served = _dispatched(totals, levels, [1.0], blocking)[:, 0]
+        code = served @ (1 << np.arange(n - 1, -1, -1))
+        assert np.all(np.diff(code) >= 0)
+
+
+@pytest.mark.parametrize("blocking", [False, True])
+@pytest.mark.parametrize("levels", [
+    (500.0, 3000.0, 1000.0, 1000.0, 700.0, 300.0, 200.0),  # too many loads
+    (3200.0, 1600.0, 800.0, 400.0, 200.0, 100.0),  # 63 served sets
+])
+def test_block_counts_match_reference_past_the_bundled_needs(cases, levels, blocking):
+    ctx = dataclasses.replace(
+        engine._context_for(cases["case4"]), blocking=blocking, levels=levels,
+        lp_ids=tuple(f"L{j}" for j in range(len(levels))))
+    served = engine._served_thresholds(ctx.levels, ctx.load_factors, blocking)
+    assert (served is None) == (len(levels) > engine._MAX_THRESHOLD_LOADS)
+    np.testing.assert_array_equal(engine._simulate_block(ctx, 0, P + 1),
+                                  reference_block_counts(ctx, 0, P + 1))
+
+
+@pytest.mark.parametrize("blocking", [False, True])
+def test_a_total_exactly_at_a_threshold_is_served(cases, blocking):
+    # A lone turbine rated at the sum of the needs delivers exactly that sum
+    # on every day between rated and cut-out speed: the least total that
+    # serves every load, which those days must count.
+    ctx = engine._context_for(cases["case2"])
+    region = ctx.fleet[0].device.region_id
+    turbine = WindTurbineSpec(math.fsum(ctx.levels), 10.0, 3.0, 25.0, region)
+    ctx = dataclasses.replace(ctx, fleet=(DgUnit("WTG1", "LP2", turbine),),
+                              blocking=blocking)
+    counts = engine._simulate_block(ctx, 0, 40)
+    np.testing.assert_array_equal(counts, reference_block_counts(ctx, 0, 40))
+    assert counts[:, -1].sum() > 0
+
+
+@pytest.mark.parametrize("name", ["case2", "case3", "case4"])
+def test_adding_a_turbine_never_lowers_a_years_counts_under_blocking(cases, name):
+    # The extra turbine joins an existing region at the end of the fleet,
+    # so every other draw is unchanged and every day's total can only grow.
+    # Blocking serves a priority prefix, which grows with the total.
+    # Serve-if-fits does not: a larger total can serve a higher-priority
+    # load that takes the capacity a lower one had, so there a year's count
+    # of that lower load can fall.
+    base = dataclasses.replace(cases[name], dispatch=engine.DISPATCH_BLOCKING)
+    region = base.fleet[0].device.region_id
+    extra = DgUnit("WTG9", "LP6", WindTurbineSpec(1000.0, 14.0, 3.0, 25.0, region))
+    bigger = dataclasses.replace(base, fleet=base.fleet + (extra,))
+    small = engine._simulate_block(engine._context_for(base), 0, 200)
+    grown = engine._simulate_block(engine._context_for(bigger), 0, 200)
+    assert np.all(grown >= small)
+    assert np.any(grown > small)
+
+
+# ---------------------------------------------------------------------------
 # Block kernel against the whole-block reference
 # ---------------------------------------------------------------------------
 
@@ -585,14 +719,16 @@ def test_run_rejects_bad_worker_count(cases):
 @pytest.fixture
 def pool_starts(monkeypatch):
     """Replace the process pool by an in-process stub that records, per
-    pool started, its size and the sizes of the beta table caches."""
+    pool started, its size and the sizes of the beta table and served
+    threshold caches."""
     starts = []
 
     class RecordingPool:
         def __init__(self, max_workers):
             starts.append((max_workers,
                            res_models._beta_bracket_table.cache_info().currsize,
-                           res_models._beta_poly_table.cache_info().currsize))
+                           res_models._beta_poly_table.cache_info().currsize,
+                           engine._served_thresholds.cache_info().currsize))
 
         def map(self, fn, tasks):
             return map(fn, tasks)
@@ -613,7 +749,7 @@ def test_pool_is_no_larger_than_the_run_has_blocks(cases, pool_starts,
     scenario = dataclasses.replace(cases["case2"], max_years=max_years,
                                    tolerance=1e-300)
     result = run(scenario, workers=workers)
-    assert [size for size, _, _ in pool_starts] == \
+    assert [start[0] for start in pool_starts] == \
         ([] if pool_size is None else [pool_size])
     assert result.years_run == max_years
     assert result.p_res == run(scenario, workers=1).p_res
@@ -623,11 +759,13 @@ def test_pool_is_no_larger_than_the_run_has_blocks(cases, pool_starts,
 def test_beta_tables_are_built_before_the_pool_starts(cases, pool_starts,
                                                       case, prebuilt):
     # Forked workers inherit the tables only if the parent has them when
-    # the pool starts; a fleet without PV arrays needs none.
+    # the pool starts; a fleet without PV arrays needs no beta tables, but
+    # every fleet needs its served thresholds.
     res_models._beta_bracket_table.cache_clear()
     res_models._beta_poly_table.cache_clear()
+    engine._served_thresholds.cache_clear()
     run(dataclasses.replace(cases[case], max_years=1024), workers=2)
-    assert pool_starts == [(2, prebuilt, prebuilt)]
+    assert pool_starts == [(2, prebuilt, prebuilt, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -642,7 +642,7 @@ def _assert_brackets_hold(table, u):
     assert np.all(u <= table.cdf[cell + 1])
 
 
-@pytest.mark.parametrize("alpha, beta", TABLE_SHAPES)
+@pytest.mark.parametrize("alpha, beta", TABLE_SHAPES + [LARGE_SHAPE, (200.0, 200.0)])
 def test_beta_table_brackets_every_cell(alpha, beta):
     table = _beta_bracket_table(alpha, beta)
     assert table.knots[0] == 0.0 and table.knots[-1] == 1.0

@@ -6,7 +6,7 @@ import json
 import pytest
 import yaml
 
-from microrel import engine
+from microrel import engine, scenario_io
 from microrel.network import load_calibrated_dataset
 from microrel.res_models import PvArraySpec, WindTurbineSpec
 from microrel.scenario_io import (
@@ -220,6 +220,17 @@ def test_topology_scenario_runs_end_to_end():
 # ---------------------------------------------------------------------------
 # Schema rejection
 # ---------------------------------------------------------------------------
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
+@pytest.mark.parametrize("name", ["case1", "case2", "case3", "case4", "sweep"])
+def test_libyaml_and_python_loaders_read_equal_scenarios(name, monkeypatch):
+    text = bundled_scenario_path(name).read_text()
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == \
+        yaml.load(text, Loader=yaml.SafeLoader)
+    fast = parse_scenario(text)
+    monkeypatch.setattr(scenario_io, "_YAML_LOADER", yaml.SafeLoader)
+    assert parse_scenario(text) == fast
+
 
 def test_rejects_invalid_yaml_syntax():
     with pytest.raises(ScenarioSyntaxError):
