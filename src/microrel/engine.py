@@ -16,9 +16,11 @@ result is invariant to how many workers simulate the years.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import BinaryIO, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -259,7 +261,8 @@ def priority_dispatch(total_res: float,
 
 @dataclass(frozen=True)
 class _SimContext:
-    """Picklable bundle of everything a worker needs to simulate years."""
+    """Everything a block needs to simulate its years; forked block workers
+    inherit it, so it is never pickled."""
 
     distributions: ResourceDistributions
     fleet: tuple[DgUnit, ...]
@@ -382,11 +385,6 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
         reached = [(totals >= tau).sum(axis=1) for tau in served[0]]
         counts[first:last] = np.stack(reached, axis=1) @ served[1]
     return counts
-
-
-def _simulate_block_task(args: tuple[_SimContext, int, int]) -> np.ndarray:
-    ctx, start_year, n_years = args
-    return _simulate_block(ctx, start_year, n_years)
 
 
 def simulate_year(scenario: Scenario, year_index: int) -> dict[str, int]:
@@ -618,29 +616,81 @@ class _Convergence:
         return stop
 
 
-def _start_pool(ctx: _SimContext, workers: int):
-    """A process pool of ``workers`` processes to simulate ``ctx``'s blocks.
+_BLOCK_TAG, _ERROR_TAG = b"b", b"e"
 
-    The parent first builds the lazily cached sampling tables and served
-    thresholds, so that forked workers inherit them instead of rebuilding.
+
+def _fork_block_worker(ctx: _SimContext,
+                       blocks: Sequence[tuple[int, int]]) -> tuple[int, BinaryIO]:
+    """Fork a process that simulates ``blocks`` in order; its pid and pipe.
+
+    Each block's counts go down the pipe as raw int64 bytes behind
+    _BLOCK_TAG.  Any exception, an interrupt too, ends it and goes down
+    pickled behind _ERROR_TAG, for the caller to raise.  The pipe's
+    capacity bounds how far the process runs ahead of the reader.
     """
-    from concurrent.futures import ProcessPoolExecutor  # only pools need it
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    try:
+        os.close(read)
+        with open(write, "wb") as pipe:
+            try:
+                for start, size in blocks:
+                    pipe.write(_BLOCK_TAG + _simulate_block(ctx, start, size).tobytes())
+                    pipe.flush()
+            except BaseException as exc:
+                pipe.write(_ERROR_TAG + pickle.dumps(exc))
+    finally:
+        os._exit(0)
 
-    prepare_sampling(ctx.distributions, ctx.fleet)
-    _served_thresholds(ctx.levels, ctx.load_factors, ctx.blocking)
-    return ProcessPoolExecutor(max_workers=workers)
+
+def _receive_block(forked: dict[int, tuple[int, BinaryIO]], worker: int,
+                   shape: tuple[int, int]) -> np.ndarray:
+    """The next block from a forked worker; raises what the worker raised."""
+    pid, pipe = forked[worker]
+    tag = pipe.read(1)
+    if tag == _ERROR_TAG:
+        raise pickle.loads(pipe.read())
+    nbytes = 8 * shape[0] * shape[1]
+    data = pipe.read(nbytes)
+    if tag == _BLOCK_TAG and len(data) == nbytes:
+        return np.frombuffer(data, dtype=np.int64).reshape(shape)
+    del forked[worker]
+    pipe.close()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    raise RuntimeError(f"block worker {pid} exited with status {status} "
+                       "before sending all of its blocks")
+
+
+def _stop_block_workers(forked: dict[int, tuple[int, BinaryIO]]) -> None:
+    """Kill, reap and close every forked block worker, running or done."""
+    import signal  # only runs that fork need it
+
+    for pid, pipe in forked.values():
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pipe.close()
 
 
 def run(scenario: Scenario, workers: int = 1) -> RunResult:
     """Execute the full evaluation for one scenario.
 
     Years are simulated in fixed-size blocks until the convergence rule
-    triggers or ``scenario.max_years`` is reached.  Blocks may be simulated
-    by parallel worker processes; because every year draws from its own
-    (seed, year) substream and the stopping year is a function of the
-    per-year series alone, the result is identical for any worker count.
-    No more workers are used than the run has blocks, and none are started
-    when that is one.
+    triggers or ``scenario.max_years`` is reached.  Block j runs in process
+    j mod w, w = min(workers, blocks): the caller is process 0 and forks
+    the others once the tables they inherit are built (where ``os.fork``
+    is missing, w = 1).  Forked workers run ahead and the caller takes the
+    blocks in order; because every year draws from its own (seed, year)
+    substream and the stopping year is a function of the per-year series
+    alone, the result is identical for any worker count.  On return, no
+    forked worker is left running.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -654,32 +704,32 @@ def run(scenario: Scenario, workers: int = 1) -> RunResult:
         converged = True
         years_run = 1
     else:
-        blocks: list[np.ndarray] = []
+        blocks = [(start, min(_YEARS_PER_BLOCK, scenario.max_years - start))
+                  for start in range(0, scenario.max_years, _YEARS_PER_BLOCK)]
+        w = min(workers, len(blocks)) if hasattr(os, "fork") else 1
+        prepare_sampling(ctx.distributions, ctx.fleet)
+        _served_thresholds(ctx.levels, ctx.load_factors, ctx.blocking)
         convergence = _Convergence(scenario, ctx.lp_ids, table)
+        simulated: list[np.ndarray] = []
         stop = None
-        start = 0
-        # A fork-started pool forks all its processes at the first submit.
-        workers = min(workers, -(-scenario.max_years // _YEARS_PER_BLOCK))
-        pool = _start_pool(ctx, workers) if workers > 1 else None
+        forked: dict[int, tuple[int, BinaryIO]] = {}  # process -> pid, pipe
         try:
-            while stop is None and start < scenario.max_years:
-                tasks = []
-                while len(tasks) < workers and start < scenario.max_years:
-                    size = min(_YEARS_PER_BLOCK, scenario.max_years - start)
-                    tasks.append((ctx, start, size))
-                    start += size
-                if pool is not None and len(tasks) > 1:
-                    results = list(pool.map(_simulate_block_task, tasks))
+            for process in range(1, w):
+                forked[process] = _fork_block_worker(ctx, blocks[process::w])
+            for j, (start, size) in enumerate(blocks):
+                if j % w:
+                    simulated.append(_receive_block(forked, j % w, (size, n_lp)))
                 else:
-                    results = [_simulate_block_task(t) for t in tasks]
-                blocks.extend(results)
-                stop = convergence.add(np.concatenate(results, axis=0))
+                    simulated.append(_simulate_block(ctx, start, size))
+                stop = convergence.add(simulated[-1])
+                if stop is not None:
+                    break
         finally:
-            if pool is not None:
-                pool.shutdown()
+            if forked:
+                _stop_block_workers(forked)
         converged = stop is not None
-        years_run = stop if converged else start
-        counts = np.concatenate(blocks, axis=0)[:years_run]
+        years_run = stop if converged else scenario.max_years
+        counts = np.concatenate(simulated, axis=0)[:years_run]
 
     running_ens = _running_ens_series(
         counts, ctx.lp_ids, scenario.network, table, scenario.p_islanding

@@ -1,5 +1,6 @@
 """Command-line interface tests (in-process through cli.main)."""
 
+import errno
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 import yaml
 
 import microrel
-from microrel import cli, scenario_io
+from microrel import cli, engine, scenario_io
 from microrel.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -21,6 +22,7 @@ from microrel.cli import (
     build_parser,
     main,
 )
+from microrel.res_models import NumericsError
 from microrel.scenario_io import bundled_scenario_path, parse_report
 
 
@@ -330,7 +332,7 @@ def test_default_workers_count_the_cpus_this_process_may_use(monkeypatch):
 # What a study loads, in a fresh interpreter
 # ---------------------------------------------------------------------------
 
-LAZY_MODULES = ("scipy", "concurrent.futures.process")
+LAZY_MODULES = ("scipy", "concurrent.futures", "multiprocessing")
 
 # Runs cli.main on the argv given as JSON (none: import only) and prints the
 # exit code and which of LAZY_MODULES are loaded.
@@ -342,24 +344,22 @@ code = cli.main(argv) if argv else 0
 print(json.dumps([code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))
 """
 
-# Runs cli.main on sys.argv[1:] with a process pool that records, when it
-# starts, its size and the sizes of the beta table caches.
-_POOLED_STUDY = """
-import json, sys
-import concurrent.futures
+# Runs cli.main on sys.argv[1:] with an os.fork that records, at each fork,
+# the sizes of the beta table caches the forked block worker inherits.
+_FORKING_STUDY = """
+import json, os, sys
 from microrel import cli, res_models
 
-starts = []
+forks = []
+fork = os.fork
 
-class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-    def __init__(self, max_workers):
-        starts.append([max_workers,
-                       res_models._beta_bracket_table.cache_info().currsize,
-                       res_models._beta_poly_table.cache_info().currsize])
-        super().__init__(max_workers=max_workers)
+def recording_fork():
+    forks.append([res_models._beta_bracket_table.cache_info().currsize,
+                  res_models._beta_poly_table.cache_info().currsize])
+    return fork()
 
-concurrent.futures.ProcessPoolExecutor = RecordingPool
-print(json.dumps([cli.main(sys.argv[1:]), starts]))
+os.fork = recording_fork
+print(json.dumps([cli.main(sys.argv[1:]), forks]))
 """
 
 
@@ -393,13 +393,12 @@ def test_studies_without_pv_load_neither_scipy_nor_the_pool(
     ("sample", "case3", None),
 ])
 def test_no_study_loads_scipy(case_paths, tmp_path, command, case, workers):
-    # The beta CDF is microrel's own; only a study that forks workers loads
-    # the pool.
+    # The beta CDF is microrel's own, and block workers are plain forks: no
+    # study loads scipy or a process pool library, at any worker count.
     argv = [command, case_paths[case], "--out", str(tmp_path / "artifact")]
     if workers is not None:
         argv += ["--workers", workers]
-    pool = ["concurrent.futures.process"] if workers == "2" else []
-    assert _study_loads(argv) == [EXIT_OK, pool]
+    assert _study_loads(argv) == [EXIT_OK, []]
 
 
 def test_pv_study_writes_its_report_with_scipy_blocked(case_paths, tmp_path):
@@ -432,11 +431,56 @@ def test_beta_shapes_too_large_to_evaluate_exit_3_with_one_line(tmp_path, capsys
 
 def test_pv_study_builds_the_beta_tables_before_the_pool_starts(case_paths,
                                                                 tmp_path):
-    pooled, inline = tmp_path / "pooled.csv", tmp_path / "inline.csv"
-    code, starts = _fresh_python(_POOLED_STUDY, "run", case_paths["case3"],
-                                 "--workers", "2", "--out", str(pooled))
+    # The pool is the forked block workers: one at --workers 2, since case3
+    # stops at the 1000-year floor, two blocks in.
+    forked, inline = tmp_path / "forked.csv", tmp_path / "inline.csv"
+    code, forks = _fresh_python(_FORKING_STUDY, "run", case_paths["case3"],
+                                "--workers", "2", "--out", str(forked))
     assert code == EXIT_OK
-    assert starts == [[2, 1, 1]]
+    assert forks == [[1, 1]]
     assert main(["run", case_paths["case3"], "--workers", "1",
                  "--out", str(inline)]) == EXIT_OK
-    assert pooled.read_bytes() == inline.read_bytes()
+    assert forked.read_bytes() == inline.read_bytes()
+
+
+def test_a_block_workers_numerics_error_exits_3_with_one_line(
+        case_paths, tmp_path, capsys, monkeypatch):
+    # Forked workers inherit the patch; block 1 is the worker's at 2 workers.
+    simulate = engine._simulate_block
+
+    def failing(ctx, start, size):
+        if start == engine._YEARS_PER_BLOCK:
+            raise NumericsError("inverse CDF did not converge")
+        return simulate(ctx, start, size)
+
+    monkeypatch.setattr(engine, "_simulate_block", failing)
+    out = tmp_path / "r.csv"
+    assert main(["run", case_paths["case2"], "--workers", "2",
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "NumericsError: inverse CDF did not converge" in err
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_fork_exits_with_one_line(case_paths, tmp_path, capsys,
+                                          monkeypatch):
+    fork, calls = os.fork, []
+
+    def second_fork_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    out = tmp_path / "r.csv"
+    assert main(["run", case_paths["case2"], "--workers", "3",
+                 "--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Resource temporarily unavailable" in err
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

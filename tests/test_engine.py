@@ -1,8 +1,11 @@
 """Engine tests: dispatch, analytical combination, indices, full runs."""
 
-import concurrent.futures
 import dataclasses
+import errno
+import itertools
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -30,12 +33,13 @@ from microrel.network import (
 from microrel.res_models import (
     BetaParams,
     DgUnit,
+    NumericsError,
     PvArraySpec,
     ResourceDistributions,
     WeibullParams,
     WindTurbineSpec,
 )
-from microrel.scenario_io import bundled_scenarios
+from microrel.scenario_io import build_report, bundled_scenarios, emit_report
 from oracles import dispatch_by_enumeration, reference_block_counts
 
 PRIORITY_LOADS = [("LP9", 500.0), ("LP3", 3000.0), ("LP4", 1000.0), ("LP2", 1000.0)]
@@ -716,56 +720,212 @@ def test_run_rejects_bad_worker_count(cases):
         run(cases["case1"], workers=0)
 
 
+# ---------------------------------------------------------------------------
+# Forked block workers
+# ---------------------------------------------------------------------------
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
-def pool_starts(monkeypatch):
-    """Replace the process pool by an in-process stub that records, per
-    pool started, its size and the sizes of the beta table and served
-    threshold caches."""
-    starts = []
+def forks(monkeypatch):
+    """Wrap os.fork so that each fork records the sizes of the beta table
+    and served threshold caches the forked worker inherits."""
+    records = []
+    fork = os.fork
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            starts.append((max_workers,
-                           res_models._beta_bracket_table.cache_info().currsize,
-                           res_models._beta_poly_table.cache_info().currsize,
-                           engine._served_thresholds.cache_info().currsize))
+    def recording_fork():
+        records.append((res_models._beta_bracket_table.cache_info().currsize,
+                        res_models._beta_poly_table.cache_info().currsize,
+                        engine._served_thresholds.cache_info().currsize))
+        return fork()
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return starts
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return records
 
 
 @pytest.mark.parametrize("max_years, workers, pool_size", [
     (1024, 16, 2), (1025, 16, 3), (1537, 2, 2), (512, 16, None),
     (100, 4, None), (1024, 1, None),
 ])
-def test_pool_is_no_larger_than_the_run_has_blocks(cases, pool_starts,
+def test_pool_is_no_larger_than_the_run_has_blocks(cases, forks,
                                                    max_years, workers, pool_size):
+    # The pool is the processes that simulate blocks, the caller among them;
+    # None: the caller alone, with nothing forked.
     scenario = dataclasses.replace(cases["case2"], max_years=max_years,
                                    tolerance=1e-300)
     result = run(scenario, workers=workers)
-    assert [start[0] for start in pool_starts] == \
-        ([] if pool_size is None else [pool_size])
+    assert len(forks) + 1 == (pool_size or 1)
     assert result.years_run == max_years
     assert result.p_res == run(scenario, workers=1).p_res
+    _assert_no_child_left()
+
+
+def test_without_fork_every_block_runs_inline(cases, monkeypatch):
+    scenario = dataclasses.replace(cases["case2"], max_years=1537,
+                                   tolerance=1e-300)
+    expected = run(scenario, workers=1)
+    monkeypatch.delattr(os, "fork")
+    result = run(scenario, workers=3)
+    assert result.p_res == expected.p_res
+    np.testing.assert_array_equal(result.running_ens, expected.running_ens)
 
 
 @pytest.mark.parametrize("case, prebuilt", [("case3", 1), ("case2", 0)])
-def test_beta_tables_are_built_before_the_pool_starts(cases, pool_starts,
+def test_beta_tables_are_built_before_the_pool_starts(cases, forks,
                                                       case, prebuilt):
-    # Forked workers inherit the tables only if the parent has them when
-    # the pool starts; a fleet without PV arrays needs no beta tables, but
-    # every fleet needs its served thresholds.
+    # Forked workers inherit the tables only if the caller has them when it
+    # forks; a fleet without PV arrays needs no beta tables, but every fleet
+    # needs its served thresholds.
     res_models._beta_bracket_table.cache_clear()
     res_models._beta_poly_table.cache_clear()
     engine._served_thresholds.cache_clear()
-    run(dataclasses.replace(cases[case], max_years=1024), workers=2)
-    assert pool_starts == [(2, prebuilt, prebuilt, 1)]
+    run(dataclasses.replace(cases[case], max_years=1537), workers=3)
+    assert forks == [(prebuilt, prebuilt, 1)] * 2
+
+
+def _recorded_counts(monkeypatch):
+    """Per-year counts as the convergence rule takes them, block by block."""
+    blocks = []
+    add = engine._Convergence.add
+
+    def recording(self, counts):
+        blocks.append(np.array(counts))
+        return add(self, counts)
+
+    monkeypatch.setattr(engine._Convergence, "add", recording)
+    return blocks
+
+
+def _run_and_report(monkeypatch, scenario, workers):
+    with monkeypatch.context() as patch:
+        blocks = _recorded_counts(patch)
+        result = run(scenario, workers=workers)
+    _assert_no_child_left()
+    report = build_report(result, scenario)
+    return (np.concatenate(blocks), result.running_ens, result.statistic,
+            emit_report(report), emit_report(report, "structured"))
+
+
+def _seventeen_load_scenario(case2):
+    # 17 load points: dispatched day by day (past the thresholds' limit),
+    # and a 512-year block of counts (69 632 bytes) exceeds a 64 KiB pipe.
+    levels = [40.0 * (1 + j % 7) + 10.0 * j for j in range(17)]
+    network = NetworkModel(
+        load_points=tuple(LoadPoint(f"L{j}", level, 10 + j, j + 1)
+                          for j, level in enumerate(levels)),
+        upstream=UpstreamLink(0.5, 8.0),
+        aggregates={f"L{j}": LoadPointAggregate(0.2 + 0.01 * j, 0.9)
+                    for j in range(17)},
+    )
+    return dataclasses.replace(case2, name="seventeen", network=network)
+
+
+@pytest.mark.parametrize("dispatch", [engine.DISPATCH_BLOCKING,
+                                      engine.DISPATCH_SERVE_IF_FITS])
+@pytest.mark.parametrize("name", ["case2", "seventeen"])
+def test_counts_and_reports_do_not_depend_on_the_worker_count(
+        cases, monkeypatch, name, dispatch):
+    base = (_seventeen_load_scenario(cases["case2"]) if name == "seventeen"
+            else cases[name])
+    assert (engine._served_thresholds(
+        engine._context_for(base).levels, base.load_factors, False) is None) \
+        == (name == "seventeen")
+    # At its own tolerance the study stops at the 1000-year floor; at 1e-300
+    # it runs to the cap.
+    for max_years, tolerance in itertools.product(
+            (1, 511, 512, 513, 1024, 1025, 1537, 2049), (base.tolerance, 1e-300)):
+        scenario = dataclasses.replace(base, dispatch=dispatch,
+                                       max_years=max_years, tolerance=tolerance)
+        inline = _run_and_report(monkeypatch, scenario, 1)
+        for workers in (2, 3, 4):
+            forked = _run_and_report(monkeypatch, scenario, workers)
+            for expected, got in zip(inline, forked):
+                np.testing.assert_array_equal(
+                    got, expected, err_msg=f"{max_years} years at {workers} "
+                                           f"workers, tolerance {tolerance}")
+
+
+def _failing_block(monkeypatch, failure, when=lambda start: start == 512):
+    # Forked workers inherit the patch, so block 1 fails in a worker.
+    simulate = engine._simulate_block
+
+    def patched(ctx, start, size):
+        if when(start):
+            failure()
+        return simulate(ctx, start, size)
+
+    monkeypatch.setattr(engine, "_simulate_block", patched)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_workers_exception_reaches_the_caller(cases, monkeypatch, workers):
+    def failure():
+        raise NumericsError("block 1 failed", 0.25)
+
+    _failing_block(monkeypatch, failure)
+    scenario = dataclasses.replace(cases["case2"], max_years=4096, tolerance=1e-300)
+    with pytest.raises(NumericsError, match=r"block 1 failed \(worst residual") as info:
+        run(scenario, workers=workers)
+    assert info.value.residual == 0.25
+    _assert_no_child_left()
+
+
+def test_a_worker_that_exits_early_is_an_error_not_a_hang(cases, monkeypatch):
+    _failing_block(monkeypatch, lambda: os._exit(7))
+    scenario = dataclasses.replace(cases["case2"], max_years=4096, tolerance=1e-300)
+    with pytest.raises(RuntimeError, match="exited with status 7"):
+        run(scenario, workers=2)
+    _assert_no_child_left()
+
+
+def test_a_failed_fork_stops_the_workers_already_forked(cases, monkeypatch):
+    fork, calls = os.fork, []
+
+    def second_fork_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    with pytest.raises(BlockingIOError):
+        run(dataclasses.replace(cases["case2"], max_years=4096), workers=3)
+    assert len(calls) == 2
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_an_early_stop_does_not_wait_for_running_blocks(cases, monkeypatch,
+                                                        workers):
+    # case3 stops at the 1000-year floor, so blocks from 1024 on are
+    # speculative; a worker that reaches one takes a minute, then exits.
+    def sleep_then_exit():
+        time.sleep(60)
+        os._exit(0)
+
+    _failing_block(monkeypatch, sleep_then_exit, when=lambda start: start >= 1024)
+    began = time.perf_counter()
+    result = run(cases["case3"], workers=workers)
+    assert time.perf_counter() - began < 30
+    assert result.converged and result.years_run <= 1024
+    _assert_no_child_left()
+
+
+def test_an_interrupt_in_the_caller_stops_the_workers(cases, monkeypatch):
+    caller = os.getpid()
+
+    def interrupt():
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+
+    _failing_block(monkeypatch, interrupt, when=lambda start: start == 1024)
+    scenario = dataclasses.replace(cases["case2"], max_years=4096, tolerance=1e-300)
+    with pytest.raises(KeyboardInterrupt):
+        run(scenario, workers=2)
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
