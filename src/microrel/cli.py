@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 argument error, 3 configuration error (including a
 scenario the model cannot evaluate, such as one with no failures at all),
-4 simulation did not converge, 5 I/O failure.  Progress and diagnostics go
+4 simulation did not converge, 5 I/O failure (including a failed fork or a
+block worker that died).  Progress and diagnostics go
 to stderr; report artifacts are written to --out or stdout and are
 byte-identical for identical invocations, whatever the worker count.
 """

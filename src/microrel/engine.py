@@ -107,6 +107,9 @@ class Scenario:
             later, smaller loads are still considered) or "blocking" (stop at
             the first load that does not fit).
         sweep_p: Optional islanding-success probabilities for sweeps.
+
+    Each check's message starts with the name of the field it rejects, so
+    that a scenario file's error can point at that field.
     """
 
     name: str
@@ -132,7 +135,7 @@ class Scenario:
                 f"load_factors must have {DAYS_PER_YEAR} entries, got {len(self.load_factors)}"
             )
         if any(f < 0.0 or not math.isfinite(f) for f in self.load_factors):
-            raise ValueError("load factors must be finite and >= 0")
+            raise ValueError("load_factors must be finite and >= 0")
         if not (0.0 <= self.p_islanding <= 1.0):
             raise ValueError(f"p_islanding must lie in [0, 1], got {self.p_islanding}")
         if self.max_years < 1:
@@ -140,7 +143,8 @@ class Scenario:
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.dispatch not in (DISPATCH_SERVE_IF_FITS, DISPATCH_BLOCKING):
-            raise ValueError(f"unknown dispatch rule {self.dispatch!r}")
+            raise ValueError(f"dispatch must be {DISPATCH_SERVE_IF_FITS!r} or "
+                             f"{DISPATCH_BLOCKING!r}, got {self.dispatch!r}")
         names = [unit.name for unit in self.fleet]
         if len(set(names)) != len(names):
             raise ValueError("fleet unit names must be unique")
@@ -148,7 +152,7 @@ class Scenario:
             region = getattr(unit.device, "region_id", None)
             if region is not None and region not in self.distributions.wind_regions:
                 raise ValueError(
-                    f"unit {unit.name!r} references unknown wind region {region!r}"
+                    f"fleet unit {unit.name!r} references unknown wind region {region!r}"
                 )
         if self.sweep_p is not None:
             object.__setattr__(self, "sweep_p", tuple(float(p) for p in self.sweep_p))
@@ -653,7 +657,8 @@ def _fork_block_worker(ctx: _SimContext,
 
 def _receive_block(forked: dict[int, tuple[int, BinaryIO]], worker: int,
                    shape: tuple[int, int]) -> np.ndarray:
-    """The next block from a forked worker; raises what the worker raised."""
+    """The next block from a forked worker; raises what the worker raised,
+    or ChildProcessError if it exited without sending the block."""
     pid, pipe = forked[worker]
     tag = pipe.read(1)
     if tag == _ERROR_TAG:
@@ -665,8 +670,8 @@ def _receive_block(forked: dict[int, tuple[int, BinaryIO]], worker: int,
     del forked[worker]
     pipe.close()
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    raise RuntimeError(f"block worker {pid} exited with status {status} "
-                       "before sending all of its blocks")
+    raise ChildProcessError(f"block worker {pid} exited with status {status} "
+                            "before sending all of its blocks")
 
 
 def _stop_block_workers(forked: dict[int, tuple[int, BinaryIO]]) -> None:

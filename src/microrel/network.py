@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 __all__ = [
     "TopologyError",
@@ -29,7 +29,6 @@ __all__ = [
     "Switchgear",
     "FailureEffect",
     "LoadPointAggregate",
-    "DgPlacement",
     "ContributionTable",
     "NetworkModel",
     "analyze_failure_effects",
@@ -54,8 +53,6 @@ KIND_FEEDER_BREAKER = "feeder_breaker"
 KIND_ISOLATOR = "isolator"
 KIND_TIE = "normally_open_tie"
 _SWITCHGEAR_KINDS = (KIND_FEEDER_BREAKER, KIND_ISOLATOR, KIND_TIE)
-
-_AGGREGATE_CONSISTENCY_TOL = 1e-12
 
 
 class TopologyError(ValueError):
@@ -189,45 +186,26 @@ class LoadPointAggregate:
             raise ValueError("sum_lambda_r must be 0 when sum_lambda is 0")
 
 
-@dataclass(frozen=True)
-class DgPlacement:
-    """Nameplate record of a DG unit placed in the study system."""
-
-    name: str
-    kind: str  # "wtg" or "pv"
-    location: str
-    rated_kw: float
-
-
 class ContributionTable:
-    """Per-load-point (failure rate, duration) pairs and their totals.
+    """Each load point's feeder interruption totals, in load-point order.
 
-    The totals feed the analytical combination: lambda contributions sum the
-    pair rates and unavailability contributions sum rate * duration.
+    ``sum_lambda`` is the rate of the interruptions the feeder causes and
+    ``sum_lambda_r`` the hours per year they last; the analytical
+    combination adds the upstream link's share to both.
     """
 
-    def __init__(self, pairs: Mapping[str, Iterable[tuple[float, float]]]):
-        self._pairs = {
-            lp: tuple((float(lam), float(dur)) for lam, dur in lp_pairs)
-            for lp, lp_pairs in pairs.items()
-        }
-        for lp, lp_pairs in self._pairs.items():
-            for lam, dur in lp_pairs:
-                _check_nonnegative(f"{lp} pair rate", lam)
-                _check_nonnegative(f"{lp} pair duration", dur)
+    def __init__(self, totals: Mapping[str, LoadPointAggregate]):
+        self._totals = dict(totals)
 
     @property
     def load_point_ids(self) -> tuple[str, ...]:
-        return tuple(self._pairs)
-
-    def pairs(self, load_point: str) -> tuple[tuple[float, float], ...]:
-        return self._pairs[load_point]
+        return tuple(self._totals)
 
     def sum_lambda(self, load_point: str) -> float:
-        return math.fsum(lam for lam, _ in self._pairs[load_point])
+        return self._totals[load_point].sum_lambda
 
     def sum_lambda_r(self, load_point: str) -> float:
-        return math.fsum(lam * dur for lam, dur in self._pairs[load_point])
+        return self._totals[load_point].sum_lambda_r
 
 
 @dataclass(frozen=True)
@@ -239,13 +217,11 @@ class NetworkModel:
     aggregates: Optional[Mapping[str, LoadPointAggregate]] = None
     sections: tuple[FeederSection, ...] = ()
     switchgear: tuple[Switchgear, ...] = ()
-    dg_placements: tuple[DgPlacement, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "load_points", tuple(self.load_points))
         object.__setattr__(self, "sections", tuple(self.sections))
         object.__setattr__(self, "switchgear", tuple(self.switchgear))
-        object.__setattr__(self, "dg_placements", tuple(self.dg_placements))
         if not self.load_points:
             raise ValueError("a network needs at least one load point")
         ids = [lp.id for lp in self.load_points]
@@ -438,28 +414,20 @@ def analyze_failure_effects(network: NetworkModel,
 
 
 def build_contribution_table(network: NetworkModel) -> ContributionTable:
-    """Materialize per-load-point (rate, duration) pairs from the network.
+    """Each load point's interruption totals from the network.
 
-    In aggregate mode each load point's totals become a single equivalent
-    pair so that the table's sums reproduce them exactly; in topology mode
-    the pairs enumerate every section whose failure interrupts the load
-    point, with the duration set by the failure-effect class.
+    Aggregate mode carries them as given; topology mode sums, for every
+    section whose failure interrupts the load point, its failure rate and
+    its rate times the duration set by the failure-effect class.
     """
+    if network.mode == MODE_AGGREGATE:
+        assert network.aggregates is not None
+        return ContributionTable(
+            {lp.id: network.aggregates[lp.id] for lp in network.load_points}
+        )
     pairs: dict[str, list[tuple[float, float]]] = {
         lp.id: [] for lp in network.load_points
     }
-    if network.mode == MODE_AGGREGATE:
-        assert network.aggregates is not None
-        for lp_id, agg in network.aggregates.items():
-            if agg.sum_lambda > 0.0:
-                pairs[lp_id].append((agg.sum_lambda, agg.sum_lambda_r / agg.sum_lambda))
-        table = ContributionTable(pairs)
-        for lp_id, agg in network.aggregates.items():
-            if abs(table.sum_lambda(lp_id) - agg.sum_lambda) > _AGGREGATE_CONSISTENCY_TOL or \
-               abs(table.sum_lambda_r(lp_id) - agg.sum_lambda_r) > _AGGREGATE_CONSISTENCY_TOL:
-                raise ValueError(f"aggregate round-off for load point {lp_id!r}")
-        return table
-
     for sec in network.sections:
         if sec.reliability.failure_rate == 0.0:
             continue
@@ -468,7 +436,11 @@ def build_contribution_table(network: NetworkModel) -> ContributionTable:
                 pairs[effect.load_point].append(
                     (sec.reliability.failure_rate, effect.duration)
                 )
-    return ContributionTable(pairs)
+    return ContributionTable({
+        lp_id: LoadPointAggregate(math.fsum(lam for lam, _ in lp_pairs),
+                                  math.fsum(lam * dur for lam, dur in lp_pairs))
+        for lp_id, lp_pairs in pairs.items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -499,26 +471,17 @@ _CALIBRATED_AGGREGATES = {
 
 _CALIBRATED_UPSTREAM = UpstreamLink(failure_rate=0.5, repair_time=10.0)
 
-_CALIBRATED_DG_PLACEMENTS = (
-    DgPlacement("WTG1", "wtg", "LP7", 2000.0),
-    DgPlacement("WTG2", "wtg", "LP10", 1500.0),
-    DgPlacement("PV1", "pv", "LP1", 2000.0),
-    DgPlacement("PV2", "pv", "LP8", 2000.0),
-)
-
 
 def load_calibrated_dataset() -> NetworkModel:
     """The bundled aggregate-mode study system.
 
     Four prioritized load points (700 customers, 5.5 MW) on a radial feeder
-    with a 0.5 occ/yr, 10 h upstream link, plus the nameplate placements of
-    the four renewable DG units used by the bundled cases.
+    with a 0.5 occ/yr, 10 h upstream link.
     """
     return NetworkModel(
         load_points=_CALIBRATED_LOAD_POINTS,
         upstream=_CALIBRATED_UPSTREAM,
         aggregates=dict(_CALIBRATED_AGGREGATES),
-        dg_placements=_CALIBRATED_DG_PLACEMENTS,
     )
 
 
@@ -558,5 +521,4 @@ def illustrative_feeder() -> NetworkModel:
         upstream=_CALIBRATED_UPSTREAM,
         sections=sections,
         switchgear=switchgear,
-        dg_placements=_CALIBRATED_DG_PLACEMENTS,
     )

@@ -21,11 +21,12 @@ from typing import Any, Mapping, Optional, Sequence
 
 import yaml
 
-from . import engine
-from .engine import RunResult, Scenario, SystemIndices
+from .engine import DISPATCH_SERVE_IF_FITS, RunResult, Scenario, SystemIndices
 from .network import (
-    FeederSection,
+    MODE_AGGREGATE,
+    MODE_TOPOLOGY,
     ComponentReliability,
+    FeederSection,
     LoadPoint,
     LoadPointAggregate,
     NetworkModel,
@@ -33,6 +34,7 @@ from .network import (
     UpstreamLink,
 )
 from .res_models import (
+    DAYS_PER_YEAR,
     BetaParams,
     DgUnit,
     PvArraySpec,
@@ -105,317 +107,205 @@ class ConstraintError(ScenarioError):
 
 
 # ---------------------------------------------------------------------------
-# Schema helpers
+# Scenario schema
 # ---------------------------------------------------------------------------
 
-def _require_mapping(node: Any, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise SchemaError(path, f"expected a mapping, got {type(node).__name__}")
-    return node
+# One table per YAML mapping, one row per key:
+#     (YAML key, kind, default or _REQUIRED, target record field)
+# A kind is str (non-empty), int, float (a finite number, not a bool), bool,
+# Optional[str] (a string or null), [kind] (a list of that kind), another
+# table (a nested mapping), or a dict of tables keyed by the node's ``mode``.
+# Value constraints are not here: each record checks its own when built.
+_REQUIRED = object()
+
+_META = (
+    ("name", str, _REQUIRED, "name"),
+    ("seed", int, _REQUIRED, "seed"),
+    ("description", str, "", "description"),
+)
+_WIND_REGION = (
+    ("region", str, _REQUIRED, "region_id"),
+    ("scale_c_m_s", float, _REQUIRED, "scale_c"),
+    ("shape_k", float, _REQUIRED, "shape_k"),
+)
+_IRRADIANCE = (
+    ("alpha", float, _REQUIRED, "alpha"),
+    ("beta", float, _REQUIRED, "beta"),
+    ("scale_gmax_w_m2", float, 1000.0, "scale_gmax"),
+    ("shared_sample", bool, True, "shared_irradiance"),
+)
+_TURBINE = (
+    ("name", str, _REQUIRED, "name"),
+    ("location", str, _REQUIRED, "location"),
+    ("region", str, _REQUIRED, "region_id"),
+    ("rated_kw", float, _REQUIRED, "p_rated"),
+    ("rated_speed_m_s", float, _REQUIRED, "v_rated"),
+    ("cut_in_m_s", float, _REQUIRED, "v_cut_in"),
+    ("cut_out_m_s", float, _REQUIRED, "v_cut_out"),
+)
+_PV_ARRAY = (
+    ("name", str, _REQUIRED, "name"),
+    ("location", str, _REQUIRED, "location"),
+    ("rated_kw", float, _REQUIRED, "p_sn"),
+    ("std_irradiance_w_m2", float, 1000.0, "g_std"),
+    ("breakpoint_w_m2", float, 150.0, "r_c"),
+)
+_AGGREGATE_ROW = (
+    ("load_point", str, _REQUIRED, "load_point"),
+    ("sum_lambda_per_yr", float, _REQUIRED, "sum_lambda"),
+    ("sum_lambda_r_h_per_yr", float, _REQUIRED, "sum_lambda_r"),
+)
+_RELIABILITY = (
+    ("failure_rate_per_yr", float, _REQUIRED, "failure_rate"),
+    ("repair_time_h", float, _REQUIRED, "repair_time"),
+)
+_SECTION = (("id", str, _REQUIRED, "id"),) + _RELIABILITY + (
+    ("parent", Optional[str], _REQUIRED, "parent"),
+    ("isolator_upstream", bool, False, "isolator_upstream"),
+    ("isolator_downstream", bool, False, "isolator_downstream"),
+    ("load_points", [str], (), "load_points"),
+)
+_SWITCHGEAR = (
+    ("kind", str, _REQUIRED, "kind"),
+    ("switching_time_h", float, _REQUIRED, "switching_time"),
+    ("at_section", str, None, "at_section"),
+)
+_LOAD = (
+    ("id", str, _REQUIRED, "id"),
+    ("level_kw", float, _REQUIRED, "load_level"),
+    ("customers", int, _REQUIRED, "customers"),
+    ("priority", int, _REQUIRED, "priority_rank"),
+    ("class", str, "", "customer_class"),
+)
+_SIMULATION = (
+    ("max_years", int, 100_000, "max_years"),
+    ("tolerance", float, 0.005, "tolerance"),
+    ("p_islanding", float, 1.0, "p_islanding"),
+    ("dispatch", str, DISPATCH_SERVE_IF_FITS, "dispatch"),
+    ("sweep_p", [float], None, "sweep_p"),
+)
+_DOCUMENT = (
+    ("meta", _META, _REQUIRED, "meta"),
+    ("distributions", (
+        ("wind_regions", [_WIND_REGION], (), "wind_regions"),
+        ("irradiance", _IRRADIANCE, _REQUIRED, "irradiance"),
+    ), _REQUIRED, "distributions"),
+    ("fleet", (
+        ("wind_turbines", [_TURBINE], (), "wind_turbines"),
+        ("pv_arrays", [_PV_ARRAY], (), "pv_arrays"),
+    ), _REQUIRED, "fleet"),
+    ("network", {
+        MODE_AGGREGATE: (
+            ("mode", str, _REQUIRED, "mode"),
+            ("aggregate", [_AGGREGATE_ROW], _REQUIRED, "aggregates"),
+        ),
+        MODE_TOPOLOGY: (
+            ("mode", str, _REQUIRED, "mode"),
+            ("sections", [_SECTION], _REQUIRED, "sections"),
+            ("switchgear", [_SWITCHGEAR], _REQUIRED, "switchgear"),
+        ),
+    }, _REQUIRED, "network"),
+    ("loads", [_LOAD], _REQUIRED, "loads"),
+    ("priority", [str], _REQUIRED, "priority"),
+    ("upstream", _RELIABILITY, _REQUIRED, "upstream"),
+    ("simulation", _SIMULATION, _REQUIRED, "simulation"),
+    ("load_factors", [float], (1.0,) * DAYS_PER_YEAR, "load_factors"),
+)
+
+# Where each Scenario field sits in the document; Scenario's checks name
+# the field they reject first.
+_SCENARIO_PATHS = {
+    "fleet": "fleet",
+    "load_factors": "load_factors",
+    **{target: f"{section}.{key}"
+       for section, table in (("meta", _META), ("simulation", _SIMULATION))
+       for key, _, _, target in table},
+}
+
+# A scalar kind: the types its values may have (a bool is only a bool), and
+# its name in errors.
+_SCALARS = {
+    str: (str, "a non-empty string"),
+    Optional[str]: ((str, type(None)), "a string or null"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    bool: (bool, "a boolean"),
+}
 
 
-def _require_list(node: Any, path: str) -> list:
-    if not isinstance(node, list):
-        raise SchemaError(path, f"expected a list, got {type(node).__name__}")
-    return node
+def _read(node: Any, kind: Any, path: str) -> Any:
+    """Check ``node`` against ``kind``; its value with defaults filled in.
 
-
-def _check_keys(mapping: dict, path: str, required: Sequence[str],
-                optional: Sequence[str] = ()) -> None:
-    unknown = set(mapping) - set(required) - set(optional)
-    if unknown:
-        raise SchemaError(path, f"unknown keys {sorted(unknown)}")
-    missing = [key for key in required if key not in mapping]
-    if missing:
-        raise SchemaError(path, f"missing required keys {missing}")
-
-
-def _get_str(mapping: dict, key: str, path: str) -> str:
-    value = mapping[key]
-    if not isinstance(value, str) or not value:
-        raise SchemaError(f"{path}.{key}", "expected a non-empty string")
-    return value
-
-
-def _get_bool(mapping: dict, key: str, path: str) -> bool:
-    value = mapping[key]
-    if not isinstance(value, bool):
-        raise SchemaError(f"{path}.{key}", "expected a boolean")
-    return value
-
-
-def _get_int(mapping: dict, key: str, path: str, minimum: Optional[int] = None) -> int:
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}.{key}", f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConstraintError(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _get_number(mapping: dict, key: str, path: str,
-                minimum: Optional[float] = None,
-                exclusive_minimum: Optional[float] = None,
-                maximum: Optional[float] = None) -> float:
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}.{key}", f"expected a number, got {value!r}")
-    number = float(value)
+    A table reads as a dict keyed by target field, a list as a tuple.
+    """
+    if isinstance(kind, (tuple, dict)):
+        if not isinstance(node, dict):
+            raise SchemaError(path, f"expected a mapping, got {type(node).__name__}")
+        if isinstance(kind, dict):
+            mode = node.get("mode")
+            if not isinstance(mode, str) or mode not in kind:
+                raise SchemaError(f"{path}.mode", f"must be one of {sorted(kind)}")
+            kind = kind[mode]
+        unknown = set(node).difference(row[0] for row in kind)
+        if unknown:
+            raise SchemaError(path, f"unknown keys {sorted(unknown, key=str)}")
+        missing = [key for key, _, default, _ in kind
+                   if default is _REQUIRED and key not in node]
+        if missing:
+            raise SchemaError(path, f"missing required keys {missing}")
+        prefix = f"{path}." if path else ""
+        return {target: _read(node[key], sub, prefix + key) if key in node else default
+                for key, sub, default, target in kind}
+    if isinstance(kind, list):
+        if not isinstance(node, list):
+            raise SchemaError(path, f"expected a list, got {type(node).__name__}")
+        return tuple(_read(item, kind[0], f"{path}.{i}") for i, item in enumerate(node))
+    types, expected = _SCALARS[kind]
+    if not isinstance(node, types) or (isinstance(node, bool) and kind is not bool) \
+            or node == "":
+        raise SchemaError(path, f"expected {expected}, got {node!r}")
+    if kind is not float:
+        return node
+    try:
+        number = float(node)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
     if not math.isfinite(number):
-        raise ConstraintError(f"{path}.{key}", "must be finite")
-    if minimum is not None and number < minimum:
-        raise ConstraintError(f"{path}.{key}", f"must be >= {minimum}, got {number}")
-    if exclusive_minimum is not None and number <= exclusive_minimum:
-        raise ConstraintError(
-            f"{path}.{key}", f"must be > {exclusive_minimum}, got {number}"
-        )
-    if maximum is not None and number > maximum:
-        raise ConstraintError(f"{path}.{key}", f"must be <= {maximum}, got {number}")
+        raise ConstraintError(path, "must be finite")
     return number
 
 
-# ---------------------------------------------------------------------------
-# Scenario parsing
-# ---------------------------------------------------------------------------
-
-def _parse_distributions(node: Any) -> ResourceDistributions:
-    mapping = _require_mapping(node, "distributions")
-    _check_keys(mapping, "distributions", required=["irradiance"],
-                optional=["wind_regions"])
-    regions: dict[str, WeibullParams] = {}
-    for i, item in enumerate(_require_list(mapping.get("wind_regions", []),
-                                           "distributions.wind_regions")):
-        path = f"distributions.wind_regions.{i}"
-        entry = _require_mapping(item, path)
-        _check_keys(entry, path, required=["region", "scale_c_m_s", "shape_k"])
-        region = _get_str(entry, "region", path)
-        if region in regions:
-            raise ConstraintError(path, f"duplicate region {region!r}")
-        regions[region] = WeibullParams(
-            scale_c=_get_number(entry, "scale_c_m_s", path, exclusive_minimum=0.0),
-            shape_k=_get_number(entry, "shape_k", path, exclusive_minimum=0.0),
-            region_id=region,
-        )
-    irr_path = "distributions.irradiance"
-    irr = _require_mapping(mapping["irradiance"], irr_path)
-    _check_keys(irr, irr_path, required=["alpha", "beta"],
-                optional=["scale_gmax_w_m2", "shared_sample"])
-    beta_params = BetaParams(
-        alpha=_get_number(irr, "alpha", irr_path, exclusive_minimum=0.0),
-        beta=_get_number(irr, "beta", irr_path, exclusive_minimum=0.0),
-        scale_gmax=(
-            _get_number(irr, "scale_gmax_w_m2", irr_path, exclusive_minimum=0.0)
-            if "scale_gmax_w_m2" in irr else 1000.0
-        ),
-    )
-    shared = _get_bool(irr, "shared_sample", irr_path) if "shared_sample" in irr else True
-    return ResourceDistributions(wind_regions=regions, irradiance=beta_params,
-                                 shared_irradiance=shared)
+def _write(value: Any, kind: Any) -> Any:
+    """The YAML form of ``value`` (read as by _read); defaults are left out."""
+    if isinstance(kind, dict):
+        kind = kind[value["mode"]]
+    if isinstance(kind, tuple):
+        return {key: _write(value[target], sub) for key, sub, default, target in kind
+                if default is _REQUIRED or value[target] != default}
+    if isinstance(kind, list):
+        return [_write(item, kind[0]) for item in value]
+    return value
 
 
-def _parse_fleet(node: Any, regions: Mapping[str, WeibullParams]) -> tuple[DgUnit, ...]:
-    mapping = _require_mapping(node, "fleet")
-    _check_keys(mapping, "fleet", required=[], optional=["wind_turbines", "pv_arrays"])
-    units: list[DgUnit] = []
-    for i, item in enumerate(_require_list(mapping.get("wind_turbines", []),
-                                           "fleet.wind_turbines")):
-        path = f"fleet.wind_turbines.{i}"
-        entry = _require_mapping(item, path)
-        _check_keys(entry, path, required=[
-            "name", "location", "region", "rated_kw", "rated_speed_m_s",
-            "cut_in_m_s", "cut_out_m_s",
-        ])
-        name = _get_str(entry, "name", path)
-        region = _get_str(entry, "region", path)
-        if region not in regions:
-            raise DanglingReferenceError(
-                f"{path}.region", f"turbine {name!r} references unknown region {region!r}"
-            )
-        cut_in = _get_number(entry, "cut_in_m_s", path, exclusive_minimum=0.0)
-        rated_speed = _get_number(entry, "rated_speed_m_s", path, exclusive_minimum=0.0)
-        cut_out = _get_number(entry, "cut_out_m_s", path, exclusive_minimum=0.0)
-        if not cut_in < rated_speed < cut_out:
-            raise ConstraintError(
-                path,
-                f"turbine {name!r} needs cut_in < rated_speed < cut_out, got "
-                f"{cut_in} / {rated_speed} / {cut_out}",
-            )
-        units.append(DgUnit(
-            name=name,
-            location=_get_str(entry, "location", path),
-            device=WindTurbineSpec(
-                p_rated=_get_number(entry, "rated_kw", path, exclusive_minimum=0.0),
-                v_rated=rated_speed,
-                v_cut_in=cut_in,
-                v_cut_out=cut_out,
-                region_id=region,
-            ),
-        ))
-    for i, item in enumerate(_require_list(mapping.get("pv_arrays", []),
-                                           "fleet.pv_arrays")):
-        path = f"fleet.pv_arrays.{i}"
-        entry = _require_mapping(item, path)
-        _check_keys(entry, path, required=["name", "location", "rated_kw"],
-                    optional=["std_irradiance_w_m2", "breakpoint_w_m2"])
-        name = _get_str(entry, "name", path)
-        g_std = (_get_number(entry, "std_irradiance_w_m2", path, exclusive_minimum=0.0)
-                 if "std_irradiance_w_m2" in entry else 1000.0)
-        r_c = (_get_number(entry, "breakpoint_w_m2", path, exclusive_minimum=0.0)
-               if "breakpoint_w_m2" in entry else 150.0)
-        if not r_c < g_std:
-            raise ConstraintError(
-                path, f"array {name!r} needs breakpoint_w_m2 < std_irradiance_w_m2"
-            )
-        units.append(DgUnit(
-            name=name,
-            location=_get_str(entry, "location", path),
-            device=PvArraySpec(
-                p_sn=_get_number(entry, "rated_kw", path, exclusive_minimum=0.0),
-                g_std=g_std,
-                r_c=r_c,
-            ),
-        ))
-    names = [unit.name for unit in units]
-    duplicates = {n for n in names if names.count(n) > 1}
-    if duplicates:
-        raise ConstraintError("fleet", f"duplicate unit names {sorted(duplicates)}")
-    return tuple(units)
-
-
-def _parse_loads(node: Any) -> tuple[LoadPoint, ...]:
-    loads = []
-    for i, item in enumerate(_require_list(node, "loads")):
-        path = f"loads.{i}"
-        entry = _require_mapping(item, path)
-        _check_keys(entry, path, required=["id", "level_kw", "customers", "priority"],
-                    optional=["class"])
-        loads.append(LoadPoint(
-            id=_get_str(entry, "id", path),
-            load_level=_get_number(entry, "level_kw", path, minimum=0.0),
-            customers=_get_int(entry, "customers", path, minimum=0),
-            priority_rank=_get_int(entry, "priority", path, minimum=1),
-            customer_class=_get_str(entry, "class", path) if "class" in entry else "",
-        ))
-    ids = [lp.id for lp in loads]
-    if len(set(ids)) != len(ids):
-        raise ConstraintError("loads", "load point ids must be unique")
-    ranks = [lp.priority_rank for lp in loads]
-    if len(set(ranks)) != len(ranks):
-        raise ConstraintError("loads", "priority ranks must be unique")
-    return tuple(loads)
-
-
-def _parse_priority(node: Any, loads: Sequence[LoadPoint]) -> None:
-    order = _require_list(node, "priority")
-    for i, lp_id in enumerate(order):
-        if not isinstance(lp_id, str):
-            raise SchemaError(f"priority.{i}", "expected a load point id string")
-    by_id = {lp.id: lp for lp in loads}
-    for i, lp_id in enumerate(order):
-        if lp_id not in by_id:
-            raise DanglingReferenceError(
-                f"priority.{i}", f"priority list names unknown load point {lp_id!r}"
-            )
-    missing = set(by_id) - set(order)
-    if missing:
-        raise DanglingReferenceError(
-            "priority", f"priority list is missing load points {sorted(missing)}"
-        )
-    expected = [lp.id for lp in sorted(loads, key=lambda lp: lp.priority_rank)]
-    if list(order) != expected:
-        raise ConstraintError(
-            "priority",
-            f"priority list order {order} contradicts the load ranks {expected}",
-        )
-
-
-def _parse_network(node: Any, loads: tuple[LoadPoint, ...],
-                   upstream: UpstreamLink) -> NetworkModel:
-    mapping = _require_mapping(node, "network")
-    mode = _get_str(mapping, "mode", "network") if "mode" in mapping else None
-    if mode == "aggregate":
-        _check_keys(mapping, "network", required=["mode", "aggregate"])
-        aggregates: dict[str, LoadPointAggregate] = {}
-        lp_ids = {lp.id for lp in loads}
-        for i, item in enumerate(_require_list(mapping["aggregate"], "network.aggregate")):
-            path = f"network.aggregate.{i}"
-            entry = _require_mapping(item, path)
-            _check_keys(entry, path, required=[
-                "load_point", "sum_lambda_per_yr", "sum_lambda_r_h_per_yr",
-            ])
-            lp_id = _get_str(entry, "load_point", path)
-            if lp_id not in lp_ids:
-                raise DanglingReferenceError(
-                    f"{path}.load_point", f"unknown load point {lp_id!r}"
-                )
-            if lp_id in aggregates:
-                raise ConstraintError(path, f"duplicate aggregate row for {lp_id!r}")
-            aggregates[lp_id] = LoadPointAggregate(
-                sum_lambda=_get_number(entry, "sum_lambda_per_yr", path, minimum=0.0),
-                sum_lambda_r=_get_number(entry, "sum_lambda_r_h_per_yr", path, minimum=0.0),
-            )
-        missing = lp_ids - set(aggregates)
-        if missing:
-            raise ConstraintError(
-                "network.aggregate", f"missing rows for load points {sorted(missing)}"
-            )
-        return NetworkModel(load_points=loads, upstream=upstream, aggregates=aggregates)
-    if mode == "topology":
-        _check_keys(mapping, "network", required=["mode", "sections", "switchgear"])
-        sections = []
-        for i, item in enumerate(_require_list(mapping["sections"], "network.sections")):
-            path = f"network.sections.{i}"
-            entry = _require_mapping(item, path)
-            _check_keys(entry, path, required=[
-                "id", "failure_rate_per_yr", "repair_time_h", "parent",
-            ], optional=["isolator_upstream", "isolator_downstream", "load_points"])
-            parent = entry["parent"]
-            if parent is not None and not isinstance(parent, str):
-                raise SchemaError(f"{path}.parent", "expected a section id or null")
-            lp_list = entry.get("load_points", [])
-            for j, lp_id in enumerate(_require_list(lp_list, f"{path}.load_points")):
-                if not isinstance(lp_id, str):
-                    raise SchemaError(f"{path}.load_points.{j}", "expected an id string")
-            sections.append(FeederSection(
-                id=_get_str(entry, "id", path),
-                reliability=ComponentReliability(
-                    failure_rate=_get_number(entry, "failure_rate_per_yr", path, minimum=0.0),
-                    repair_time=_get_number(entry, "repair_time_h", path, minimum=0.0),
-                ),
-                parent=parent,
-                isolator_upstream=(
-                    _get_bool(entry, "isolator_upstream", path)
-                    if "isolator_upstream" in entry else False
-                ),
-                isolator_downstream=(
-                    _get_bool(entry, "isolator_downstream", path)
-                    if "isolator_downstream" in entry else False
-                ),
-                load_points=tuple(lp_list),
-            ))
-        switchgear = []
-        for i, item in enumerate(_require_list(mapping["switchgear"], "network.switchgear")):
-            path = f"network.switchgear.{i}"
-            entry = _require_mapping(item, path)
-            _check_keys(entry, path, required=["kind", "switching_time_h"],
-                        optional=["at_section"])
-            switchgear.append(Switchgear(
-                kind=_get_str(entry, "kind", path),
-                switching_time=_get_number(entry, "switching_time_h", path, minimum=0.0),
-                at_section=(_get_str(entry, "at_section", path)
-                            if "at_section" in entry else None),
-            ))
-        return NetworkModel(load_points=loads, upstream=upstream,
-                            sections=tuple(sections), switchgear=tuple(switchgear))
-    raise SchemaError("network.mode", "must be 'aggregate' or 'topology'")
+def _build(path: str, record: Any, fields: Mapping[str, Any], label: str = "",
+           field_paths: Optional[Mapping[str, str]] = None) -> Any:
+    """``record(**fields)``; its ValueError, TopologyError too, becomes a
+    ConstraintError at ``path``, or at the one ``field_paths`` gives for the
+    field the message starts with.  ``label`` prefixes the reason."""
+    try:
+        return record(**fields)
+    except ValueError as exc:
+        reason = str(exc)
+        path = (field_paths or {}).get(reason.partition(" ")[0], path)
+        raise ConstraintError(path, label + reason) from exc
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document.
 
-    Raises a :class:`ScenarioError` subclass naming the offending path for
-    any syntax problem, schema violation, dangling reference or constraint
-    violation.  Unknown keys are rejected everywhere.
+    Raises only :class:`ScenarioError` subclasses, each naming the offending
+    path: for any syntax problem, schema violation, dangling reference or
+    constraint violation.  Unknown keys are rejected everywhere.
     """
     try:
         document = yaml.load(text, Loader=_YAML_LOADER)
@@ -423,211 +313,108 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioSyntaxError("", "not valid YAML: " + " ".join(str(exc).split())) from exc
     if not isinstance(document, dict):
         raise ScenarioSyntaxError("", "top level must be a mapping")
-    _check_keys(document, "", required=[
-        "meta", "distributions", "fleet", "network", "loads", "priority",
-        "upstream", "simulation",
-    ], optional=["load_factors"])
+    doc = _read(document, _DOCUMENT, "")
 
-    meta = _require_mapping(document["meta"], "meta")
-    _check_keys(meta, "meta", required=["name", "seed"], optional=["description"])
-    name = _get_str(meta, "name", "meta")
-    seed = _get_int(meta, "seed", "meta", minimum=0)
-    description = _get_str(meta, "description", "meta") if "description" in meta else ""
-
-    distributions = _parse_distributions(document["distributions"])
-    fleet = _parse_fleet(document["fleet"], distributions.wind_regions)
-    loads = _parse_loads(document["loads"])
-    _parse_priority(document["priority"], loads)
-
-    upstream_node = _require_mapping(document["upstream"], "upstream")
-    _check_keys(upstream_node, "upstream",
-                required=["failure_rate_per_yr", "repair_time_h"])
-    upstream = UpstreamLink(
-        failure_rate=_get_number(upstream_node, "failure_rate_per_yr", "upstream", minimum=0.0),
-        repair_time=_get_number(upstream_node, "repair_time_h", "upstream", minimum=0.0),
+    regions: dict[str, WeibullParams] = {}
+    for i, row in enumerate(doc["distributions"]["wind_regions"]):
+        path = f"distributions.wind_regions.{i}"
+        if row["region_id"] in regions:
+            raise ConstraintError(path, f"duplicate region {row['region_id']!r}")
+        regions[row["region_id"]] = _build(path, WeibullParams, row)
+    irradiance = doc["distributions"]["irradiance"]
+    shared = irradiance.pop("shared_irradiance")
+    distributions = ResourceDistributions(
+        regions, _build("distributions.irradiance", BetaParams, irradiance), shared
     )
 
-    network = _parse_network(document["network"], loads, upstream)
+    fleet = []
+    for group, device in (("wind_turbines", WindTurbineSpec), ("pv_arrays", PvArraySpec)):
+        for i, row in enumerate(doc["fleet"][group]):
+            path = f"fleet.{group}.{i}"
+            name, location = row.pop("name"), row.pop("location")
+            if "region_id" in row and row["region_id"] not in regions:
+                raise DanglingReferenceError(
+                    f"{path}.region",
+                    f"turbine {name!r} references unknown region {row['region_id']!r}",
+                )
+            fleet.append(DgUnit(name, location, _build(path, device, row, f"unit {name!r}: ")))
 
-    sim = _require_mapping(document["simulation"], "simulation")
-    _check_keys(sim, "simulation", required=[], optional=[
-        "max_years", "tolerance", "p_islanding", "dispatch", "sweep_p",
-    ])
-    max_years = _get_int(sim, "max_years", "simulation", minimum=1) \
-        if "max_years" in sim else 100_000
-    tolerance = _get_number(sim, "tolerance", "simulation", exclusive_minimum=0.0) \
-        if "tolerance" in sim else 0.005
-    p_islanding = _get_number(sim, "p_islanding", "simulation", minimum=0.0, maximum=1.0) \
-        if "p_islanding" in sim else 1.0
-    dispatch = _get_str(sim, "dispatch", "simulation") if "dispatch" in sim \
-        else engine.DISPATCH_SERVE_IF_FITS
-    if dispatch not in (engine.DISPATCH_SERVE_IF_FITS, engine.DISPATCH_BLOCKING):
-        raise ConstraintError("simulation.dispatch",
-                              f"must be 'serve_if_fits' or 'blocking', got {dispatch!r}")
-    sweep_p: Optional[tuple[float, ...]] = None
-    if "sweep_p" in sim:
-        values = _require_list(sim["sweep_p"], "simulation.sweep_p")
-        parsed = []
-        for i, value in enumerate(values):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"simulation.sweep_p.{i}", "expected a number")
-            if not 0.0 <= float(value) <= 1.0:
-                raise ConstraintError(f"simulation.sweep_p.{i}",
-                                      "must lie in [0, 1]")
-            parsed.append(float(value))
-        sweep_p = tuple(parsed)
-
-    load_factors: tuple[float, ...]
-    if "load_factors" in document:
-        values = _require_list(document["load_factors"], "load_factors")
-        if len(values) != 365:
-            raise ConstraintError("load_factors",
-                                  f"expected 365 entries, got {len(values)}")
-        parsed_factors = []
-        for i, value in enumerate(values):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"load_factors.{i}", "expected a number")
-            if not (float(value) >= 0.0 and math.isfinite(float(value))):
-                raise ConstraintError(f"load_factors.{i}", "must be finite and >= 0")
-            parsed_factors.append(float(value))
-        load_factors = tuple(parsed_factors)
+    loads = tuple(_build(f"loads.{i}", LoadPoint, row) for i, row in enumerate(doc["loads"]))
+    net = doc["network"]
+    parts: dict[str, Any] = {
+        "load_points": loads, "upstream": _build("upstream", UpstreamLink, doc["upstream"]),
+    }
+    if net["mode"] == MODE_AGGREGATE:
+        lp_ids = {lp.id for lp in loads}
+        aggregates = parts["aggregates"] = {}
+        for i, row in enumerate(net["aggregates"]):
+            path = f"network.aggregate.{i}"
+            lp_id = row.pop("load_point")
+            if lp_id not in lp_ids:
+                raise DanglingReferenceError(f"{path}.load_point", f"unknown load point {lp_id!r}")
+            if lp_id in aggregates:
+                raise ConstraintError(path, f"duplicate aggregate row for {lp_id!r}")
+            aggregates[lp_id] = _build(path, LoadPointAggregate, row)
     else:
-        load_factors = (1.0,) * 365
+        sections = []
+        for i, row in enumerate(net["sections"]):
+            path = f"network.sections.{i}"
+            reliability = {key: row.pop(key) for key in ("failure_rate", "repair_time")}
+            row["reliability"] = _build(path, ComponentReliability, reliability)
+            sections.append(_build(path, FeederSection, row))
+        parts["sections"] = tuple(sections)
+        parts["switchgear"] = tuple(_build(f"network.switchgear.{i}", Switchgear, row)
+                                    for i, row in enumerate(net["switchgear"]))
+    network = _build("network", NetworkModel, parts)
 
-    try:
-        return Scenario(
-            name=name,
-            network=network,
-            distributions=distributions,
-            fleet=fleet,
-            seed=seed,
-            load_factors=load_factors,
-            p_islanding=p_islanding,
-            max_years=max_years,
-            tolerance=tolerance,
-            dispatch=dispatch,
-            sweep_p=sweep_p,
-            description=description,
-        )
-    except ValueError as exc:  # residual domain checks not caught above
-        raise ConstraintError("", str(exc)) from exc
+    order, expected = doc["priority"], network.priority_order()
+    for i, lp_id in enumerate(order):
+        if lp_id not in expected:
+            raise DanglingReferenceError(f"priority.{i}", f"unknown load point {lp_id!r}")
+    missing = sorted(set(expected).difference(order))
+    if missing:
+        raise DanglingReferenceError("priority", f"missing load points {missing}")
+    if order != expected:
+        raise ConstraintError("priority",
+                              f"order {list(order)} contradicts the ranks {list(expected)}")
+
+    return _build("", Scenario, {
+        **doc["meta"], **doc["simulation"], "load_factors": doc["load_factors"],
+        "network": network, "distributions": distributions, "fleet": tuple(fleet),
+    }, field_paths=_SCENARIO_PATHS)
 
 
 def emit_scenario(scenario: Scenario) -> str:
     """Serialize a scenario back to its YAML document form."""
-    document: dict[str, Any] = {
-        "meta": {"name": scenario.name, "seed": scenario.seed},
-    }
-    if scenario.description:
-        document["meta"]["description"] = scenario.description
-    dists = scenario.distributions
-    document["distributions"] = {
-        "wind_regions": [
-            {
-                "region": region,
-                "scale_c_m_s": params.scale_c,
-                "shape_k": params.shape_k,
-            }
-            for region, params in sorted(dists.wind_regions.items())
-        ],
-        "irradiance": {
-            "alpha": dists.irradiance.alpha,
-            "beta": dists.irradiance.beta,
-            "scale_gmax_w_m2": dists.irradiance.scale_gmax,
-            "shared_sample": dists.shared_irradiance,
+    dists, net = scenario.distributions, scenario.network
+    units = [{**vars(unit), **vars(unit.device)} for unit in scenario.fleet]
+    document = {
+        "meta": vars(scenario),
+        "distributions": {
+            "wind_regions": [{**vars(params), "region_id": region}
+                             for region, params in sorted(dists.wind_regions.items())],
+            "irradiance": {**vars(dists.irradiance),
+                           "shared_irradiance": dists.shared_irradiance},
         },
+        "fleet": {
+            "wind_turbines": [unit for unit in units if "v_rated" in unit],
+            "pv_arrays": [unit for unit in units if "p_sn" in unit],
+        },
+        "network": {
+            "mode": net.mode,
+            "aggregates": [{"load_point": lp.id, **vars(net.aggregates[lp.id])}
+                           for lp in net.load_points] if net.aggregates else (),
+            "sections": [{**vars(sec), **vars(sec.reliability)} for sec in net.sections],
+            "switchgear": [vars(sw) for sw in net.switchgear],
+        },
+        "loads": [vars(lp) for lp in net.load_points],
+        "priority": net.priority_order(),
+        "upstream": vars(net.upstream),
+        "simulation": vars(scenario),
+        "load_factors": scenario.load_factors,
     }
-    turbines = []
-    arrays = []
-    for unit in scenario.fleet:
-        if isinstance(unit.device, WindTurbineSpec):
-            turbines.append({
-                "name": unit.name,
-                "location": unit.location,
-                "region": unit.device.region_id,
-                "rated_kw": unit.device.p_rated,
-                "rated_speed_m_s": unit.device.v_rated,
-                "cut_in_m_s": unit.device.v_cut_in,
-                "cut_out_m_s": unit.device.v_cut_out,
-            })
-        else:
-            arrays.append({
-                "name": unit.name,
-                "location": unit.location,
-                "rated_kw": unit.device.p_sn,
-                "std_irradiance_w_m2": unit.device.g_std,
-                "breakpoint_w_m2": unit.device.r_c,
-            })
-    fleet: dict[str, Any] = {}
-    if turbines:
-        fleet["wind_turbines"] = turbines
-    if arrays:
-        fleet["pv_arrays"] = arrays
-    document["fleet"] = fleet
-
-    net = scenario.network
-    if net.mode == "aggregate":
-        assert net.aggregates is not None
-        document["network"] = {
-            "mode": "aggregate",
-            "aggregate": [
-                {
-                    "load_point": lp.id,
-                    "sum_lambda_per_yr": net.aggregates[lp.id].sum_lambda,
-                    "sum_lambda_r_h_per_yr": net.aggregates[lp.id].sum_lambda_r,
-                }
-                for lp in net.load_points
-            ],
-        }
-    else:
-        document["network"] = {
-            "mode": "topology",
-            "sections": [
-                {
-                    "id": sec.id,
-                    "failure_rate_per_yr": sec.reliability.failure_rate,
-                    "repair_time_h": sec.reliability.repair_time,
-                    "parent": sec.parent,
-                    "isolator_upstream": sec.isolator_upstream,
-                    "isolator_downstream": sec.isolator_downstream,
-                    "load_points": list(sec.load_points),
-                }
-                for sec in net.sections
-            ],
-            "switchgear": [
-                {
-                    "kind": sw.kind,
-                    "switching_time_h": sw.switching_time,
-                    **({"at_section": sw.at_section} if sw.at_section else {}),
-                }
-                for sw in net.switchgear
-            ],
-        }
-    document["loads"] = [
-        {
-            "id": lp.id,
-            "level_kw": lp.load_level,
-            "customers": lp.customers,
-            "priority": lp.priority_rank,
-            **({"class": lp.customer_class} if lp.customer_class else {}),
-        }
-        for lp in net.load_points
-    ]
-    document["priority"] = list(net.priority_order())
-    document["upstream"] = {
-        "failure_rate_per_yr": net.upstream.failure_rate,
-        "repair_time_h": net.upstream.repair_time,
-    }
-    document["simulation"] = {
-        "max_years": scenario.max_years,
-        "tolerance": scenario.tolerance,
-        "p_islanding": scenario.p_islanding,
-        "dispatch": scenario.dispatch,
-        **({"sweep_p": list(scenario.sweep_p)} if scenario.sweep_p is not None else {}),
-    }
-    if any(f != 1.0 for f in scenario.load_factors):
-        document["load_factors"] = list(scenario.load_factors)
-    return yaml.safe_dump(document, sort_keys=False, default_flow_style=False)
+    return yaml.safe_dump(_write(document, _DOCUMENT), sort_keys=False,
+                          default_flow_style=False)
 
 
 # ---------------------------------------------------------------------------

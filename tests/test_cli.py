@@ -24,6 +24,7 @@ from microrel.cli import (
 )
 from microrel.res_models import NumericsError
 from microrel.scenario_io import bundled_scenario_path, parse_report
+from test_scenario_io import TOPOLOGY_SCENARIO
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +154,15 @@ def test_validate_rejects_broken_file_without_artifacts(tmp_path, capsys):
     assert "configuration error" in err
     assert "dangling_reference" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.yaml"]
+
+
+def test_topology_rule_violation_exits_3_with_one_line(tmp_path, capsys):
+    cycle = tmp_path / "cycle.yaml"
+    cycle.write_text(TOPOLOGY_SCENARIO.replace("parent: s1", "parent: s3"))
+    assert main(["validate", str(cycle)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "[constraint] network: parent cycle" in err
 
 
 @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
@@ -481,6 +491,27 @@ def test_a_failed_fork_exits_with_one_line(case_paths, tmp_path, capsys,
                  "--out", str(out)]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Resource temporarily unavailable" in err
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_dead_block_worker_exits_5_with_one_line(case_paths, tmp_path, capsys,
+                                                   monkeypatch):
+    # Block 1 is the forked worker's at 2 workers; it dies without a word.
+    simulate = engine._simulate_block
+
+    def dying(ctx, start, size):
+        if start == engine._YEARS_PER_BLOCK:
+            os._exit(7)
+        return simulate(ctx, start, size)
+
+    monkeypatch.setattr(engine, "_simulate_block", dying)
+    out = tmp_path / "r.csv"
+    assert main(["run", case_paths["case2"], "--workers", "2",
+                 "--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exited with status 7" in err
     assert not out.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

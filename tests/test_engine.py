@@ -876,7 +876,7 @@ def test_a_workers_exception_reaches_the_caller(cases, monkeypatch, workers):
 def test_a_worker_that_exits_early_is_an_error_not_a_hang(cases, monkeypatch):
     _failing_block(monkeypatch, lambda: os._exit(7))
     scenario = dataclasses.replace(cases["case2"], max_years=4096, tolerance=1e-300)
-    with pytest.raises(RuntimeError, match="exited with status 7"):
+    with pytest.raises(ChildProcessError, match="exited with status 7"):
         run(scenario, workers=2)
     _assert_no_child_left()
 

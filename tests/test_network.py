@@ -40,15 +40,6 @@ def test_calibrated_dataset_priority_order():
     assert load_calibrated_dataset().priority_order() == ("LP9", "LP3", "LP4", "LP2")
 
 
-def test_calibrated_dataset_dg_nameplate_exceeds_load():
-    net = load_calibrated_dataset()
-    nameplate = sum(p.rated_kw for p in net.dg_placements)
-    assert nameplate == pytest.approx(7500.0)
-    assert nameplate > net.total_load
-    locations = {p.name: p.location for p in net.dg_placements}
-    assert locations == {"WTG1": "LP7", "WTG2": "LP10", "PV1": "LP1", "PV2": "LP8"}
-
-
 def test_calibrated_dataset_aggregates():
     net = load_calibrated_dataset()
     expected = {
@@ -82,14 +73,23 @@ def test_aggregate_contribution_sums_match_dataset():
 
 
 def test_contribution_aggregates_equal_pair_sums():
-    table = ContributionTable({
-        "A": [(0.1, 2.0), (0.2, 5.0), (0.05, 30.0)],
-        "B": [],
-    })
-    assert table.sum_lambda("A") == pytest.approx(0.35, abs=1e-12)
-    assert table.sum_lambda_r("A") == pytest.approx(0.2 + 1.0 + 1.5, abs=1e-12)
-    assert table.sum_lambda("B") == 0.0
-    assert table.sum_lambda_r("B") == 0.0
+    # Topology mode sums one (rate, duration) pair per interrupting section.
+    net = illustrative_feeder()
+    table = build_contribution_table(net)
+    pairs = {lp.id: [] for lp in net.load_points}
+    for sec in net.sections:
+        for effect in analyze_failure_effects(net, sec.id):
+            pairs[effect.load_point].append(
+                (sec.reliability.failure_rate, effect.duration))
+    assert table.load_point_ids == tuple(pairs)
+    for lp_id, lp_pairs in pairs.items():
+        assert table.sum_lambda(lp_id) == math.fsum(lam for lam, _ in lp_pairs)
+        assert table.sum_lambda_r(lp_id) == math.fsum(lam * dur for lam, dur in lp_pairs)
+    # LP4 is stranded by the s4 and s5 faults and switched for the other four.
+    assert table.sum_lambda_r("LP4") == pytest.approx(
+        (0.040 + 0.040) * 30.0 + (0.040 + 0.040 + 0.036 + 0.030) * 3.5, abs=1e-12)
+    table = ContributionTable({"A": LoadPointAggregate(0.35, 2.7)})
+    assert (table.sum_lambda("A"), table.sum_lambda_r("A")) == (0.35, 2.7)
 
 
 def test_zero_failure_rate_network_has_zero_aggregates():
@@ -99,8 +99,8 @@ def test_zero_failure_rate_network_has_zero_aggregates():
         aggregates={"L1": LoadPointAggregate(0.0, 0.0)},
     )
     table = build_contribution_table(net)
-    assert table.pairs("L1") == ()
     assert table.sum_lambda("L1") == 0.0
+    assert table.sum_lambda_r("L1") == 0.0
 
 
 def test_aggregate_requires_zero_duration_mass_for_zero_rate():
@@ -191,7 +191,9 @@ def test_topology_contribution_table_counts_all_sections():
     for lp in net.load_points:
         # Every section failure interrupts every load point on this feeder.
         assert table.sum_lambda(lp.id) == pytest.approx(total_rate, abs=1e-12)
-        assert len(table.pairs(lp.id)) == len(net.sections)
+    for sec in net.sections:
+        assert all(effect.effect != EFFECT_NONE
+                   for effect in analyze_failure_effects(net, sec.id))
 
 
 def test_analyze_rejects_unknown_section():

@@ -63,8 +63,11 @@ def test_case3_fleet_matches_published_placements(cases):
     assert fleet["PV1"].location == "LP1"
     assert isinstance(fleet["PV1"].device, PvArraySpec)
     assert fleet["PV2"].location == "LP8"
-    assert sum(getattr(u.device, "p_rated", 0.0) + getattr(u.device, "p_sn", 0.0)
-               for u in cases["case3"].fleet) == pytest.approx(7500.0)
+    nameplate = sum(getattr(u.device, "p_rated", 0.0) + getattr(u.device, "p_sn", 0.0)
+                    for u in cases["case3"].fleet)
+    assert nameplate == pytest.approx(7500.0)
+    assert cases["case3"].network.total_load == pytest.approx(5500.0)
+    assert nameplate > cases["case3"].network.total_load
 
 
 def test_case2_runs_four_wind_turbines(cases):
@@ -108,12 +111,6 @@ def test_unknown_bundled_name_raises():
 # ---------------------------------------------------------------------------
 # Scenario round-trip
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("name", ["case1", "case2", "case3", "case4", "sweep"])
-def test_scenario_emit_parse_round_trip(cases, name):
-    scenario = cases[name]
-    assert parse_scenario(emit_scenario(scenario)) == scenario
-
 
 TOPOLOGY_SCENARIO = """\
 meta:
@@ -189,6 +186,42 @@ upstream:
   repair_time_h: 10.0
 simulation: {}
 """
+
+
+def _every_option_scenario():
+    """TOPOLOGY_SCENARIO with every optional key set to a non-default value."""
+    doc = yaml.safe_load(TOPOLOGY_SCENARIO)
+    doc["meta"]["description"] = "every optional key set"
+    doc["distributions"]["wind_regions"] = [
+        {"region": "r1", "scale_c_m_s": 7.88, "shape_k": 2.62}]
+    doc["distributions"]["irradiance"].update(scale_gmax_w_m2=850.0,
+                                              shared_sample=False)
+    doc["fleet"] = {
+        "wind_turbines": [{"name": "WTG1", "location": "LP7", "region": "r1",
+                           "rated_kw": 2000.0, "rated_speed_m_s": 15.0,
+                           "cut_in_m_s": 3.0, "cut_out_m_s": 25.0}],
+        "pv_arrays": [{"name": "PV1", "location": "LP1", "rated_kw": 2000.0,
+                       "std_irradiance_w_m2": 900.0, "breakpoint_w_m2": 120.0}],
+    }
+    doc["network"]["sections"][0]["isolator_downstream"] = True
+    doc["loads"][0]["class"] = "commercial"
+    doc["simulation"] = {"max_years": 5000, "tolerance": 0.01, "p_islanding": 0.9,
+                         "dispatch": "blocking", "sweep_p": [1.0, 0.5, 0.0]}
+    doc["load_factors"] = [0.5 + day / 1000.0 for day in range(365)]
+    return parse_scenario(yaml.safe_dump(doc))
+
+
+@pytest.mark.parametrize("name", ["case1", "case2", "case3", "case4", "sweep",
+                                  "every_option"])
+def test_scenario_emit_parse_round_trip(cases, name):
+    scenario = _every_option_scenario() if name == "every_option" else cases[name]
+    text = emit_scenario(scenario)
+    assert parse_scenario(text) == scenario
+    if name == "every_option":
+        for key in ("description", "shared_sample", "scale_gmax_w_m2",
+                    "std_irradiance_w_m2", "breakpoint_w_m2", "class",
+                    "isolator_downstream", "at_section", "sweep_p", "load_factors"):
+            assert f"{key}:" in text
 
 
 def test_topology_scenario_parses_and_round_trips():
@@ -342,13 +375,15 @@ def _set_path(doc, path, value):
     target[path[-1]] = value
 
 
-def test_every_single_field_corruption_is_rejected(case3_doc):
+@pytest.mark.parametrize("base", ["case3", "topology"])
+def test_every_single_field_corruption_is_rejected(case3_doc, base):
     # Total schema rejection: replacing any leaf with a mapping, or adding
     # an unknown key to any mapping, must produce a ScenarioError rather
     # than a silent default.
+    base_doc = case3_doc if base == "case3" else yaml.safe_load(TOPOLOGY_SCENARIO)
     corrupted = 0
-    for path, value in _walk_paths(case3_doc):
-        doc = copy.deepcopy(case3_doc)
+    for path, value in _walk_paths(base_doc):
+        doc = copy.deepcopy(base_doc)
         if isinstance(value, dict):
             _set_path(doc, path + ("unexpected_key",), 1)
         else:
@@ -366,6 +401,73 @@ def test_errors_carry_machine_readable_code_and_path(case3_doc):
         _parse_mutated(doc)
     assert err.value.code == "constraint"
     assert err.value.path.startswith("loads.0")
+    assert err.value.reason
+
+
+_DELETE = object()
+
+# (base document, {path: new value or _DELETE}, error code, path prefix)
+REJECTIONS = {
+    "switchgear_kind": ("topology", {("network", "switchgear", 0, "kind"): "fuse"},
+                        "constraint", "network.switchgear.0"),
+    "tie_without_section": ("topology",
+                            {("network", "switchgear", 1, "at_section"): _DELETE},
+                            "constraint", "network.switchgear.1"),
+    "tie_at_unknown_section": ("topology",
+                               {("network", "switchgear", 1, "at_section"): "s99"},
+                               "constraint", "network"),
+    "parent_cycle": ("topology", {("network", "sections", 1, "parent"): "s3"},
+                     "constraint", "network"),
+    "duplicate_section_ids": ("topology", {("network", "sections", 1, "id"): "s1"},
+                              "constraint", "network"),
+    "tap_of_unknown_load_point": ("topology",
+                                  {("network", "sections", 0, "load_points"): ["LP77"]},
+                                  "constraint", "network"),
+    "duration_without_rate": ("case3",
+                              {("network", "aggregate", 0, "sum_lambda_per_yr"): 0},
+                              "constraint", "network.aggregate.0"),
+    "no_load_points": ("case3", {("loads",): [], ("priority",): [],
+                                 ("network", "aggregate"): []},
+                       "constraint", "network"),
+    "seed_beyond_64_bits": ("case3", {("meta", "seed"): 2**64},
+                            "constraint", "meta.seed"),
+    "integer_beyond_float_range": ("case3", {("upstream", "repair_time_h"): 10**400},
+                                   "constraint", "upstream.repair_time_h"),
+    "tolerance": ("case3", {("simulation", "tolerance"): 0.0},
+                  "constraint", "simulation.tolerance"),
+    "p_islanding": ("case3", {("simulation", "p_islanding"): 1.5},
+                    "constraint", "simulation.p_islanding"),
+    "max_years": ("case3", {("simulation", "max_years"): 0},
+                  "constraint", "simulation.max_years"),
+    "dispatch": ("case3", {("simulation", "dispatch"): "greedy"},
+                 "constraint", "simulation.dispatch"),
+    "sweep_p": ("case3", {("simulation", "sweep_p"): [1.0, 1.5]},
+                "constraint", "simulation.sweep_p"),
+    "load_factor_count": ("case3", {("load_factors",): [1.0] * 100},
+                          "constraint", "load_factors"),
+    "negative_load_factor": ("case3", {("load_factors",): [1.0] * 364 + [-0.5]},
+                             "constraint", "load_factors"),
+    "negative_customers": ("case3", {("loads", 0, "customers"): -3},
+                           "constraint", "loads.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTIONS))
+def test_rejections_are_scenario_errors_at_their_path(case3_doc, name):
+    base, edits, code, prefix = REJECTIONS[name]
+    doc = copy.deepcopy(case3_doc if base == "case3" else yaml.safe_load(TOPOLOGY_SCENARIO))
+    for path, value in edits.items():
+        if value is _DELETE:
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            del target[path[-1]]
+        else:
+            _set_path(doc, path, value)
+    with pytest.raises(ScenarioError) as err:
+        _parse_mutated(doc)
+    assert err.value.code == code
+    assert err.value.path.startswith(prefix)
     assert err.value.reason
 
 
