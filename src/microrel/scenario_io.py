@@ -13,10 +13,13 @@ and ``structured`` (JSON at full precision, exactly round-trippable).
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from importlib import resources
+from types import SimpleNamespace
 from typing import Any, Mapping, Optional, Sequence
 
 import yaml
@@ -439,64 +442,88 @@ class ReportDocument:
     sensitivity: tuple[tuple[float, SystemIndices], ...] = ()
 
 
-def _check_identities(system: SystemIndices, n_customers: Optional[int] = None) -> None:
-    if abs(system.caidi * system.saifi - system.saidi) > 1e-9 * max(1.0, system.saidi):
-        raise ValueError("CAIDI * SAIFI must equal SAIDI")
-    if n_customers:
-        if abs(system.aens * n_customers - system.ens) > 1e-9 * max(1.0, system.ens):
-            raise ValueError("AENS * total customers must equal ENS")
-
-
 def build_report(result: RunResult, scenario: Scenario,
                  sweep_rows: Sequence[tuple[float, SystemIndices]] = ()) -> ReportDocument:
     """Assemble the report document for a completed run."""
     n_customers = scenario.network.total_customers
-    _check_identities(result.system, n_customers)
-    for _, system in sweep_rows:
-        _check_identities(system, n_customers)
-    rows = []
-    for lp in scenario.network.load_points:
-        indices = result.per_lp[lp.id]
-        rows.append((lp.id, indices.failure_rate, indices.repair_time,
-                     indices.unavailability))
+    for system in (result.system, *(indices for _, indices in sweep_rows)):
+        if abs(system.caidi * system.saifi - system.saidi) > 1e-9 * max(1.0, system.saidi):
+            raise ValueError("CAIDI * SAIFI must equal SAIDI")
+        if n_customers and \
+                abs(system.aens * n_customers - system.ens) > 1e-9 * max(1.0, system.ens):
+            raise ValueError("AENS * total customers must equal ENS")
+    per_lp = [(lp.id, result.per_lp[lp.id]) for lp in scenario.network.load_points]
     return ReportDocument(
         scenario_name=result.scenario_name,
         seed=result.seed,
         years_run=result.years_run,
         converged=result.converged,
         version=ARTIFACT_VERSION,
-        load_point_rows=tuple(rows),
+        load_point_rows=tuple((lp_id, indices.failure_rate, indices.repair_time,
+                               indices.unavailability) for lp_id, indices in per_lp),
         system=result.system,
         sensitivity=tuple(sweep_rows),
     )
 
 
-def _truncate(value: float, decimals: int) -> str:
-    """Format with the final digits truncated toward zero, not rounded.
+# The report, one column table per block: (key, delimited decimals or the
+# type of a text, count or flag column) and, in meta, the ReportDocument
+# field.  The other blocks list their columns in the order of their row
+# tuples, SystemIndices' field order for the system.  After meta the blocks
+# come in delimited order; an empty sensitivity block is left out.
+_META_COLUMNS = (("scenario", str, "scenario_name"), ("seed", int, "seed"),
+                 ("years_run", int, "years_run"), ("converged", bool, "converged"),
+                 ("version", str, "version"))
+_ROW_BLOCKS = {
+    "load_points": (("id", str), ("lambda_per_yr", 3), ("r_h", 3), ("u_h_per_yr", 3)),
+    "system": (("saifi", 3), ("saidi", 3), ("caidi", 2), ("ens_kwh", 0), ("aens_kwh", 3)),
+}
+_ROW_BLOCKS["sensitivity"] = (("p_islanding", 3),) + _ROW_BLOCKS["system"]
 
-    Published reliability tables truncate; a guard absorbs float artifacts
-    sitting within a hair of the next representable decimal.
-    """
-    scaled = value * 10**decimals
+
+def _payload(report: ReportDocument) -> dict[str, Any]:
+    """The report keyed by column: meta's keys, then a list of rows per block.
+    Structured reports write it as JSON, with the system's one row unlisted."""
+    rows = {"load_points": report.load_point_rows, "system": [astuple(report.system)],
+            "sensitivity": [(p, *astuple(system)) for p, system in report.sensitivity]}
+    return {
+        **{key: getattr(report, field) for key, _, field in _META_COLUMNS},
+        **{block: [{key: value for (key, _), value in zip(columns, row)} for row in rows[block]]
+           for block, columns in _ROW_BLOCKS.items()},
+    }
+
+
+def _document(payload: Mapping[str, Any]) -> ReportDocument:
+    """The report a payload of either format holds: the inverse of _payload."""
+    def typed(cell: Any, kind: Any) -> Any:  # a JSON value or CSV text as its type
+        if kind is bool:
+            return cell is True or cell == "true"
+        return kind(cell) if isinstance(kind, type) else float(cell)
+
+    rows = {block: [[typed(row[key], kind) for key, kind in columns] for row in payload[block]]
+            for block, columns in _ROW_BLOCKS.items()}
+    (system,) = rows["system"]
+    return ReportDocument(
+        **{field: typed(payload[key], kind) for key, kind, field in _META_COLUMNS},
+        load_point_rows=tuple(map(tuple, rows["load_points"])),
+        system=SystemIndices(*system),
+        sensitivity=tuple((p, SystemIndices(*rest)) for p, *rest in rows["sensitivity"]),
+    )
+
+
+def _cell(value: Any, kind: Any) -> str:
+    """A payload value as delimited text.  Numbers keep ``kind`` decimals,
+    truncated toward zero, not rounded, as published reliability tables do;
+    a guard absorbs float artifacts a hair below the next decimal."""
+    if kind is bool:
+        return "true" if value else "false"
+    if isinstance(kind, type):
+        return str(value)
+    scaled = value * 10**kind
     floored = math.floor(scaled)
     if scaled - floored > 1.0 - 1e-6:
         floored += 1
-    if decimals == 0:
-        return str(int(floored))
-    return f"{floored / 10**decimals:.{decimals}f}"
-
-
-def _system_row(system: SystemIndices) -> str:
-    return ",".join([
-        _truncate(system.saifi, 3),
-        _truncate(system.saidi, 3),
-        _truncate(system.caidi, 2),
-        _truncate(system.ens, 0),
-        _truncate(system.aens, 3),
-    ])
-
-
-_SYSTEM_HEADER = "saifi,saidi,caidi,ens_kwh,aens_kwh"
+    return f"{floored / 10**kind:.{kind}f}"
 
 
 def emit_report(report: ReportDocument, format: str = FORMAT_DELIMITED) -> str:
@@ -504,72 +531,27 @@ def emit_report(report: ReportDocument, format: str = FORMAT_DELIMITED) -> str:
 
     ``delimited`` renders CSV blocks at fixed table precision (3 decimals
     for per-load-point indices, SAIFI and SAIDI, 2 for CAIDI, whole kWh for
-    ENS, 3 for AENS); ``structured`` renders JSON at full precision and
-    round-trips exactly through :func:`parse_report`.
+    ENS, 3 for AENS), quoting text that holds a comma, a quote or a line
+    break; ``structured`` renders JSON at full precision and round-trips
+    exactly through :func:`parse_report`.
     """
+    payload = _payload(report)
     if format == FORMAT_STRUCTURED:
-        payload = {
-            "version": report.version,
-            "scenario": report.scenario_name,
-            "seed": report.seed,
-            "years_run": report.years_run,
-            "converged": report.converged,
-            "load_points": [
-                {"id": lp_id, "lambda_per_yr": lam, "r_h": r, "u_h_per_yr": u}
-                for lp_id, lam, r, u in report.load_point_rows
-            ],
-            "system": _system_payload(report.system),
-            "sensitivity": [
-                {"p_islanding": p, **_system_payload(system)}
-                for p, system in report.sensitivity
-            ],
-        }
+        payload["system"] = payload["system"][0]
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if format != FORMAT_DELIMITED:
         raise ValueError(f"unknown report format {format!r}")
-
-    lines = [
-        "[meta]",
-        "field,value",
-        f"scenario,{report.scenario_name}",
-        f"seed,{report.seed}",
-        f"years_run,{report.years_run}",
-        f"converged,{'true' if report.converged else 'false'}",
-        f"version,{report.version}",
-        "",
-        "[load_points]",
-        "id,lambda_per_yr,r_h,u_h_per_yr",
-    ]
-    for lp_id, lam, r, u in report.load_point_rows:
-        lines.append(
-            f"{lp_id},{_truncate(lam, 3)},{_truncate(r, 3)},{_truncate(u, 3)}"
-        )
-    lines += ["", "[system]", _SYSTEM_HEADER, _system_row(report.system)]
-    if report.sensitivity:
-        lines += ["", "[sensitivity]", "p_islanding," + _SYSTEM_HEADER]
-        for p, system in report.sensitivity:
-            lines.append(f"{_truncate(p, 3)},{_system_row(system)}")
-    return "\n".join(lines) + "\n"
-
-
-def _system_payload(system: SystemIndices) -> dict[str, float]:
-    return {
-        "saifi": system.saifi,
-        "saidi": system.saidi,
-        "caidi": system.caidi,
-        "ens_kwh": system.ens,
-        "aens_kwh": system.aens,
-    }
-
-
-def _system_from_payload(payload: Mapping[str, float]) -> SystemIndices:
-    return SystemIndices(
-        saifi=float(payload["saifi"]),
-        saidi=float(payload["saidi"]),
-        caidi=float(payload["caidi"]),
-        ens=float(payload["ens_kwh"]),
-        aens=float(payload["aens_kwh"]),
-    )
+    rows = [["[meta]"], ["field", "value"]]
+    rows += [[key, _cell(payload[key], kind)] for key, kind, _ in _META_COLUMNS]
+    for block, columns in _ROW_BLOCKS.items():
+        if payload[block] or block != "sensitivity":
+            rows += [[], [f"[{block}]"], [key for key, _ in columns]]
+            rows += [[_cell(row[key], kind) for key, kind in columns] for row in payload[block]]
+    # The writer quotes a field holding a character of its line terminator,
+    # so "\r\n" has it quote both line breaks; each row is one write call.
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def parse_report(text: str) -> ReportDocument:
@@ -578,65 +560,25 @@ def parse_report(text: str) -> ReportDocument:
     Delimited reports parse at their emitted precision; structured reports
     recover the exact values.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         payload = json.loads(text)
-        return ReportDocument(
-            scenario_name=payload["scenario"],
-            seed=int(payload["seed"]),
-            years_run=int(payload["years_run"]),
-            converged=bool(payload["converged"]),
-            version=payload["version"],
-            load_point_rows=tuple(
-                (row["id"], float(row["lambda_per_yr"]), float(row["r_h"]),
-                 float(row["u_h_per_yr"]))
-                for row in payload["load_points"]
-            ),
-            system=_system_from_payload(payload["system"]),
-            sensitivity=tuple(
-                (float(row["p_islanding"]), _system_from_payload(row))
-                for row in payload["sensitivity"]
-            ),
-        )
-
+        return _document({**payload, "system": [payload["system"]]})
     blocks: dict[str, list[list[str]]] = {}
-    current: Optional[str] = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            blocks[current] = []
-            continue
-        if current is None:
+    for row in filter(None, csv.reader(io.StringIO(text))):  # lines end at "\n" only
+        if len(row) == 1 and row[0].startswith("[") and row[0].endswith("]"):
+            rows = blocks[row[0][1:-1]] = []
+        elif not blocks:
             raise ValueError("report rows found before any block header")
-        blocks[current].append(line.split(","))
+        else:
+            rows.append(row)
     for required in ("meta", "load_points", "system"):
         if required not in blocks:
             raise ValueError(f"report is missing its [{required}] block")
-
-    meta = {row[0]: row[1] for row in blocks["meta"][1:]}
-    lp_rows = tuple(
-        (row[0], float(row[1]), float(row[2]), float(row[3]))
-        for row in blocks["load_points"][1:]
-    )
-    system_values = [float(v) for v in blocks["system"][1]]
-    system = SystemIndices(*system_values)
-    sensitivity = tuple(
-        (float(row[0]), SystemIndices(*(float(v) for v in row[1:])))
-        for row in blocks.get("sensitivity", [None, []])[1:]
-    ) if "sensitivity" in blocks else ()
-    return ReportDocument(
-        scenario_name=meta["scenario"],
-        seed=int(meta["seed"]),
-        years_run=int(meta["years_run"]),
-        converged=meta["converged"] == "true",
-        version=meta["version"],
-        load_point_rows=lp_rows,
-        system=system,
-        sensitivity=sensitivity,
-    )
+    payload: dict[str, Any] = dict(blocks["meta"][1:])
+    for block in _ROW_BLOCKS:
+        header, *records = blocks.get(block, [[]])
+        payload[block] = [dict(zip(header, record)) for record in records]
+    return _document(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from microrel.cli import (
 )
 from microrel.res_models import NumericsError
 from microrel.scenario_io import bundled_scenario_path, parse_report
-from test_scenario_io import TOPOLOGY_SCENARIO
+from test_scenario_io import GOLDEN_REPORTS, TOPOLOGY_SCENARIO
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,14 @@ def test_run_case1_writes_published_report(case_paths, tmp_path):
     assert report.converged
     rows = {row[0]: row for row in report.load_point_rows}
     assert rows["LP9"][1] == pytest.approx(0.656, abs=1e-3)
+
+
+@pytest.mark.parametrize("fmt, suffix", [("delimited", "csv"), ("structured", "json")])
+@pytest.mark.parametrize("case", ["case1", "case3"])
+def test_run_writes_the_golden_report(case_paths, tmp_path, case, fmt, suffix):
+    out = tmp_path / f"{case}.{suffix}"
+    assert main(["run", case_paths[case], "--format", fmt, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN_REPORTS / f"{case}.{suffix}").read_bytes()
 
 
 def test_run_writes_to_stdout_without_out(case_paths, capsys):

@@ -2,6 +2,8 @@
 
 import copy
 import json
+import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -499,6 +501,7 @@ def test_case1_delimited_load_point_rows(case1_report):
 
 def test_sensitivity_block_omitted_when_empty(case1_report):
     assert "[sensitivity]" not in emit_report(case1_report, "delimited")
+    assert parse_report(emit_report(case1_report, "delimited")).sensitivity == ()
     payload = json.loads(emit_report(case1_report, "structured"))
     assert payload["sensitivity"] == []
 
@@ -542,3 +545,63 @@ def test_build_report_embeds_provenance(cases, case1_report):
     assert case1_report.years_run == 1
     assert case1_report.converged is True
     assert case1_report.version
+
+
+@pytest.mark.parametrize("block", ["meta", "load_points", "system"])
+def test_delimited_report_missing_a_block_is_rejected(case1_report, block):
+    chunks = emit_report(case1_report, "delimited").split("\n\n")
+    text = "\n\n".join(chunk for chunk in chunks if not chunk.startswith(f"[{block}]"))
+    with pytest.raises(ValueError, match=re.escape(f"report is missing its [{block}] block")):
+        parse_report(text)
+
+
+def test_delimited_report_rows_before_any_block_header_are_rejected(case1_report):
+    text = "scenario,case1\n" + emit_report(case1_report, "delimited")
+    with pytest.raises(ValueError, match="report rows found before any block header"):
+        parse_report(text)
+
+
+# Text that breaks a naively split CSV row: a comma, a quote, line breaks and
+# a line that reads like a block header.
+AWKWARD_TEXT = ['case1, "feeder A"\nnorth', 'bus 7,\r\n[system]\n"', '[meta]\r"x",y']
+
+
+@pytest.mark.parametrize("text", AWKWARD_TEXT)
+def test_report_text_with_commas_quotes_and_line_breaks_round_trips(text):
+    doc = yaml.safe_load(bundled_scenario_path("case1").read_text())
+    doc["meta"]["name"] = text
+    lp_id = text + " LP2"
+    doc["loads"][0]["id"] = doc["network"]["aggregate"][0]["load_point"] = lp_id
+    doc["priority"] = [lp_id if item == "LP2" else item for item in doc["priority"]]
+    scenario = parse_scenario(yaml.safe_dump(doc))
+    report = build_report(engine.run(scenario), scenario)
+    assert report.scenario_name == text and report.load_point_rows[0][0] == lp_id
+
+    structured = emit_report(report, "structured")
+    assert parse_report(structured) == report
+    delimited = emit_report(report, "delimited")
+    reparsed = parse_report(delimited)
+    assert reparsed.scenario_name == text
+    assert [row[0] for row in reparsed.load_point_rows] == [lp_id, "LP3", "LP4", "LP9"]
+    assert emit_report(reparsed, "delimited") == delimited
+
+
+# The reports of every bundled study at its own seed and default convergence,
+# as the CLI wrote them (`microrel run|sweep SCENARIO [--format structured]`).
+# A change to any of them breaks ROADMAP rule (c) and must be explained in
+# CHANGES.md.
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "reports"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["case1", "case2", "case3", "case4", "sweep"])
+def test_bundled_reports_match_the_goldens_byte_for_byte(cases, name, workers):
+    scenario = cases[name]
+    if scenario.sweep_p is None:
+        report = build_report(engine.run(scenario, workers=workers), scenario)
+    else:
+        sweep = engine.sensitivity_sweep(scenario, list(scenario.sweep_p), workers=workers)
+        report = build_report(sweep.base, scenario, sweep_rows=sweep.rows)
+    for fmt, suffix in (("delimited", "csv"), ("structured", "json")):
+        golden = (GOLDEN_REPORTS / f"{name}.{suffix}").read_bytes()
+        assert emit_report(report, fmt).encode() == golden, f"{name}.{suffix}"
