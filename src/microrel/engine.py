@@ -368,19 +368,27 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
     if served is None:
         needs = np.multiply.outer(ctx.levels, ctx.load_factors)
 
+    # Every pass writes its speeds, powers and totals into these buffers.
+    pass_days = min(n_years, _YEARS_PER_PASS) * DAYS_PER_YEAR
+    speed_rows = np.empty((len(regions), pass_days))
+    power_rows = np.empty((len(distinct), pass_days))
+    total_rows = np.empty((pass_days // DAYS_PER_YEAR, DAYS_PER_YEAR))
     counts = np.empty((n_years, len(ctx.lp_ids)), dtype=np.int64)
     for first in range(0, n_years, _YEARS_PER_PASS):
         last = min(first + _YEARS_PER_PASS, n_years)
         start, stop = first * DAYS_PER_YEAR, last * DAYS_PER_YEAR
+        n_days = stop - start
         resources = DailyResources(
-            wind_speeds={region: stream_days(dists, block, row, start, stop)
-                         for region, row in regions.items()},
+            wind_speeds={region: stream_days(dists, block, row, start, stop,
+                                             out=speed_rows[i, :n_days])
+                         for i, (region, row) in enumerate(regions.items())},
             irradiance={key: values[start:stop] for key, values in irradiance.items()},
-            n_days=stop - start,
+            n_days=n_days,
         )
-        power = {key: unit_power_series(unit, resources)
-                 for key, unit in distinct.items()}
-        totals = np.zeros((last - first, DAYS_PER_YEAR))
+        power = {key: unit_power_series(unit, resources, out=power_rows[i, :n_days])
+                 for i, (key, unit) in enumerate(distinct.items())}
+        totals = total_rows[:last - first]
+        totals.fill(0.0)
         for key in keys:
             totals += power[key].reshape(totals.shape)
         if served is None:

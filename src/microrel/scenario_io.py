@@ -500,11 +500,19 @@ def _document(payload: Mapping[str, Any]) -> ReportDocument:
             return cell is True or cell == "true"
         return kind(cell) if isinstance(kind, type) else float(cell)
 
-    rows = {block: [[typed(row[key], kind) for key, kind in columns] for row in payload[block]]
+    def read(mapping: Mapping[str, Any], key: str, block: str) -> Any:
+        if key not in mapping:
+            raise ValueError(f"report is missing its [{block}] block" if key == block
+                             else f"report's [{block}] block has no {key!r}")
+        return mapping[key]
+
+    rows = {block: [[typed(read(row, key, block), kind) for key, kind in columns]
+                    for row in read(payload, block, block)]
             for block, columns in _ROW_BLOCKS.items()}
     (system,) = rows["system"]
     return ReportDocument(
-        **{field: typed(payload[key], kind) for key, kind, field in _META_COLUMNS},
+        **{field: typed(read(payload, key, "meta"), kind)
+           for key, kind, field in _META_COLUMNS},
         load_point_rows=tuple(map(tuple, rows["load_points"])),
         system=SystemIndices(*system),
         sensitivity=tuple((p, SystemIndices(*rest)) for p, *rest in rows["sensitivity"]),
@@ -562,7 +570,9 @@ def parse_report(text: str) -> ReportDocument:
     """
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
-        return _document({**payload, "system": [payload["system"]]})
+        if "system" in payload:
+            payload["system"] = [payload["system"]]
+        return _document(payload)
     blocks: dict[str, list[list[str]]] = {}
     for row in filter(None, csv.reader(io.StringIO(text))):  # lines end at "\n" only
         if len(row) == 1 and row[0].startswith("[") and row[0].endswith("]"):

@@ -290,6 +290,23 @@ def test_sample_one_unit_with_independent_irradiance(tmp_path, capsys):
         assert capsys.readouterr().out == (out_dir / f"{name}.csv").read_text()
 
 
+# Every unit's `microrel sample SCENARIO --days 730 --out DIR` trace for case2
+# and case3: two years, so the traces cross a year boundary.  They hold the
+# samplers' doubles exactly; a change to any of them must be explained in
+# CHANGES.md like a change to the golden reports.
+GOLDEN_TRACES = Path(__file__).parent / "data" / "traces"
+
+
+@pytest.mark.parametrize("case", ["case2", "case3"])
+def test_sample_traces_match_the_goldens_byte_for_byte(case_paths, case, tmp_path):
+    out = tmp_path / case
+    assert main(["sample", case_paths[case], "--days", "730", "--out", str(out)]) == EXIT_OK
+    golden = sorted(path.name for path in (GOLDEN_TRACES / case).iterdir())
+    assert sorted(path.name for path in out.iterdir()) == golden
+    for name in golden:
+        assert (out / name).read_bytes() == (GOLDEN_TRACES / case / name).read_bytes(), name
+
+
 def test_sample_multi_unit_stdout_is_rejected(case_paths):
     assert main(["sample", case_paths["case3"], "--days", "5"]) == EXIT_USAGE
 

@@ -333,9 +333,9 @@ def test_each_distinct_power_series_is_computed_once_per_pass(cases, monkeypatch
     calls = []
     original = engine.unit_power_series
 
-    def counted(unit, resources):
+    def counted(unit, resources, **kwargs):
         calls.append(unit.name)
-        return original(unit, resources)
+        return original(unit, resources, **kwargs)
 
     monkeypatch.setattr(engine, "unit_power_series", counted)
     engine._simulate_block(engine._context_for(cases["case2"]), 0, 2 * P)

@@ -397,6 +397,89 @@ def test_pv_power_rejects_negative_irradiance():
         pv_power(PV_STD, -1.0)
 
 
+# ---------------------------------------------------------------------------
+# The in-place kernels: checks, out buffers and bits
+# ---------------------------------------------------------------------------
+
+KERNELS = {
+    "sample_wind_speed": lambda x, **kw: sample_wind_speed(REGION1, x, **kw),
+    "wind_power": lambda x, **kw: wind_power(WTG1, x, **kw),
+    "pv_power": lambda x, **kw: pv_power(PV_STD, x, **kw),
+}
+
+
+def _kernel_inputs(name: str) -> np.ndarray:
+    """Random inputs plus every breakpoint of the curve and its neighbours."""
+    rng = np.random.default_rng(14)
+    if name == "sample_wind_speed":
+        return np.concatenate((rng.random(20_000), [MIN_UNIFORM, 0.5, 1.0 - 2.0**-53]))
+    edges = (np.array([3.0, 15.0, 25.0]) if name == "wind_power"
+             else np.array([150.0, 1000.0]))
+    return np.concatenate((rng.uniform(0.0, 1.2 * edges[-1], 20_000), [0.0, -0.0, np.inf],
+                           edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)))
+
+
+def _where_form(name: str, x: np.ndarray) -> np.ndarray:
+    """Each kernel written as one expression of nested np.where."""
+    if name == "sample_wind_speed":
+        return REGION1.scale_c * (-np.log(x)) ** (1.0 / REGION1.shape_k)
+    if name == "wind_power":
+        s = WTG1
+        denom = s.v_rated**3 - s.v_cut_in**3
+        cubic = s.p_rated / denom * x**3 - s.v_cut_in**3 / denom * s.p_rated
+        return np.where((x <= s.v_cut_in) | (x >= s.v_cut_out), 0.0,
+                        np.where(x <= s.v_rated, cubic, s.p_rated))
+    s = PV_STD
+    return np.where(x < s.r_c, s.p_sn * x * x / (s.g_std * s.r_c),
+                    np.where(x <= s.g_std, s.p_sn * x / s.g_std, s.p_sn))
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernels_are_bit_identical_to_their_where_form(name):
+    x = _kernel_inputs(name)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = _where_form(name, x)
+    got = KERNELS[name](x)
+    # Compared as bits, so that 0.0 and -0.0 differ.
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernels_write_into_out(name):
+    x = _kernel_inputs(name)
+    want = KERNELS[name](x)
+    out = np.full_like(x, np.nan)
+    assert KERNELS[name](x, out=out) is out
+    np.testing.assert_array_equal(out, want)
+
+
+def test_wind_sampler_runs_in_place_on_its_uniforms():
+    u = _kernel_inputs("sample_wind_speed")
+    want = sample_wind_speed(REGION1, u)
+    assert sample_wind_speed(REGION1, u, out=u) is u
+    np.testing.assert_array_equal(u, want)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@pytest.mark.parametrize("bad", [math.nan, [0.5, math.nan, 0.25]])
+def test_kernels_reject_nan(name, bad):
+    with pytest.raises(ValueError):
+        KERNELS[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernels_accept_empty_arrays(name):
+    assert KERNELS[name](np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_power_curves_accept_both_zeros(zero):
+    assert wind_power(WTG1, zero) == 0.0
+    assert pv_power(PV_STD, zero) == 0.0
+    np.testing.assert_array_equal(wind_power(WTG1, np.array([zero, 10.0]))[0], 0.0)
+    np.testing.assert_array_equal(pv_power(PV_STD, np.array([zero, 10.0]))[0], 0.0)
+
+
 def test_pv_array_spec_validation():
     with pytest.raises(ValueError):
         PvArraySpec(p_sn=100.0, g_std=100.0, r_c=150.0)
@@ -753,6 +836,45 @@ def test_beta_poly_table_keeps_its_bound_at_fresh_points(alpha, beta):
                         + h * (poly.c3[usable] + h * poly.c4[usable])))
         exact = res_models.betainc(alpha, beta, lower + h) - table.cdf[:-1][usable]
         assert np.all(np.abs(estimate - exact) <= poly.bound[usable])
+
+
+def _polynomial_test_residual(table, poly, cell, u):
+    """|estimate - du| as beta_inverse_cdf's per-draw test computes it."""
+    du = u - table.cdf[cell]
+    lower = table.knots[cell]
+    x = lower + du * (table.slope[cell] + du * table.curve[cell])
+    h = x - lower
+    estimate = h * (poly.c1[cell] + h * (poly.c2[cell]
+                    + h * (poly.c3[cell] + h * poly.c4[cell])))
+    return np.abs(estimate - du)
+
+
+@pytest.mark.parametrize("alpha, beta", TABLE_SHAPES)
+def test_settled_cells_pass_the_polynomial_test_at_fresh_points(alpha, beta):
+    # A settled cell's draws skip the polynomial test; it must hold at every
+    # u of the cell.  Take both edges, their inner neighbours and random
+    # points, none of them where the table was measured.
+    tol = 1e-10
+    params = BetaParams(alpha, beta)
+    table = _beta_bracket_table(alpha, beta)
+    poly = _beta_poly_table(alpha, beta)
+    assert np.all(np.diff(table.cdf) >= 0.0)
+    settled = np.flatnonzero(poly.start_error <= tol - poly.bound)
+    if (alpha, beta) == (FITTED_BETA.alpha, FITTED_BETA.beta):
+        assert settled.size > 0.9 * _BETA_CELLS
+    assert not np.isfinite(poly.start_error[table.cdf[1:] >= 1.0]).any()  # u = 1
+    lo, hi = table.cdf[settled], table.cdf[settled + 1]
+    rng = np.random.default_rng(34)
+    fractions = np.vstack((np.zeros(1), np.ones(1), rng.random((6, 1))))
+    u = np.vstack((lo + fractions * (hi - lo), np.nextafter(lo, hi), np.nextafter(hi, lo)))
+    u = np.clip(u, lo, hi)
+    cell = np.broadcast_to(settled, u.shape)
+    residual = _polynomial_test_residual(table, poly, cell, u)
+    assert np.all(residual <= poly.start_error[cell])
+    assert np.all(residual <= tol - poly.bound[cell])
+    u = u.ravel()
+    np.testing.assert_array_equal(beta_inverse_cdf(params, u),
+                                  _betainc_only_inverse(params, u))
 
 
 def test_beta_draws_in_exact_only_cells_reach_betainc(monkeypatch):

@@ -555,6 +555,37 @@ def test_delimited_report_missing_a_block_is_rejected(case1_report, block):
         parse_report(text)
 
 
+@pytest.mark.parametrize("fmt", ["delimited", "structured"])
+def test_report_missing_a_meta_key_names_it(case1_report, fmt):
+    text = emit_report(case1_report, fmt)
+    if fmt == "delimited":
+        assert "\nseed,1\n" in text
+        text = text.replace("\nseed,1\n", "\n")
+    else:
+        payload = json.loads(text)
+        del payload["seed"]
+        text = json.dumps(payload)
+    with pytest.raises(ValueError, match=re.escape("report's [meta] block has no 'seed'")):
+        parse_report(text)
+
+
+@pytest.mark.parametrize("fmt", ["delimited", "structured"])
+def test_report_with_a_misspelt_column_names_it(case1_report, fmt):
+    text = emit_report(case1_report, fmt)
+    assert text.count("lambda_per_yr") >= 1
+    text = text.replace("lambda_per_yr", "lambda_per_year")
+    with pytest.raises(ValueError,
+                       match=re.escape("report's [load_points] block has no 'lambda_per_yr'")):
+        parse_report(text)
+
+
+def test_structured_report_missing_a_block_is_rejected(case1_report):
+    payload = json.loads(emit_report(case1_report, "structured"))
+    del payload["system"]
+    with pytest.raises(ValueError, match=re.escape("report is missing its [system] block")):
+        parse_report(json.dumps(payload))
+
+
 def test_delimited_report_rows_before_any_block_header_are_rejected(case1_report):
     text = "scenario,case1\n" + emit_report(case1_report, "delimited")
     with pytest.raises(ValueError, match="report rows found before any block header"):
