@@ -28,8 +28,6 @@ from .network import (
     UpstreamLink,
     analyze_failure_effects,
     build_contribution_table,
-    illustrative_feeder,
-    load_calibrated_dataset,
 )
 from .res_models import (
     BetaParams,

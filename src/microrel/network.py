@@ -4,11 +4,11 @@ A network is described in one of two modes:
 
 * aggregate - each load point directly carries the totals sum(lambda_j) and
   sum(lambda_j * r_j) of the feeder components whose failure interrupts it.
-  This is the mode of the bundled calibrated dataset.
+  The bundled studies case1-4 and sweep use this mode.
 * topology - an explicit tree of feeder sections with isolating switches, a
   feeder breaker and an optional normally-open tie.  Per-load-point
   contributions are derived by simulating the fault response of every
-  section.
+  section.  The bundled topology study uses this mode.
 
 Both modes produce the same ContributionTable consumed by the evaluation
 engine.
@@ -33,11 +33,8 @@ __all__ = [
     "NetworkModel",
     "analyze_failure_effects",
     "build_contribution_table",
-    "load_calibrated_dataset",
-    "illustrative_feeder",
     "EFFECT_REPAIR",
     "EFFECT_SWITCH",
-    "EFFECT_NONE",
     "MODE_AGGREGATE",
     "MODE_TOPOLOGY",
 ]
@@ -47,7 +44,6 @@ MODE_TOPOLOGY = "topology"
 
 EFFECT_REPAIR = "repair"
 EFFECT_SWITCH = "switch"
-EFFECT_NONE = "none"
 
 KIND_FEEDER_BREAKER = "feeder_breaker"
 KIND_ISOLATOR = "isolator"
@@ -161,15 +157,13 @@ class FailureEffect:
     """Classified impact of one section failure on one load point."""
 
     load_point: str
-    effect: str  # repair | switch | none
+    effect: str  # repair | switch
     duration: float  # hours
 
     def __post_init__(self) -> None:
-        if self.effect not in (EFFECT_REPAIR, EFFECT_SWITCH, EFFECT_NONE):
+        if self.effect not in (EFFECT_REPAIR, EFFECT_SWITCH):
             raise ValueError(f"unknown effect class {self.effect!r}")
         _check_nonnegative("duration", self.duration)
-        if self.effect == EFFECT_NONE and self.duration != 0.0:
-            raise ValueError("an unaffected load point must have duration 0")
 
 
 @dataclass(frozen=True)
@@ -432,93 +426,12 @@ def build_contribution_table(network: NetworkModel) -> ContributionTable:
         if sec.reliability.failure_rate == 0.0:
             continue
         for effect in analyze_failure_effects(network, sec.id):
-            if effect.effect != EFFECT_NONE:
-                pairs[effect.load_point].append(
-                    (sec.reliability.failure_rate, effect.duration)
-                )
+            pairs[effect.load_point].append(
+                (sec.reliability.failure_rate, effect.duration)
+            )
     return ContributionTable({
         lp_id: LoadPointAggregate(math.fsum(lam for lam, _ in lp_pairs),
                                   math.fsum(lam * dur for lam, dur in lp_pairs))
         for lp_id, lp_pairs in pairs.items()
     })
 
-
-# ---------------------------------------------------------------------------
-# Bundled datasets
-# ---------------------------------------------------------------------------
-
-DEFAULT_SWITCHING_TIME_H = 3.5
-DEFAULT_REPAIR_TIME_H = 30.0
-
-_CALIBRATED_LOAD_POINTS = (
-    LoadPoint("LP2", load_level=1000.0, customers=100, priority_rank=4,
-              customer_class="commercial"),
-    LoadPoint("LP3", load_level=3000.0, customers=300, priority_rank=2,
-              customer_class="office"),
-    LoadPoint("LP4", load_level=1000.0, customers=250, priority_rank=3,
-              customer_class="residential"),
-    LoadPoint("LP9", load_level=500.0, customers=50, priority_rank=1,
-              customer_class="governmental"),
-)
-
-# Per-load-point interruption totals of the four-load-point study feeder.
-_CALIBRATED_AGGREGATES = {
-    "LP2": LoadPointAggregate(sum_lambda=0.226, sum_lambda_r=3.017),
-    "LP3": LoadPointAggregate(sum_lambda=0.226, sum_lambda_r=2.858),
-    "LP4": LoadPointAggregate(sum_lambda=0.226, sum_lambda_r=2.328),
-    "LP9": LoadPointAggregate(sum_lambda=0.156, sum_lambda_r=1.924),
-}
-
-_CALIBRATED_UPSTREAM = UpstreamLink(failure_rate=0.5, repair_time=10.0)
-
-
-def load_calibrated_dataset() -> NetworkModel:
-    """The bundled aggregate-mode study system.
-
-    Four prioritized load points (700 customers, 5.5 MW) on a radial feeder
-    with a 0.5 occ/yr, 10 h upstream link.
-    """
-    return NetworkModel(
-        load_points=_CALIBRATED_LOAD_POINTS,
-        upstream=_CALIBRATED_UPSTREAM,
-        aggregates=dict(_CALIBRATED_AGGREGATES),
-    )
-
-
-def illustrative_feeder() -> NetworkModel:
-    """An illustrative topology-mode reconstruction of the study feeder.
-
-    The real feeder's section data is not public, so this tree is a
-    plausible stand-in for exercising the fault-response analysis: six main
-    sections in series, the four load points tapped along them, a breaker at
-    the head and a normally-open tie at the far end.  Section failure rates
-    sum to 0.226 occ/yr; repair takes 30 h and switching 3.5 h.  It is not
-    calibrated to match the aggregate dataset's per-load-point totals.
-    """
-    rel = lambda rate: ComponentReliability(failure_rate=rate,
-                                            repair_time=DEFAULT_REPAIR_TIME_H)
-    sections = (
-        FeederSection("s1", rel(0.040), parent=None, isolator_upstream=True,
-                      isolator_downstream=False, load_points=("LP2",)),
-        FeederSection("s2", rel(0.040), parent="s1", isolator_upstream=True,
-                      isolator_downstream=False, load_points=("LP9",)),
-        FeederSection("s3", rel(0.036), parent="s2", isolator_upstream=True,
-                      isolator_downstream=False, load_points=()),
-        FeederSection("s4", rel(0.040), parent="s3", isolator_upstream=True,
-                      isolator_downstream=False, load_points=("LP3",)),
-        # No isolator between s4 and s5: a fault on either strands both.
-        FeederSection("s5", rel(0.040), parent="s4", isolator_upstream=False,
-                      isolator_downstream=False, load_points=("LP4",)),
-        FeederSection("s6", rel(0.030), parent="s5", isolator_upstream=True,
-                      isolator_downstream=False, load_points=()),
-    )
-    switchgear = (
-        Switchgear(KIND_FEEDER_BREAKER, DEFAULT_SWITCHING_TIME_H),
-        Switchgear(KIND_TIE, DEFAULT_SWITCHING_TIME_H, at_section="s6"),
-    )
-    return NetworkModel(
-        load_points=_CALIBRATED_LOAD_POINTS,
-        upstream=_CALIBRATED_UPSTREAM,
-        sections=sections,
-        switchgear=switchgear,
-    )

@@ -595,7 +595,7 @@ def parse_report(text: str) -> ReportDocument:
 # Bundled study cases
 # ---------------------------------------------------------------------------
 
-_BUNDLED_NAMES = ("case1", "case2", "case3", "case4", "sweep")
+_BUNDLED_NAMES = ("case1", "case2", "case3", "case4", "sweep", "topology")
 
 
 def bundled_scenario_path(name: str):
@@ -606,12 +606,14 @@ def bundled_scenario_path(name: str):
 
 
 def bundled_scenarios() -> dict[str, Scenario]:
-    """The five bundled studies on the calibrated four-load-point feeder.
+    """The six bundled studies of the four-load-point study system.
 
     case1 has no DG fleet; case2 runs four wind turbines; case3 runs two
     wind turbines and two PV arrays; case4 is case3 with a sub-unity
     seasonal load-factor profile; sweep is case3 plus the islanding-success
-    probability ladder used by the sweep subcommand.
+    probability ladder used by the sweep subcommand.  These five share one
+    aggregate-mode network.  topology is case3 on an illustrative
+    topology-mode reconstruction of the feeder.
     """
     return {
         name: parse_scenario(bundled_scenario_path(name).read_text())

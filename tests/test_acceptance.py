@@ -44,7 +44,6 @@ from microrel.engine import (
     run,
     sensitivity_sweep,
 )
-from microrel.network import load_calibrated_dataset
 from microrel.res_models import (
     MIN_UNIFORM,
     BetaParams,
@@ -137,7 +136,7 @@ def test_criterion_2_index_arithmetic_closure():
         lp_id: LoadPointIndices(lam, u, u / lam)
         for lp_id, (lam, _, u) in TABLE_V_CASE1.items()
     }
-    system = compute_system_indices(per_lp, load_calibrated_dataset())
+    system = compute_system_indices(per_lp, CASES["case1"].network)
     assert system.ens == pytest.approx(42381.0, abs=1e-6)
     assert system.saifi == pytest.approx(0.721, abs=1e-9)
     _ok("2 index arithmetic closure")

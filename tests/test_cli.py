@@ -24,13 +24,13 @@ from microrel.cli import (
 )
 from microrel.res_models import NumericsError
 from microrel.scenario_io import bundled_scenario_path, parse_report
-from test_scenario_io import GOLDEN_REPORTS, TOPOLOGY_SCENARIO
+from test_scenario_io import GOLDEN_REPORTS
 
 
 @pytest.fixture(scope="module")
 def case_paths():
     return {name: str(bundled_scenario_path(name))
-            for name in ("case1", "case2", "case3", "sweep")}
+            for name in ("case1", "case2", "case3", "sweep", "topology")}
 
 
 def test_run_case1_writes_published_report(case_paths, tmp_path):
@@ -46,7 +46,7 @@ def test_run_case1_writes_published_report(case_paths, tmp_path):
 
 
 @pytest.mark.parametrize("fmt, suffix", [("delimited", "csv"), ("structured", "json")])
-@pytest.mark.parametrize("case", ["case1", "case3"])
+@pytest.mark.parametrize("case", ["case1", "case3", "topology"])
 def test_run_writes_the_golden_report(case_paths, tmp_path, case, fmt, suffix):
     out = tmp_path / f"{case}.{suffix}"
     assert main(["run", case_paths[case], "--format", fmt, "--out", str(out)]) == EXIT_OK
@@ -166,7 +166,8 @@ def test_validate_rejects_broken_file_without_artifacts(tmp_path, capsys):
 
 def test_topology_rule_violation_exits_3_with_one_line(tmp_path, capsys):
     cycle = tmp_path / "cycle.yaml"
-    cycle.write_text(TOPOLOGY_SCENARIO.replace("parent: s1", "parent: s3"))
+    topology = bundled_scenario_path("topology").read_text()
+    cycle.write_text(topology.replace("parent: s1", "parent: s3"))
     assert main(["validate", str(cycle)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1

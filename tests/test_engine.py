@@ -28,7 +28,6 @@ from microrel.network import (
     NetworkModel,
     UpstreamLink,
     build_contribution_table,
-    load_calibrated_dataset,
 )
 from microrel.res_models import (
     BetaParams,
@@ -55,6 +54,10 @@ TABLE_V_CASE1 = {
 @pytest.fixture(scope="module")
 def cases():
     return bundled_scenarios()
+
+
+# The study network that case1-4 and sweep share.
+STUDY_NETWORK = bundled_scenarios()["case1"].network
 
 
 def _zero_p_res():
@@ -351,7 +354,7 @@ def test_each_distinct_power_series_is_computed_once_per_pass(cases, monkeypatch
 # ---------------------------------------------------------------------------
 
 def test_combination_without_supply_reproduces_published_case1_rows():
-    net = load_calibrated_dataset()
+    net = STUDY_NETWORK
     table = build_contribution_table(net)
     per_lp = combine_analytical(_zero_p_res(), table, net.upstream, p_islanding=1.0)
     for lp_id, (lam, r, u) in TABLE_V_CASE1.items():
@@ -361,7 +364,7 @@ def test_combination_without_supply_reproduces_published_case1_rows():
 
 
 def test_combination_with_certain_supply_removes_upstream_term():
-    net = load_calibrated_dataset()
+    net = STUDY_NETWORK
     table = build_contribution_table(net)
     p_res = dict(_zero_p_res(), LP9=1.0)
     per_lp = combine_analytical(p_res, table, net.upstream, p_islanding=1.0)
@@ -370,7 +373,7 @@ def test_combination_with_certain_supply_removes_upstream_term():
 
 
 def test_combination_with_zero_islanding_ignores_supply():
-    net = load_calibrated_dataset()
+    net = STUDY_NETWORK
     table = build_contribution_table(net)
     certain = {lp: 1.0 for lp in _zero_p_res()}
     with_res = combine_analytical(certain, table, net.upstream, p_islanding=0.0)
@@ -380,7 +383,7 @@ def test_combination_with_zero_islanding_ignores_supply():
 
 
 def test_combination_accepts_estimates_and_floats():
-    net = load_calibrated_dataset()
+    net = STUDY_NETWORK
     table = build_contribution_table(net)
     estimates = {lp: PResEstimate(0, 365) for lp in _zero_p_res()}
     assert combine_analytical(estimates, table, net.upstream) == \
@@ -401,7 +404,7 @@ def test_combination_zero_rate_flags_undefined_repair_time():
 
 
 def test_combination_validates_probabilities():
-    net = load_calibrated_dataset()
+    net = STUDY_NETWORK
     table = build_contribution_table(net)
     with pytest.raises(ValueError):
         combine_analytical({lp: 1.5 for lp in _zero_p_res()}, table, net.upstream)
@@ -430,7 +433,7 @@ def _published_case1_per_lp():
 
 
 def test_system_indices_close_published_case1_arithmetic():
-    net = load_calibrated_dataset()
+    net = STUDY_NETWORK
     system = compute_system_indices(_published_case1_per_lp(), net)
     assert system.ens == pytest.approx(42381.0, abs=1e-6)
     assert system.saifi == pytest.approx(0.721, abs=1e-9)
@@ -462,7 +465,7 @@ def test_system_indices_require_customers_and_interruptions():
 def test_system_indices_reject_missing_load_point():
     with pytest.raises(KeyError):
         compute_system_indices({"LP2": LoadPointIndices(0.1, 1.0, 10.0)},
-                               load_calibrated_dataset())
+                               STUDY_NETWORK)
 
 
 # ---------------------------------------------------------------------------
@@ -972,7 +975,7 @@ def test_sweep_validates_probabilities(cases):
 def _tiny_scenario(**overrides):
     defaults = dict(
         name="tiny",
-        network=load_calibrated_dataset(),
+        network=STUDY_NETWORK,
         distributions=ResourceDistributions(
             wind_regions={"r": WeibullParams(7.88, 2.62, "r")},
             irradiance=BetaParams(1.03745, 1.38279),

@@ -6,12 +6,10 @@ import math
 import pytest
 
 from microrel.network import (
-    EFFECT_NONE,
     EFFECT_REPAIR,
     EFFECT_SWITCH,
     ComponentReliability,
     ContributionTable,
-    FailureEffect,
     FeederSection,
     LoadPoint,
     LoadPointAggregate,
@@ -21,27 +19,31 @@ from microrel.network import (
     UpstreamLink,
     analyze_failure_effects,
     build_contribution_table,
-    illustrative_feeder,
-    load_calibrated_dataset,
 )
+from microrel.scenario_io import bundled_scenarios
+
+BUNDLED = bundled_scenarios()
+# The aggregate-mode study network, and its topology-mode reconstruction.
+STUDY_NETWORK = BUNDLED["case1"].network
+TOPOLOGY_NETWORK = BUNDLED["topology"].network
 
 
 # ---------------------------------------------------------------------------
-# Calibrated dataset
+# Study data (bundled case1)
 # ---------------------------------------------------------------------------
 
 def test_calibrated_dataset_customer_and_load_totals():
-    net = load_calibrated_dataset()
+    net = STUDY_NETWORK
     assert net.total_customers == 700
     assert net.total_load == pytest.approx(5500.0)
 
 
 def test_calibrated_dataset_priority_order():
-    assert load_calibrated_dataset().priority_order() == ("LP9", "LP3", "LP4", "LP2")
+    assert STUDY_NETWORK.priority_order() == ("LP9", "LP3", "LP4", "LP2")
 
 
 def test_calibrated_dataset_aggregates():
-    net = load_calibrated_dataset()
+    net = STUDY_NETWORK
     expected = {
         "LP2": (0.226, 3.017),
         "LP3": (0.226, 2.858),
@@ -55,7 +57,7 @@ def test_calibrated_dataset_aggregates():
 
 
 def test_calibrated_dataset_upstream():
-    net = load_calibrated_dataset()
+    net = STUDY_NETWORK
     assert net.upstream.failure_rate == 0.5
     assert net.upstream.repair_time == 10.0
 
@@ -65,7 +67,7 @@ def test_calibrated_dataset_upstream():
 # ---------------------------------------------------------------------------
 
 def test_aggregate_contribution_sums_match_dataset():
-    net = load_calibrated_dataset()
+    net = STUDY_NETWORK
     table = build_contribution_table(net)
     for lp_id, agg in net.aggregates.items():
         assert abs(table.sum_lambda(lp_id) - agg.sum_lambda) <= 1e-12
@@ -74,7 +76,7 @@ def test_aggregate_contribution_sums_match_dataset():
 
 def test_contribution_aggregates_equal_pair_sums():
     # Topology mode sums one (rate, duration) pair per interrupting section.
-    net = illustrative_feeder()
+    net = TOPOLOGY_NETWORK
     table = build_contribution_table(net)
     pairs = {lp.id: [] for lp in net.load_points}
     for sec in net.sections:
@@ -116,7 +118,7 @@ def test_section4_fault_strands_lp3_lp4_and_switches_the_rest():
     # The worked restoration example: a fault on the fourth main section
     # leaves LP3 and LP4 waiting for the repair while LP2 and LP9 come back
     # after switching.
-    net = illustrative_feeder()
+    net = TOPOLOGY_NETWORK
     effects = {e.load_point: e for e in analyze_failure_effects(net, "s4")}
     assert effects["LP3"].effect == EFFECT_REPAIR
     assert effects["LP3"].duration == 30.0
@@ -129,7 +131,7 @@ def test_section4_fault_strands_lp3_lp4_and_switches_the_rest():
 
 
 def test_head_section_fault_strands_only_lp2():
-    net = illustrative_feeder()
+    net = TOPOLOGY_NETWORK
     effects = {e.load_point: e for e in analyze_failure_effects(net, "s1")}
     assert effects["LP2"].effect == EFFECT_REPAIR
     for lp in ("LP9", "LP3", "LP4"):
@@ -137,12 +139,12 @@ def test_head_section_fault_strands_only_lp2():
 
 
 def test_every_section_classifies_every_load_point_exactly_once():
-    net = illustrative_feeder()
+    net = TOPOLOGY_NETWORK
     for sec in net.sections:
         effects = analyze_failure_effects(net, sec.id)
         assert sorted(e.load_point for e in effects) == ["LP2", "LP3", "LP4", "LP9"]
         for effect in effects:
-            assert effect.effect in (EFFECT_REPAIR, EFFECT_SWITCH, EFFECT_NONE)
+            assert effect.effect in (EFFECT_REPAIR, EFFECT_SWITCH)
 
 
 def test_single_section_feeder_repairs_everything():
@@ -159,7 +161,7 @@ def test_single_section_feeder_repairs_everything():
 
 
 def test_without_isolators_no_load_point_is_switch_class():
-    base = illustrative_feeder()
+    base = TOPOLOGY_NETWORK
     stripped = dataclasses.replace(
         base,
         sections=tuple(
@@ -176,7 +178,7 @@ def test_without_isolators_no_load_point_is_switch_class():
 def test_tie_restores_tail_when_interior_zone_isolated():
     # Fault on s2: LP2 stays breaker-fed, LP9 is stranded on the faulted
     # section, and the downstream taps come back through the tie.
-    net = illustrative_feeder()
+    net = TOPOLOGY_NETWORK
     effects = {e.load_point: e for e in analyze_failure_effects(net, "s2")}
     assert effects["LP2"].effect == EFFECT_SWITCH
     assert effects["LP9"].effect == EFFECT_REPAIR
@@ -185,25 +187,25 @@ def test_tie_restores_tail_when_interior_zone_isolated():
 
 
 def test_topology_contribution_table_counts_all_sections():
-    net = illustrative_feeder()
+    net = TOPOLOGY_NETWORK
     table = build_contribution_table(net)
     total_rate = math.fsum(sec.reliability.failure_rate for sec in net.sections)
     for lp in net.load_points:
         # Every section failure interrupts every load point on this feeder.
         assert table.sum_lambda(lp.id) == pytest.approx(total_rate, abs=1e-12)
     for sec in net.sections:
-        assert all(effect.effect != EFFECT_NONE
+        assert all(effect.effect in (EFFECT_REPAIR, EFFECT_SWITCH)
                    for effect in analyze_failure_effects(net, sec.id))
 
 
 def test_analyze_rejects_unknown_section():
     with pytest.raises(TopologyError):
-        analyze_failure_effects(illustrative_feeder(), "s99")
+        analyze_failure_effects(TOPOLOGY_NETWORK, "s99")
 
 
 def test_analyze_rejects_aggregate_mode():
     with pytest.raises(TopologyError):
-        analyze_failure_effects(load_calibrated_dataset(), "s1")
+        analyze_failure_effects(STUDY_NETWORK, "s1")
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +342,6 @@ def test_aggregates_must_cover_load_points_exactly():
         NetworkModel(load_points=(_lp(1),), upstream=up,
                      aggregates={"L1": LoadPointAggregate(0.1, 1.0),
                                  "L9": LoadPointAggregate(0.1, 1.0)})
-
-
-def test_failure_effect_none_requires_zero_duration():
-    with pytest.raises(ValueError):
-        FailureEffect("L1", EFFECT_NONE, 1.0)
-    assert FailureEffect("L1", EFFECT_NONE, 0.0).duration == 0.0
 
 
 def test_switchgear_validation():

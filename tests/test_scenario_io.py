@@ -1,7 +1,9 @@
 """Scenario-file and report serialization tests."""
 
 import copy
+import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -9,7 +11,6 @@ import pytest
 import yaml
 
 from microrel import engine, scenario_io
-from microrel.network import load_calibrated_dataset
 from microrel.res_models import PvArraySpec, WindTurbineSpec
 from microrel.scenario_io import (
     ConstraintError,
@@ -37,6 +38,11 @@ def case3_doc():
     return yaml.safe_load(bundled_scenario_path("case3").read_text())
 
 
+@pytest.fixture(scope="module")
+def topology_doc():
+    return yaml.safe_load(bundled_scenario_path("topology").read_text())
+
+
 def _parse_mutated(doc):
     return parse_scenario(yaml.safe_dump(doc))
 
@@ -46,7 +52,7 @@ def _parse_mutated(doc):
 # ---------------------------------------------------------------------------
 
 def test_all_bundled_scenarios_parse_and_validate(cases):
-    assert set(cases) == {"case1", "case2", "case3", "case4", "sweep"}
+    assert set(cases) == {"case1", "case2", "case3", "case4", "sweep", "topology"}
 
 
 def test_case1_is_the_no_dg_baseline(cases):
@@ -98,11 +104,26 @@ def test_cases_differ_only_in_fleet_and_load_factors(cases):
 
 
 def test_bundled_network_matches_calibrated_dataset(cases):
-    net = cases["case1"].network
-    reference = load_calibrated_dataset()
-    assert net.load_points == reference.load_points
-    assert net.upstream == reference.upstream
-    assert net.aggregates == reference.aggregates
+    # case1-4 and sweep carry one study network; its values are checked
+    # against the published data in test_network.py.
+    reference = cases["case1"].network
+    assert reference.mode == "aggregate"
+    for name in ("case2", "case3", "case4", "sweep"):
+        assert cases[name].network == reference
+
+
+def test_topology_case_reconstructs_the_study_feeder(cases):
+    topology, study = cases["topology"], cases["case1"]
+    assert topology.network.mode == "topology"
+    assert topology.network.load_points == study.network.load_points
+    assert topology.network.upstream == study.network.upstream
+    total_rate = math.fsum(sec.reliability.failure_rate
+                           for sec in topology.network.sections)
+    assert total_rate == pytest.approx(0.226, abs=1e-12)
+    reference = cases["case3"]
+    assert topology.fleet == reference.fleet
+    assert topology.seed == reference.seed
+    assert topology.distributions == reference.distributions
 
 
 def test_unknown_bundled_name_raises():
@@ -114,85 +135,9 @@ def test_unknown_bundled_name_raises():
 # Scenario round-trip
 # ---------------------------------------------------------------------------
 
-TOPOLOGY_SCENARIO = """\
-meta:
-  name: topo-study
-  seed: 11
-distributions:
-  irradiance:
-    alpha: 1.03745
-    beta: 1.38279
-fleet: {}
-network:
-  mode: topology
-  sections:
-    - id: s1
-      failure_rate_per_yr: 0.040
-      repair_time_h: 30.0
-      parent: null
-      isolator_upstream: true
-      load_points: [LP2]
-    - id: s2
-      failure_rate_per_yr: 0.040
-      repair_time_h: 30.0
-      parent: s1
-      isolator_upstream: true
-      load_points: [LP9]
-    - id: s3
-      failure_rate_per_yr: 0.036
-      repair_time_h: 30.0
-      parent: s2
-      isolator_upstream: true
-    - id: s4
-      failure_rate_per_yr: 0.040
-      repair_time_h: 30.0
-      parent: s3
-      isolator_upstream: true
-      load_points: [LP3]
-    - id: s5
-      failure_rate_per_yr: 0.040
-      repair_time_h: 30.0
-      parent: s4
-      load_points: [LP4]
-    - id: s6
-      failure_rate_per_yr: 0.030
-      repair_time_h: 30.0
-      parent: s5
-      isolator_upstream: true
-  switchgear:
-    - kind: feeder_breaker
-      switching_time_h: 3.5
-    - kind: normally_open_tie
-      switching_time_h: 3.5
-      at_section: s6
-loads:
-  - id: LP2
-    level_kw: 1000.0
-    customers: 100
-    priority: 4
-  - id: LP3
-    level_kw: 3000.0
-    customers: 300
-    priority: 2
-  - id: LP4
-    level_kw: 1000.0
-    customers: 250
-    priority: 3
-  - id: LP9
-    level_kw: 500.0
-    customers: 50
-    priority: 1
-priority: [LP9, LP3, LP4, LP2]
-upstream:
-  failure_rate_per_yr: 0.5
-  repair_time_h: 10.0
-simulation: {}
-"""
-
-
-def _every_option_scenario():
-    """TOPOLOGY_SCENARIO with every optional key set to a non-default value."""
-    doc = yaml.safe_load(TOPOLOGY_SCENARIO)
+def _every_option_scenario(topology_doc):
+    """The topology study with every optional key set to a non-default value."""
+    doc = copy.deepcopy(topology_doc)
     doc["meta"]["description"] = "every optional key set"
     doc["distributions"]["wind_regions"] = [
         {"region": "r1", "scale_c_m_s": 7.88, "shape_k": 2.62}]
@@ -214,9 +159,10 @@ def _every_option_scenario():
 
 
 @pytest.mark.parametrize("name", ["case1", "case2", "case3", "case4", "sweep",
-                                  "every_option"])
-def test_scenario_emit_parse_round_trip(cases, name):
-    scenario = _every_option_scenario() if name == "every_option" else cases[name]
+                                  "topology", "every_option"])
+def test_scenario_emit_parse_round_trip(cases, topology_doc, name):
+    scenario = (_every_option_scenario(topology_doc) if name == "every_option"
+                else cases[name])
     text = emit_scenario(scenario)
     assert parse_scenario(text) == scenario
     if name == "every_option":
@@ -226,15 +172,15 @@ def test_scenario_emit_parse_round_trip(cases, name):
             assert f"{key}:" in text
 
 
-def test_topology_scenario_parses_and_round_trips():
-    scenario = parse_scenario(TOPOLOGY_SCENARIO)
+def test_topology_scenario_parses_and_round_trips(cases):
+    scenario = cases["topology"]
     assert scenario.network.mode == "topology"
     assert len(scenario.network.sections) == 6
     assert parse_scenario(emit_scenario(scenario)) == scenario
 
 
-def test_topology_scenario_runs_end_to_end():
-    scenario = parse_scenario(TOPOLOGY_SCENARIO)
+def test_topology_scenario_runs_end_to_end(cases):
+    scenario = dataclasses.replace(cases["topology"], fleet=())
     result = engine.run(scenario)
     assert result.converged and result.years_run == 1
     # Every section fault interrupts every load point on this feeder, so
@@ -257,7 +203,8 @@ def test_topology_scenario_runs_end_to_end():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
-@pytest.mark.parametrize("name", ["case1", "case2", "case3", "case4", "sweep"])
+@pytest.mark.parametrize("name", ["case1", "case2", "case3", "case4", "sweep",
+                                  "topology"])
 def test_libyaml_and_python_loaders_read_equal_scenarios(name, monkeypatch):
     text = bundled_scenario_path(name).read_text()
     assert yaml.load(text, Loader=yaml.CSafeLoader) == \
@@ -378,11 +325,11 @@ def _set_path(doc, path, value):
 
 
 @pytest.mark.parametrize("base", ["case3", "topology"])
-def test_every_single_field_corruption_is_rejected(case3_doc, base):
+def test_every_single_field_corruption_is_rejected(case3_doc, topology_doc, base):
     # Total schema rejection: replacing any leaf with a mapping, or adding
     # an unknown key to any mapping, must produce a ScenarioError rather
     # than a silent default.
-    base_doc = case3_doc if base == "case3" else yaml.safe_load(TOPOLOGY_SCENARIO)
+    base_doc = case3_doc if base == "case3" else topology_doc
     corrupted = 0
     for path, value in _walk_paths(base_doc):
         doc = copy.deepcopy(base_doc)
@@ -455,9 +402,9 @@ REJECTIONS = {
 
 
 @pytest.mark.parametrize("name", sorted(REJECTIONS))
-def test_rejections_are_scenario_errors_at_their_path(case3_doc, name):
+def test_rejections_are_scenario_errors_at_their_path(case3_doc, topology_doc, name):
     base, edits, code, prefix = REJECTIONS[name]
-    doc = copy.deepcopy(case3_doc if base == "case3" else yaml.safe_load(TOPOLOGY_SCENARIO))
+    doc = copy.deepcopy(case3_doc if base == "case3" else topology_doc)
     for path, value in edits.items():
         if value is _DELETE:
             target = doc
@@ -625,7 +572,8 @@ GOLDEN_REPORTS = Path(__file__).parent / "data" / "reports"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("name", ["case1", "case2", "case3", "case4", "sweep"])
+@pytest.mark.parametrize("name", ["case1", "case2", "case3", "case4", "sweep",
+                                  "topology"])
 def test_bundled_reports_match_the_goldens_byte_for_byte(cases, name, workers):
     scenario = cases[name]
     if scenario.sweep_p is None:
