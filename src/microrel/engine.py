@@ -35,11 +35,15 @@ from .res_models import (
     SHARED_IRRADIANCE_KEY,
     DailyResources,
     DgUnit,
+    PvArraySpec,
     ResourceDistributions,
     WindTurbineSpec,
     draw_uniforms,
+    irradiance_cells,
     prepare_sampling,
+    pv_power_bounds,
     sample_daily_resources,  # noqa: F401  (wrapped by perfbench/tracing.py)
+    sample_irradiance,
     stream_days,
     unit_power_series,
 )
@@ -85,6 +89,15 @@ _MAX_SEED = 2**64
 
 def _default_load_factors() -> tuple[float, ...]:
     return (1.0,) * DAYS_PER_YEAR
+
+
+class UnknownRegionError(ValueError):
+    """A turbine's region is not among the scenario's wind regions;
+    ``index`` is the unit's place in the fleet."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -148,11 +161,12 @@ class Scenario:
         names = [unit.name for unit in self.fleet]
         if len(set(names)) != len(names):
             raise ValueError("fleet unit names must be unique")
-        for unit in self.fleet:
+        for index, unit in enumerate(self.fleet):
             region = getattr(unit.device, "region_id", None)
             if region is not None and region not in self.distributions.wind_regions:
-                raise ValueError(
-                    f"fleet unit {unit.name!r} references unknown wind region {region!r}"
+                raise UnknownRegionError(
+                    f"fleet unit {unit.name!r} references unknown wind region {region!r}",
+                    index,
                 )
         if self.sweep_p is not None:
             object.__setattr__(self, "sweep_p", tuple(float(p) for p in self.sweep_p))
@@ -343,37 +357,61 @@ def _served_thresholds(levels: tuple[float, ...], load_factors: tuple[float, ...
     return tau[rows], steps
 
 
+def _fleet_total(keys: Sequence[tuple], series: Mapping[tuple, np.ndarray],
+                 out: np.ndarray) -> np.ndarray:
+    """Each day's fleet total, into ``out``: the series added in fleet order."""
+    out.fill(0.0)
+    for key in keys:
+        out += series[key].reshape(out.shape)
+    return out
+
+
 def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarray:
     """Supplied-day counts, shape (n_years, n_load_points), priority order.
 
-    The block draws its uniforms and inverts its irradiance streams once;
-    the rest of the chain runs in passes of _YEARS_PER_PASS years, each
-    computing every distinct power series once, summing the series in fleet
-    order and counting the days whose totals reach each served threshold.
+    The block draws its uniforms once and runs the chain in passes of
+    _YEARS_PER_PASS years.  A pass computes every distinct wind power
+    series once.  A PV series enters it as bounds: the least and greatest
+    power of a draw in the irradiance uniform's u-cell (``pv_power_bounds``,
+    indexed by ``irradiance_cells``).  Added in fleet order, the lower and
+    the upper series bound each day's total, because rounded addition is
+    monotone in each addend.  A day counts
+    against every served threshold by its lower total; it is open when a
+    threshold lies above its lower total and at or below its upper one.
+    After the passes the open days of the block are evaluated exactly in
+    one go: irradiance, PV power and the fleet-order total, the values a
+    whole-block evaluation gives, since each draw depends only on its own
+    uniform.  Their totals settle the counts they can change.  Without
+    thresholds (past _MAX_THRESHOLD_LOADS loads) every day is open and the
+    block's exact totals are dispatched.
     """
     dists = ctx.distributions
     block = draw_uniforms(dists, ctx.fleet, ctx.seed, n_years, start_year)
     rows = {label: row for row, label in enumerate(block.labels)}
-    irradiance = {
-        key: stream_days(dists, block, row, 0, n_years * DAYS_PER_YEAR)
-        for (kind, key), row in rows.items() if kind == "irradiance"
-    }
+    streams = {key: row for (kind, key), row in rows.items() if kind == "irradiance"}
     regions = {unit.device.region_id: rows["wind", unit.device.region_id]
                for unit in ctx.fleet if isinstance(unit.device, WindTurbineSpec)}
     keys = [_series_key(unit, dists.shared_irradiance) for unit in ctx.fleet]
     distinct: dict[tuple, DgUnit] = {}  # the first unit of each series
     for key, unit in zip(keys, ctx.fleet):
         distinct.setdefault(key, unit)
+    bounds = {key: pv_power_bounds(unit.device, dists.irradiance)
+              for key, unit in distinct.items() if isinstance(unit.device, PvArraySpec)}
     served = _served_thresholds(ctx.levels, ctx.load_factors, ctx.blocking)
-    if served is None:
-        needs = np.multiply.outer(ctx.levels, ctx.load_factors)
+    taus, steps = served if served is not None else ((), None)
+    settled = served is not None and not bounds  # no day is open
 
     # Every pass writes its speeds, powers and totals into these buffers.
     pass_days = min(n_years, _YEARS_PER_PASS) * DAYS_PER_YEAR
     speed_rows = np.empty((len(regions), pass_days))
-    power_rows = np.empty((len(distinct), pass_days))
-    total_rows = np.empty((pass_days // DAYS_PER_YEAR, DAYS_PER_YEAR))
-    counts = np.empty((n_years, len(ctx.lp_ids)), dtype=np.int64)
+    lower_rows = np.empty((len(distinct), pass_days))
+    upper_rows = np.empty((len(distinct), pass_days))  # PV rows only
+    total_rows = np.empty((2, pass_days // DAYS_PER_YEAR, DAYS_PER_YEAR))
+    reached = np.empty((n_years, len(taus)), dtype=np.int64)
+    open_days: list[np.ndarray] = []
+    open_lows: list[np.ndarray] = []
+    open_wind: dict[tuple, list[np.ndarray]] = {key: [] for key in distinct
+                                                if key not in bounds}
     for first in range(0, n_years, _YEARS_PER_PASS):
         last = min(first + _YEARS_PER_PASS, n_years)
         start, stop = first * DAYS_PER_YEAR, last * DAYS_PER_YEAR
@@ -382,21 +420,68 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
             wind_speeds={region: stream_days(dists, block, row, start, stop,
                                              out=speed_rows[i, :n_days])
                          for i, (region, row) in enumerate(regions.items())},
-            irradiance={key: values[start:stop] for key, values in irradiance.items()},
+            irradiance={},
             n_days=n_days,
         )
-        power = {key: unit_power_series(unit, resources, out=power_rows[i, :n_days])
-                 for i, (key, unit) in enumerate(distinct.items())}
-        totals = total_rows[:last - first]
-        totals.fill(0.0)
-        for key in keys:
-            totals += power[key].reshape(totals.shape)
+        cells = {stream: irradiance_cells(block.values[first:last, row])
+                 for stream, row in streams.items()}
+        lower, upper = {}, {}
+        for i, (key, unit) in enumerate(distinct.items()):
+            if key in bounds:
+                low, high = bounds[key]
+                # Every cell is in range, and "clip" is faster than "raise".
+                lower[key] = low.take(cells[key[1]], out=lower_rows[i, :n_days],
+                                      mode="clip")
+                upper[key] = high.take(cells[key[1]], out=upper_rows[i, :n_days],
+                                       mode="clip")
+            else:
+                lower[key] = upper[key] = unit_power_series(
+                    unit, resources, out=lower_rows[i, :n_days])
+        totals = _fleet_total(keys, lower, total_rows[0, :last - first])
         if served is None:
-            _dispatch(totals, needs, ctx.blocking, counts[first:last])
+            is_open = np.ones(totals.shape, dtype=bool)
+        else:
+            if not settled:
+                highs = _fleet_total(keys, upper, total_rows[1, :last - first])
+                is_open = np.zeros(totals.shape, dtype=bool)
+            for row, tau in enumerate(taus):
+                reach = totals >= tau
+                reached[first:last, row] = reach.sum(axis=1)
+                if not settled:
+                    is_open |= (highs >= tau) ^ reach
+        if settled:
             continue
-        reached = [(totals >= tau).sum(axis=1) for tau in served[0]]
-        counts[first:last] = np.stack(reached, axis=1) @ served[1]
-    return counts
+        days = np.flatnonzero(is_open)
+        open_days.append(days + start)
+        open_lows.append(totals.reshape(-1)[days])
+        for key, parts in open_wind.items():
+            parts.append(lower[key][days])
+    if settled:
+        return reached @ steps
+
+    days = np.concatenate(open_days)
+    year, day = np.divmod(days, DAYS_PER_YEAR)
+    resources = DailyResources(
+        wind_speeds={},
+        irradiance={stream: sample_irradiance(dists.irradiance, block.values[year, row, day])
+                    for stream, row in streams.items()},
+        n_days=days.size,
+    )
+    power = {key: np.concatenate(parts) for key, parts in open_wind.items()}
+    for key in bounds:
+        power[key] = unit_power_series(distinct[key], resources)
+    totals = _fleet_total(keys, power, np.empty(days.size))
+    if served is None:
+        counts = np.empty((n_years, len(ctx.lp_ids)), dtype=np.int64)
+        _dispatch(totals.reshape(n_years, DAYS_PER_YEAR),
+                  np.multiply.outer(ctx.levels, ctx.load_factors), ctx.blocking, counts)
+        return counts
+    lows = np.concatenate(open_lows)
+    for row, tau in enumerate(taus):
+        tau = tau.take(day) if tau.size > 1 else tau
+        late = (totals >= tau) & (lows < tau)
+        reached[:, row] += np.bincount(year[late], minlength=n_years)
+    return reached @ steps
 
 
 def simulate_year(scenario: Scenario, year_index: int) -> dict[str, int]:

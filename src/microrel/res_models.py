@@ -34,6 +34,8 @@ __all__ = [
     "beta_inverse_cdf",
     "sample_irradiance",
     "pv_power",
+    "irradiance_cells",
+    "pv_power_bounds",
     "unit_power_series",
     "UniformBlock",
     "draw_uniforms",
@@ -874,6 +876,60 @@ def pv_power(spec: PvArraySpec, g, out: np.ndarray | None = None):
     return _scalar_or_array(power, scalar)
 
 
+def irradiance_cells(u: np.ndarray) -> np.ndarray:
+    """The u-cell floor(u * _BETA_CELLS) of each uniform, flattened: the
+    index into ``pv_power_bounds``.  u = 1 has the extra cell _BETA_CELLS."""
+    return (u * _BETA_CELLS).astype(np.intp).reshape(-1)
+
+
+# How far, relative to the bracket's upper end, a beta draw can sit outside
+# its bracket, and a PV power outside the powers at the widened ends.
+_CELL_MARGIN = 2.0**-40
+
+
+def _draw_brackets(params: BetaParams) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest beta draw of each u-cell, widened for rounding.
+
+    ``beta_inverse_cdf`` gives a query u the knot cell j of
+    ``_beta_cells``, with cdf[j] <= u <= cdf[j+1], and returns x in
+    [knots[j], knots[j+1]] up to rounding.  Its start point's quadratic is
+    monotone across the cell and meets both knots, and Newton steps and
+    bisection stay inside a bracket made of the knots and points already
+    taken.  The knot cells that hold some u of u-cell c, [c, c + 1] / N
+    (the knots' CDF is nondecreasing, as _beta_cells' search needs), span
+    knots[first] to knots[last + 1].  Computing the start point costs a
+    few roundings of terms no larger than twice its cell's upper knot, so
+    it can leave the cell by ~2^-49 of that knot at most; the bracket is
+    widened by _CELL_MARGIN of its upper end, 512 times more.  Entry
+    _BETA_CELLS (u = 1) repeats the last cell.
+    """
+    table = _beta_bracket_table(params.alpha, params.beta)
+    edges = np.arange(_BETA_CELLS + 1) / _BETA_CELLS
+    first = np.searchsorted(table.cdf[1:], edges[:-1], side="left")
+    last = np.minimum(np.searchsorted(table.cdf, edges[1:], side="right") - 1,
+                      _BETA_CELLS - 1)
+    x_low, x_high = table.knots[first], table.knots[last + 1]
+    x_low = np.maximum(x_low - _CELL_MARGIN * x_high, 0.0)
+    x_high = x_high + _CELL_MARGIN * x_high
+    return np.append(x_low, x_low[-1]), np.append(x_high, x_high[-1])
+
+
+@lru_cache(maxsize=16)
+def pv_power_bounds(spec: PvArraySpec,
+                    params: BetaParams) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest PV power of a draw in each u-cell.
+
+    Scaling by scale_gmax is monotone in floating point, and so is
+    pv_power on each branch; where the branches meet, at r_c and g_std,
+    the rounded curve steps back by a few ulps.  The powers at the ends of
+    ``_draw_brackets`` are therefore widened by a relative _CELL_MARGIN,
+    which covers those steps many times over.
+    """
+    x_low, x_high = _draw_brackets(params)
+    return (pv_power(spec, params.scale_gmax * x_low) * (1.0 - _CELL_MARGIN),
+            pv_power(spec, params.scale_gmax * x_high) * (1.0 + _CELL_MARGIN))
+
+
 # ---------------------------------------------------------------------------
 # Daily draws for a fleet
 # ---------------------------------------------------------------------------
@@ -979,11 +1035,15 @@ def prepare_sampling(dists: ResourceDistributions,
     """Build now the lazily cached tables the fleet's draws will use.
 
     Only irradiance draws use any: the beta inverse CDF's two tables, about
-    34 000 betainc evaluations.  A process about to fork workers calls this
-    so that they inherit the tables instead of each building its own.
+    34 000 betainc evaluations, and each PV spec's power bounds.  A process
+    about to fork workers calls this so that they inherit the tables
+    instead of each building its own.
     """
     if _irradiance_keys(dists, fleet):
         _beta_poly_table(dists.irradiance.alpha, dists.irradiance.beta)
+    for unit in fleet:
+        if isinstance(unit.device, PvArraySpec):
+            pv_power_bounds(unit.device, dists.irradiance)
 
 
 def stream_days(dists: ResourceDistributions, block: UniformBlock, row: int,
@@ -998,12 +1058,13 @@ def stream_days(dists: ResourceDistributions, block: UniformBlock, row: int,
     kind, key = block.labels[row]
     first = start // DAYS_PER_YEAR
     offset = first * DAYS_PER_YEAR
-    years = block.values[first:-(-stop // DAYS_PER_YEAR), row]
-    u = years.reshape(-1)[start - offset:stop - offset]
-    if kind == "wind":
-        u = np.maximum(u, MIN_UNIFORM, out=out)
-        return sample_wind_speed(dists.wind_regions[key], u, out=u)
-    return sample_irradiance(dists.irradiance, u, tol=tol)
+    u = block.values[first:-(-stop // DAYS_PER_YEAR), row]
+    if start > offset or stop % DAYS_PER_YEAR:  # else whole years, read in place
+        u = u.reshape(-1)[start - offset:stop - offset]
+    if kind == "irradiance":
+        return sample_irradiance(dists.irradiance, u.reshape(-1), tol=tol)
+    u = np.maximum(u, MIN_UNIFORM, out=None if out is None else out.reshape(u.shape))
+    return sample_wind_speed(dists.wind_regions[key], u, out=u).reshape(-1)
 
 
 def sample_daily_resources(dists: ResourceDistributions,

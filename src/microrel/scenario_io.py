@@ -24,7 +24,13 @@ from typing import Any, Mapping, Optional, Sequence
 
 import yaml
 
-from .engine import DISPATCH_SERVE_IF_FITS, RunResult, Scenario, SystemIndices
+from .engine import (
+    DISPATCH_SERVE_IF_FITS,
+    RunResult,
+    Scenario,
+    SystemIndices,
+    UnknownRegionError,
+)
 from .network import (
     MODE_AGGREGATE,
     MODE_TOPOLOGY,
@@ -294,9 +300,13 @@ def _build(path: str, record: Any, fields: Mapping[str, Any], label: str = "",
            field_paths: Optional[Mapping[str, str]] = None) -> Any:
     """``record(**fields)``; its ValueError, TopologyError too, becomes a
     ConstraintError at ``path``, or at the one ``field_paths`` gives for the
-    field the message starts with.  ``label`` prefixes the reason."""
+    field the message starts with.  ``label`` prefixes the reason.  A
+    turbine's unknown region is a DanglingReferenceError at the turbine."""
     try:
         return record(**fields)
+    except UnknownRegionError as exc:  # the parser puts wind turbines first
+        raise DanglingReferenceError(f"fleet.wind_turbines.{exc.index}.region",
+                                     str(exc)) from exc
     except ValueError as exc:
         reason = str(exc)
         path = (field_paths or {}).get(reason.partition(" ")[0], path)
@@ -335,11 +345,6 @@ def parse_scenario(text: str) -> Scenario:
         for i, row in enumerate(doc["fleet"][group]):
             path = f"fleet.{group}.{i}"
             name, location = row.pop("name"), row.pop("location")
-            if "region_id" in row and row["region_id"] not in regions:
-                raise DanglingReferenceError(
-                    f"{path}.region",
-                    f"turbine {name!r} references unknown region {row['region_id']!r}",
-                )
             fleet.append(DgUnit(name, location, _build(path, device, row, f"unit {name!r}: ")))
 
     loads = tuple(_build(f"loads.{i}", LoadPoint, row) for i, row in enumerate(doc["loads"]))

@@ -332,7 +332,8 @@ def test_block_counts_bit_identical_to_whole_block_reference(
 
 def test_each_distinct_power_series_is_computed_once_per_pass(cases, monkeypatch):
     # case2's WTG3/WTG4 repeat WTG1/WTG2 in the same regions; the mixed
-    # fleet has 5 distinct series among 7 units under shared irradiance.
+    # fleet has 5 distinct series among 7 units under shared irradiance:
+    # 3 wind series per pass and 2 PV series per block, on its open days.
     calls = []
     original = engine.unit_power_series
 
@@ -347,6 +348,70 @@ def test_each_distinct_power_series_is_computed_once_per_pass(cases, monkeypatch
     mixed = _two_specs_per_region(cases["case3"])
     engine._simulate_block(engine._context_for(mixed), 0, P)
     assert len(calls) == 5
+
+
+def _adversarial_context(case3, name, dispatch):
+    """case3's context with a fleet or loads that stress the PV bounds."""
+    ctx = engine._context_for(dataclasses.replace(case3, dispatch=dispatch))
+    wind, pv = ctx.fleet[:2], ctx.fleet[2:]
+    if name == "flat_top":
+        # Above g_std (600 < scale_gmax = 850 W/m2) the lone array delivers
+        # exactly the sum of the needs, the least total that serves every
+        # load, and those days' bounds straddle it.
+        spec = PvArraySpec(math.fsum(ctx.levels), g_std=600.0, r_c=150.0)
+        return dataclasses.replace(ctx, fleet=(DgUnit("PV1", "LP1", spec),))
+    if name in ("pv_only", "pv_only_independent"):
+        return dataclasses.replace(ctx, fleet=pv, distributions=dataclasses.replace(
+            ctx.distributions, shared_irradiance=name == "pv_only"))
+    if name == "zero_load":
+        return dataclasses.replace(ctx, levels=(500.0, 0.0, 1000.0, 1000.0))
+    if name == "p_res_near_0":
+        return dataclasses.replace(ctx, fleet=(DgUnit("PV1", "LP1", PvArraySpec(1.0)),))
+    if name == "p_res_near_1":
+        return dataclasses.replace(ctx, fleet=wind + (DgUnit("PV1", "LP1", PvArraySpec(1e6)),))
+    assert name == "seven_loads"
+    levels = (500.0, 3000.0, 1000.0, 1000.0, 700.0, 300.0, 200.0)
+    return dataclasses.replace(ctx, levels=levels,
+                               lp_ids=tuple(f"L{j}" for j in range(len(levels))))
+
+
+@pytest.mark.parametrize("dispatch", [engine.DISPATCH_BLOCKING,
+                                      engine.DISPATCH_SERVE_IF_FITS])
+@pytest.mark.parametrize("name", ["flat_top", "pv_only", "pv_only_independent",
+                                  "zero_load", "p_res_near_0", "p_res_near_1",
+                                  "seven_loads"])
+def test_block_counts_match_reference_where_pv_bounds_are_stressed(cases, name, dispatch):
+    ctx = _adversarial_context(cases["case3"], name, dispatch)
+    for n_years in (1, P + 1, engine._YEARS_PER_BLOCK):
+        counts = engine._simulate_block(ctx, 0, n_years)
+        np.testing.assert_array_equal(counts, reference_block_counts(ctx, 0, n_years),
+                                      err_msg=f"{n_years} years")
+    p_res = counts.sum(axis=0) / (n_years * 365)
+    if name == "flat_top":
+        assert p_res[-1] > 0.05
+    if name == "p_res_near_0":
+        assert np.all(p_res == 0.0)
+    if name == "p_res_near_1":
+        assert np.all(p_res > 0.95)
+
+
+def test_few_irradiance_days_reach_the_beta_inverse(cases, monkeypatch):
+    # The PV bounds settle all but a few days of bundled case3; each block
+    # inverts the irradiance of those few in one call.
+    sizes = []
+    original = res_models.beta_inverse_cdf
+
+    def counted(params, u, *args, **kwargs):
+        sizes.append(np.size(u))
+        return original(params, u, *args, **kwargs)
+
+    monkeypatch.setattr(res_models, "beta_inverse_cdf", counted)
+    ctx = engine._context_for(cases["case3"])
+    years = 2 * engine._YEARS_PER_BLOCK
+    for start in range(0, years, engine._YEARS_PER_BLOCK):
+        engine._simulate_block(ctx, start, engine._YEARS_PER_BLOCK)
+    assert len(sizes) <= 2
+    assert sum(sizes) < 0.01 * years * 365
 
 
 # ---------------------------------------------------------------------------

@@ -898,3 +898,51 @@ def test_beta_draws_in_exact_only_cells_reach_betainc(monkeypatch):
     seen.clear()
     beta_inverse_cdf(params, np.random.default_rng(33).random(100_000))
     assert sum(seen) < 0.1 * 100_000
+
+
+# ---------------------------------------------------------------------------
+# Per-cell PV power bounds
+# ---------------------------------------------------------------------------
+
+# The bundled array, and one whose breakpoints r_c and g_std both fall inside
+# the irradiance support (0 to scale_gmax = 1000 W/m2); at its g_std the
+# linear branch rounds to one ulp above the flat p_sn that follows.
+BOUNDED_PV = [PV_STD, PvArraySpec(p_sn=500.0, g_std=613.3, r_c=250.0)]
+
+
+@pytest.mark.parametrize("alpha, beta", TABLE_SHAPES)
+def test_beta_draws_and_pv_power_stay_inside_their_cell_bounds(alpha, beta):
+    # Both edges of every u-cell, their neighbouring doubles, random points,
+    # and every knot's CDF value with its neighbours.
+    params = BetaParams(alpha, beta)
+    table = _beta_bracket_table(alpha, beta)
+    cdf = table.cdf
+    lo, hi = CELL_EDGES[:-1], CELL_EDGES[1:]
+    fractions = np.random.default_rng(35).random((4, 1))
+    u = np.concatenate([np.vstack((lo, hi, lo + fractions * (hi - lo))).ravel()]
+                       + [np.nextafter(v, end) for v in (CELL_EDGES, cdf)
+                          for end in (0.0, 1.0)] + [cdf])
+    u = np.clip(u, 0.0, 1.0)
+    x = beta_inverse_cdf(params, u)
+    # Within its knot cell, widened by the margin of the cell's upper knot.
+    knot = _beta_cells(table, u)
+    margin = res_models._CELL_MARGIN * table.knots[knot + 1]
+    assert np.all((table.knots[knot] - margin <= x) & (x <= table.knots[knot + 1] + margin))
+    # So within the bracket of its u-cell, which holds every such knot cell.
+    cell = res_models.irradiance_cells(u)
+    x_low, x_high = res_models._draw_brackets(params)
+    assert np.all((x_low[cell] <= x) & (x <= x_high[cell]))
+    g = sample_irradiance(params, u)
+    for spec in BOUNDED_PV:
+        low, high = res_models.pv_power_bounds(spec, params)
+        power = pv_power(spec, g)
+        assert np.all((low[cell] <= power) & (power <= high[cell]))
+        # pv_power is monotone between its breakpoints, so over a cell's
+        # widened bracket it is extreme at the bracket's ends or on either
+        # side of r_c and g_std, where the rounded branches meet.
+        for point in (spec.r_c, spec.g_std):
+            for edge in (np.nextafter(point, 0.0), point, np.nextafter(point, np.inf)):
+                inside = ((x_low * params.scale_gmax <= edge)
+                          & (edge <= x_high * params.scale_gmax))
+                power = pv_power(spec, edge)
+                assert np.all((low[inside] <= power) & (power <= high[inside]))

@@ -271,9 +271,11 @@ def test_priority_order_must_match_ranks(case3_doc):
 
 def test_fleet_region_reference_must_resolve(case3_doc):
     doc = copy.deepcopy(case3_doc)
-    doc["fleet"]["wind_turbines"][0]["region"] = "atlantis"
-    with pytest.raises(DanglingReferenceError):
+    doc["fleet"]["wind_turbines"][1]["region"] = "atlantis"
+    with pytest.raises(DanglingReferenceError) as info:
         _parse_mutated(doc)
+    assert info.value.code == "dangling_reference"
+    assert info.value.path == "fleet.wind_turbines.1.region"
 
 
 def test_aggregate_row_for_unknown_load_point(case3_doc):
