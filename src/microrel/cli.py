@@ -179,8 +179,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     # The stream layout follows the whole fleet, so one unit's trace is the
     # one it has in a whole-fleet sample.
-    traces = emit_trace(scenario.fleet, scenario.distributions, args.days,
-                        scenario.seed)
+    try:
+        traces = emit_trace(scenario.fleet, scenario.distributions, args.days,
+                            scenario.seed)
+    except MemoryError:
+        _diag(f"--days {args.days} is too large to sample in memory")
+        return EXIT_USAGE
     if args.unit is not None:
         traces = [t for t in traces if t.unit == args.unit]
     if args.out is None:

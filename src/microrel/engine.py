@@ -716,9 +716,10 @@ class _Convergence:
 _BLOCK_TAG, _ERROR_TAG = b"b", b"e"
 
 
-def _fork_block_worker(ctx: _SimContext,
-                       blocks: Sequence[tuple[int, int]]) -> tuple[int, BinaryIO]:
-    """Fork a process that simulates ``blocks`` in order; its pid and pipe.
+def _fork_block_worker(ctx: _SimContext, starts: range,
+                       max_years: int) -> tuple[int, BinaryIO]:
+    """Fork a process that simulates the blocks at ``starts`` in order; its
+    pid and pipe.
 
     Each block's counts go down the pipe as raw int64 bytes behind
     _BLOCK_TAG.  Any exception, an interrupt too, ends it and goes down
@@ -739,7 +740,8 @@ def _fork_block_worker(ctx: _SimContext,
         os.close(read)
         with open(write, "wb") as pipe:
             try:
-                for start, size in blocks:
+                for start in starts:
+                    size = min(_YEARS_PER_BLOCK, max_years - start)
                     pipe.write(_BLOCK_TAG + _simulate_block(ctx, start, size).tobytes())
                     pipe.flush()
             except BaseException as exc:
@@ -802,9 +804,11 @@ def run(scenario: Scenario, workers: int = 1) -> RunResult:
         converged = True
         years_run = 1
     else:
-        blocks = [(start, min(_YEARS_PER_BLOCK, scenario.max_years - start))
-                  for start in range(0, scenario.max_years, _YEARS_PER_BLOCK)]
-        w = min(workers, len(blocks)) if hasattr(os, "fork") else 1
+        # Lazy, so a cap far beyond where the run converges costs nothing;
+        # len(starts) would overflow past 2^63 blocks.
+        starts = range(0, scenario.max_years, _YEARS_PER_BLOCK)
+        n_blocks = -(-scenario.max_years // _YEARS_PER_BLOCK)
+        w = min(workers, n_blocks) if hasattr(os, "fork") else 1
         prepare_sampling(ctx.distributions, ctx.fleet)
         _served_thresholds(ctx.levels, ctx.load_factors, ctx.blocking)
         convergence = _Convergence(scenario, ctx.lp_ids, table)
@@ -813,8 +817,10 @@ def run(scenario: Scenario, workers: int = 1) -> RunResult:
         forked: dict[int, tuple[int, BinaryIO]] = {}  # process -> pid, pipe
         try:
             for process in range(1, w):
-                forked[process] = _fork_block_worker(ctx, blocks[process::w])
-            for j, (start, size) in enumerate(blocks):
+                forked[process] = _fork_block_worker(ctx, starts[process::w],
+                                                     scenario.max_years)
+            for j, start in enumerate(starts):
+                size = min(_YEARS_PER_BLOCK, scenario.max_years - start)
                 if j % w:
                     simulated.append(_receive_block(forked, j % w, (size, n_lp)))
                 else:

@@ -466,9 +466,10 @@ def betainc(a, b, x):
       B(a, b) taken about its peak so that large shapes keep their
       precision.
 
-    Measured against closed forms, the error is a few ulps of 1 for shapes
-    near 1 and grows about as sqrt(a + b); see _BETAINC_ROUNDING.  Grounded
-    on Numerical Recipes section 6.4 and DiDonato and Morris, ACM TOMS 708.
+    Against closed forms and exact binomial sums (shapes 0.1 to 3000) the
+    error is at most 2.5 ulps of 1 per unit of 1 + sqrt(a + b), as the
+    continued fraction takes more steps for larger shapes.  Grounded on
+    Numerical Recipes section 6.4 and DiDonato and Morris, ACM TOMS 708.
 
     Raises:
         NumericsError: if the continued fraction has not converged within
@@ -593,142 +594,6 @@ def _beta_cells(table: _BetaTable, u: np.ndarray) -> np.ndarray:
     return cell
 
 
-# A cell whose polynomial errs by more than this is exact-only; only cells at
-# the ends of the support, where the density is steep or singular, do.
-_BETA_POLY_MAX_ERROR = 1e-13
-# Added to every cell's bound, times 1 + sqrt(alpha + beta), for what the
-# table does not see: betainc's own rounding at a point it did not sample.
-# Against closed forms and exact binomial sums (shapes 0.1 to 3000) betainc
-# errs by at most 2.5 ulps of 1 per unit of 1 + sqrt(alpha + beta), as its
-# continued fraction takes more steps for larger shapes; this allows 8.
-_BETAINC_ROUNDING = 8 * _ULP
-# Queries handled per pass, so the per-query temporaries stay in cache.
-_BETA_CHUNK = 2**15
-
-
-class _BetaPoly(NamedTuple):
-    """Degree-4 Taylor polynomial of the CDF about each cell's lower knot.
-
-    For x in cell j, with h = x - knots[j],
-    I_x - cdf[j] = h * (c1 + h * (c2 + h * (c3 + h * c4))) to within
-    ``bound[j]``; ``bound`` is infinite for an exact-only cell, whose
-    queries are always checked with betainc.
-    """
-
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
-    c4: np.ndarray
-    bound: np.ndarray
-    # Over every u in cell j, a bound on the computed |estimate - du| of the
-    # start point: see _start_point_error.  Infinite where none is known.
-    start_error: np.ndarray
-
-
-@lru_cache(maxsize=16)
-def _beta_poly_table(alpha: float, beta: float) -> _BetaPoly:
-    """Per-cell CDF polynomials for the cells of ``_beta_bracket_table``.
-
-    The coefficients come from the closed-form density and its first three
-    derivatives at the lower knot.  Each cell's error is measured against
-    betainc at a quarter, half and three quarters of the cell and at its
-    upper knot (3 * _BETA_CELLS CDF evaluations); as the error is only
-    sampled, the bound is twice the largest one seen, plus
-    _BETAINC_ROUNDING * (1 + sqrt(alpha + beta)).  A cell with a non-finite
-    coefficient or an error above _BETA_POLY_MAX_ERROR is exact-only.
-    """
-    table = _beta_bracket_table(alpha, beta)
-    lower = table.knots[:-1]
-    width = np.diff(table.knots)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        density = np.exp((alpha - 1.0) * np.log(lower)
-                         + (beta - 1.0) * np.log1p(-lower)
-                         - _betainc_shape(alpha, beta).ln_beta)
-        # Derivatives of the log density g = (a-1) ln x + (b-1) ln(1-x).
-        p = (alpha - 1.0) / lower
-        q = (beta - 1.0) / (1.0 - lower)
-        g1 = p - q
-        g2 = -p / lower - q / (1.0 - lower)
-        g3 = 2.0 * p / (lower * lower) - 2.0 * q / ((1.0 - lower) * (1.0 - lower))
-        coef = np.stack((density,
-                         density * g1 / 2.0,
-                         density * (g2 + g1 * g1) / 6.0,
-                         density * (g3 + 3.0 * g1 * g2 + g1 * g1 * g1) / 24.0))
-        # Rows: a quarter, half and three quarters of each cell, then the
-        # upper knot, whose CDF the bracket table already holds.
-        inner = lower + np.array([[0.25], [0.5], [0.75]]) * width
-        x = np.vstack((inner, table.knots[1:]))
-        cdf_x = np.vstack((betainc(alpha, beta, inner), table.cdf[1:]))
-        h = x - lower
-        poly = h * (coef[0] + h * (coef[1] + h * (coef[2] + h * coef[3])))
-        error = np.abs(poly - (cdf_x - table.cdf[:-1])).max(axis=0)
-        usable = np.all(np.isfinite(coef), axis=0) & (error <= _BETA_POLY_MAX_ERROR)
-    coef = np.where(usable, coef, 0.0)
-    rounding = _BETAINC_ROUNDING * (1.0 + math.sqrt(alpha + beta))
-    bound = np.where(usable, 2.0 * error + rounding, np.inf)
-    start_error = _start_point_error(table, coef)
-    # u = 1 has its start point replaced by x = 1; it can fall only in a
-    # cell whose upper knot's CDF is 1.
-    start_error[~usable | (table.cdf[1:] >= 1.0)] = np.inf
-    return _BetaPoly(*coef, bound, start_error)
-
-
-def _start_point_error(table: _BetaTable, coef: np.ndarray) -> np.ndarray:
-    """Per cell, a bound on what beta_inverse_cdf's polynomial test computes.
-
-    For u in cell j the test takes s = fl(u - cdf[j]), which lies in
-    [0, D] with D = fl(cdf[j+1] - cdf[j]), the start point
-    x = fl(knots[j] + s (slope + s curve)), h = fl(x - knots[j]), and
-    |fl(P(h)) - s| with P the cell's polynomial.  Exactly,
-    h(s) = s (slope + s curve) and E(s) = P(h(s)) - s is a polynomial of
-    degree 8 in s, so |E| <= sum_i |e_i| D^i over the cell.  To that are
-    added, with u = 2^-53 the unit roundoff: the rounding of h, at most
-    8u (knots[j] + |h|), times the largest |P'|; the Horner sum's, at most
-    16u sum_k |c_k| |h|^k; and a relative 2^-40 for the rounding of the e_i,
-    of this sum and of the test's last subtraction.  Each has a margin of
-    at least 1.5x over the standard bound.  The bound is closed-form, not
-    sampled.
-    """
-    slope, curve = table.slope, table.curve
-    lower = table.knots[:-1]
-    width = np.diff(table.cdf)  # D: no computed s in the cell exceeds it
-    n = slope.size
-    # e_i, and the sum of its terms' magnitudes, which bounds their rounding:
-    # h(s)^k = s^k (slope + s curve)^k has C(k, m) slope^(k-m) curve^m at
-    # s^(k+m).
-    e_coef = np.zeros((9, n))
-    e_abs = np.zeros((9, n))
-    e_coef[1] = -1.0
-    e_abs[1] = 1.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        slope_pow, curve_pow = [np.ones(n)], [np.ones(n)]
-        for _ in coef:
-            slope_pow.append(slope_pow[-1] * slope)
-            curve_pow.append(curve_pow[-1] * curve)
-        for k, c in enumerate(coef, start=1):
-            for m in range(k + 1):
-                term = math.comb(k, m) * c * slope_pow[k - m] * curve_pow[m]
-                e_coef[k + m] += term
-                e_abs[k + m] += np.abs(term)
-        terms = np.abs(e_coef) + 2.0**-40 * e_abs
-        poly_error = np.zeros(n)
-        for term in terms[:0:-1]:  # Horner in D over s^8 .. s^1
-            poly_error = (poly_error + term) * width
-        reach = width * (np.abs(slope) + width * np.abs(curve))  # >= |h(s)|
-        h_error = 2.0**-50 * (lower + reach) + 2.0**-1000
-        h_max = reach + h_error
-        magnitude = np.zeros(n)  # sum_k |c_k| h_max^k
-        slope_max = np.zeros(n)  # sum_k k |c_k| h_max^(k-1), bounds |P'|
-        power = np.ones(n)
-        for k, c in enumerate(np.abs(coef), start=1):
-            slope_max += k * c * power
-            power = power * h_max
-            magnitude += c * power
-        rounding = slope_max * h_error + 2.0**-49 * magnitude + 2.0**-1000
-        bound = (poly_error + rounding) * (1.0 + 2.0**-40)
-    return np.where(np.isfinite(bound) & (width >= 0.0), bound, np.inf)
-
-
 def _beta_refine(params: BetaParams, table: _BetaTable, cell: np.ndarray,
                  u: np.ndarray, x: np.ndarray, r: np.ndarray, tol: float,
                  max_iter: int) -> np.ndarray:
@@ -787,18 +652,11 @@ def beta_inverse_cdf(params: BetaParams, u, tol: float = 1e-10,
     Returns x in [0, 1] with ``|I_x(alpha, beta) - u| <= tol`` for each
     element of ``u`` in [0, 1], or the nearest double to the exact inverse
     when no double meets tol.  A cached table indexed by u gives every
-    query a bracketing cell and a start point that usually meets ``tol``
-    already.  A second cached table holds, per cell, a polynomial of the
-    CDF with a measured error bound, and a closed-form bound on the test
-    that polynomial makes of a start point anywhere in the cell.  A query
-    in a cell whose bound passes the test takes its start point with no
-    further work (for the bundled shape, 94% of cells); elsewhere the
-    polynomial tests the start point itself, betainc checks those it
-    cannot accept, and those outside tol are refined by Newton steps that
-    fall back to bisection whenever a step would leave the bracket.  A
-    start point is accepted only when betainc would accept it too, so the
-    result is that of checking every start point with betainc.
-    ``max_iter`` counts CDF evaluations per query, the first one included.
+    query a bracketing cell and a quadratic start point, which betainc
+    checks; those outside tol are refined by Newton steps that fall back to
+    bisection whenever a step would leave the bracket.  For the bundled
+    shape about 1.1% of start points need refining.  ``max_iter`` counts
+    CDF evaluations per query, the first one included.
 
     Raises:
         ValueError: if any ``u`` is outside [0, 1] or ``tol`` is not positive.
@@ -812,44 +670,25 @@ def beta_inverse_cdf(params: BetaParams, u, tol: float = 1e-10,
 
     flat = arr.ravel()
     table = _beta_bracket_table(params.alpha, params.beta)
-    poly = _beta_poly_table(params.alpha, params.beta)
-    # The per-draw test below can fail somewhere in these cells.
-    unsettled = ~(poly.start_error <= tol - poly.bound)
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _BETA_CHUNK):
-        u_c = flat[start:start + _BETA_CHUNK]
-        cell = _beta_cells(table, u_c)
-        lower = table.knots.take(cell)
-        du = u_c - table.cdf.take(cell)
-        x = table.curve.take(cell)
-        x *= du
-        x += table.slope.take(cell)
-        x *= du
-        x += lower  # lower + du * (slope + du * curve)
-
-        test = np.flatnonzero(unsettled.take(cell))
-        if test.size:
-            x_t, u_t, c_t = x[test], u_c[test], cell[test]
-            x_t[u_t == 1.0] = 1.0  # u = 0 already lands exactly on the knot x = 0
-            x[test] = x_t
-            h = x_t - lower[test]
-            estimate = h * (poly.c1.take(c_t) + h * (poly.c2.take(c_t)
-                            + h * (poly.c3.take(c_t) + h * poly.c4.take(c_t))))
-            check = test[np.abs(estimate - du[test]) > tol - poly.bound.take(c_t)]
-            if check.size:
-                r = betainc(params.alpha, params.beta, x[check]) - u_c[check]
-                far = np.abs(r) > tol
-                if far.any():
-                    idx = check[far]
-                    x[idx] = _beta_refine(params, table, cell[idx], u_c[idx],
-                                          x[idx], r[far], tol, max_iter)
-        out[start:start + _BETA_CHUNK] = x
-    return _scalar_or_array(out.reshape(arr.shape), scalar)
+    cell = _beta_cells(table, flat)
+    du = flat - table.cdf.take(cell)
+    x = table.curve.take(cell)
+    x *= du
+    x += table.slope.take(cell)
+    x *= du
+    x += table.knots.take(cell)  # knots + du * (slope + du * curve)
+    x[flat == 1.0] = 1.0  # u = 0 already lands exactly on the knot x = 0
+    r = betainc(params.alpha, params.beta, x) - flat
+    far = np.abs(r) > tol
+    if far.any():
+        x[far] = _beta_refine(params, table, cell[far], flat[far], x[far],
+                              r[far], tol, max_iter)
+    return _scalar_or_array(x.reshape(arr.shape), scalar)
 
 
-def sample_irradiance(params: BetaParams, u, tol: float = 1e-10):
+def sample_irradiance(params: BetaParams, u):
     """Daily irradiance (W/m2): the scaled beta inverse CDF of ``u``."""
-    x = beta_inverse_cdf(params, u, tol=tol)
+    x = beta_inverse_cdf(params, u)
     if isinstance(x, float):
         return params.scale_gmax * x
     x *= params.scale_gmax  # a new array of beta_inverse_cdf's own
@@ -1034,20 +873,20 @@ def prepare_sampling(dists: ResourceDistributions,
                      fleet: Sequence[DgUnit]) -> None:
     """Build now the lazily cached tables the fleet's draws will use.
 
-    Only irradiance draws use any: the beta inverse CDF's two tables, about
-    34 000 betainc evaluations, and each PV spec's power bounds.  A process
+    Only irradiance draws use any: the beta inverse CDF's bracket table,
+    about 9 200 betainc evaluations, and each PV spec's power bounds.  A process
     about to fork workers calls this so that they inherit the tables
     instead of each building its own.
     """
     if _irradiance_keys(dists, fleet):
-        _beta_poly_table(dists.irradiance.alpha, dists.irradiance.beta)
+        _beta_bracket_table(dists.irradiance.alpha, dists.irradiance.beta)
     for unit in fleet:
         if isinstance(unit.device, PvArraySpec):
             pv_power_bounds(unit.device, dists.irradiance)
 
 
 def stream_days(dists: ResourceDistributions, block: UniformBlock, row: int,
-                start: int, stop: int, tol: float = 1e-10,
+                start: int, stop: int,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Resource values of stream ``block.labels[row]`` on days [start, stop).
 
@@ -1062,7 +901,7 @@ def stream_days(dists: ResourceDistributions, block: UniformBlock, row: int,
     if start > offset or stop % DAYS_PER_YEAR:  # else whole years, read in place
         u = u.reshape(-1)[start - offset:stop - offset]
     if kind == "irradiance":
-        return sample_irradiance(dists.irradiance, u.reshape(-1), tol=tol)
+        return sample_irradiance(dists.irradiance, u.reshape(-1))
     u = np.maximum(u, MIN_UNIFORM, out=None if out is None else out.reshape(u.shape))
     return sample_wind_speed(dists.wind_regions[key], u, out=u).reshape(-1)
 
@@ -1071,8 +910,7 @@ def sample_daily_resources(dists: ResourceDistributions,
                            fleet: Sequence[DgUnit],
                            seed: int,
                            n_days: int,
-                           start_year: int = 0,
-                           tol: float = 1e-10) -> DailyResources:
+                           start_year: int = 0) -> DailyResources:
     """Draw ``n_days`` of wind speeds and irradiance for ``fleet``.
 
     Days are grouped into 365-day years; each year consumes an independent
@@ -1088,7 +926,7 @@ def sample_daily_resources(dists: ResourceDistributions,
     irradiance: dict[str, np.ndarray] = {}
     for row, (kind, key) in enumerate(block.labels):
         target = wind_speeds if kind == "wind" else irradiance
-        target[key] = stream_days(dists, block, row, 0, n_days, tol)
+        target[key] = stream_days(dists, block, row, 0, n_days)
     return DailyResources(wind_speeds=wind_speeds, irradiance=irradiance,
                           n_days=n_days)
 

@@ -185,7 +185,7 @@ def dispatch_by_enumeration(total: float, loads: Sequence[tuple[str, float]],
 
 
 def reference_daily_resources(dists, fleet, seed: int, n_days: int,
-                              start_year: int = 0, tol: float = 1e-10):
+                              start_year: int = 0):
     """The whole-block resource draws: one stream at a time over all days."""
     from microrel import res_models as rm
 
@@ -207,7 +207,7 @@ def reference_daily_resources(dists, fleet, seed: int, n_days: int,
             u = np.maximum(u, rm.MIN_UNIFORM)
             wind_speeds[key] = rm.sample_wind_speed(dists.wind_regions[key], u)
         else:
-            irradiance[key] = rm.sample_irradiance(dists.irradiance, u, tol=tol)
+            irradiance[key] = rm.sample_irradiance(dists.irradiance, u)
     return rm.DailyResources(wind_speeds=wind_speeds, irradiance=irradiance,
                              n_days=n_days)
 

@@ -320,6 +320,16 @@ def test_sample_empty_fleet_is_usage_error(case_paths):
     assert main(["sample", case_paths["case1"]]) == EXIT_USAGE
 
 
+def test_sample_too_many_days_to_hold_exits_2_with_one_line(case_paths, capsys):
+    # numpy refuses the uniforms for 10^15 days at once, allocating nothing.
+    code = main(["sample", case_paths["case3"], "--days", str(10**15),
+                 "--unit", "PV1"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "--days" in err and "too large" in err
+
+
 @pytest.mark.parametrize("command, case", [
     ("run", "case3"), ("sweep", "sweep"), ("sample", "case3"),
 ])
@@ -381,17 +391,18 @@ print(json.dumps([code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]
 """
 
 # Runs cli.main on sys.argv[1:] with an os.fork that records, at each fork,
-# the sizes of the beta table caches the forked block worker inherits.
+# the sizes of the beta bracket table and served threshold caches the forked
+# block worker inherits.
 _FORKING_STUDY = """
 import json, os, sys
-from microrel import cli, res_models
+from microrel import cli, engine, res_models
 
 forks = []
 fork = os.fork
 
 def recording_fork():
     forks.append([res_models._beta_bracket_table.cache_info().currsize,
-                  res_models._beta_poly_table.cache_info().currsize])
+                  engine._served_thresholds.cache_info().currsize])
     return fork()
 
 os.fork = recording_fork

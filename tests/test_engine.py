@@ -799,14 +799,13 @@ def _assert_no_child_left():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Wrap os.fork so that each fork records the sizes of the beta table
-    and served threshold caches the forked worker inherits."""
+    """Wrap os.fork so that each fork records the sizes of the beta bracket
+    table and served threshold caches the forked worker inherits."""
     records = []
     fork = os.fork
 
     def recording_fork():
         records.append((res_models._beta_bracket_table.cache_info().currsize,
-                        res_models._beta_poly_table.cache_info().currsize,
                         engine._served_thresholds.cache_info().currsize))
         return fork()
 
@@ -831,6 +830,20 @@ def test_pool_is_no_larger_than_the_run_has_blocks(cases, forks,
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_cap_far_beyond_convergence_costs_nothing(cases, workers):
+    # Blocks are made as they run: no list of 10^15 / 512 blocks fits in
+    # memory, and the study stops at the same year as under a cap of 100 000.
+    expected = run(dataclasses.replace(cases["case3"], max_years=100_000),
+                   workers=workers)
+    result = run(dataclasses.replace(cases["case3"], max_years=10**15),
+                 workers=workers)
+    _assert_no_child_left()
+    assert result.converged
+    for name in (field.name for field in dataclasses.fields(engine.RunResult)):
+        np.testing.assert_equal(getattr(result, name), getattr(expected, name))
+
+
 def test_without_fork_every_block_runs_inline(cases, monkeypatch):
     scenario = dataclasses.replace(cases["case2"], max_years=1537,
                                    tolerance=1e-300)
@@ -845,13 +858,12 @@ def test_without_fork_every_block_runs_inline(cases, monkeypatch):
 def test_beta_tables_are_built_before_the_pool_starts(cases, forks,
                                                       case, prebuilt):
     # Forked workers inherit the tables only if the caller has them when it
-    # forks; a fleet without PV arrays needs no beta tables, but every fleet
+    # forks; a fleet without PV arrays needs no beta table, but every fleet
     # needs its served thresholds.
     res_models._beta_bracket_table.cache_clear()
-    res_models._beta_poly_table.cache_clear()
     engine._served_thresholds.cache_clear()
     run(dataclasses.replace(cases[case], max_years=1537), workers=3)
-    assert forks == [(prebuilt, prebuilt, 1)] * 2
+    assert forks == [(prebuilt, 1)] * 2
 
 
 def _recorded_counts(monkeypatch):
