@@ -35,16 +35,14 @@ from .res_models import (
     SHARED_IRRADIANCE_KEY,
     DailyResources,
     DgUnit,
-    PvArraySpec,
     ResourceDistributions,
     WindTurbineSpec,
     draw_uniforms,
-    irradiance_cells,
+    power_bounds,
     prepare_sampling,
-    pv_power_bounds,
+    resource_values,
     sample_daily_resources,  # noqa: F401  (wrapped by perfbench/tracing.py)
-    sample_irradiance,
-    stream_days,
+    u_cells,
     unit_power_series,
 )
 
@@ -77,8 +75,8 @@ DISPATCH_BLOCKING = "blocking"
 CONVERGENCE_WINDOW_YEARS = 100
 MIN_CONVERGENCE_YEARS = 1000
 _YEARS_PER_BLOCK = 512
-# Years per pass of the chain from Weibull to dispatch within a block, so
-# that a pass's per-day arrays (~190 KB each) stay in cache.
+# Years per pass of the chain from u-cells to served-day counts within a
+# block, so that a pass's per-day arrays (~190 KB each) stay in cache.
 _YEARS_PER_PASS = 64
 _MAX_THRESHOLD_LOADS = 6  # thresholds enumerate the 2^k served sets of k loads
 _THRESHOLD_BRACKET = 128  # ulps; a threshold is a few ulps off a subset sum
@@ -306,11 +304,13 @@ def _context_for(scenario: Scenario) -> _SimContext:
 
 
 def _series_key(unit: DgUnit, shared_irradiance: bool) -> tuple:
-    """Units with equal keys have equal power series: same spec and stream."""
+    """Units with equal keys have equal power series: the same spec and the
+    same resource stream, whose label is the key's second item."""
     device = unit.device
     if isinstance(device, WindTurbineSpec):
-        return device, device.region_id
-    return device, SHARED_IRRADIANCE_KEY if shared_irradiance else unit.name
+        return device, ("wind", device.region_id)
+    return device, ("irradiance",
+                    SHARED_IRRADIANCE_KEY if shared_irradiance else unit.name)
 
 
 @lru_cache(maxsize=8)
@@ -369,113 +369,94 @@ def _fleet_total(keys: Sequence[tuple], series: Mapping[tuple, np.ndarray],
 def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarray:
     """Supplied-day counts, shape (n_years, n_load_points), priority order.
 
-    The block draws its uniforms once and runs the chain in passes of
-    _YEARS_PER_PASS years.  A pass computes every distinct wind power
-    series once.  A PV series enters it as bounds: the least and greatest
-    power of a draw in the irradiance uniform's u-cell (``pv_power_bounds``,
-    indexed by ``irradiance_cells``).  Added in fleet order, the lower and
-    the upper series bound each day's total, because rounded addition is
-    monotone in each addend.  A day counts
-    against every served threshold by its lower total; it is open when a
-    threshold lies above its lower total and at or below its upper one.
-    After the passes the open days of the block are evaluated exactly in
-    one go: irradiance, PV power and the fleet-order total, the values a
-    whole-block evaluation gives, since each draw depends only on its own
-    uniform.  Their totals settle the counts they can change.  Without
-    thresholds (past _MAX_THRESHOLD_LOADS loads) every day is open and the
-    block's exact totals are dispatched.
+    The block runs in passes of _YEARS_PER_PASS years.  A pass draws its
+    raw words and takes each stream's u-cells from them with one shift
+    (``u_cells``).  Every distinct power series enters it as bounds: the
+    least and greatest power of a draw in the day's u-cell
+    (``power_bounds``), two takes per series.  Added in fleet order, the
+    lower and the upper series bound each day's total, because rounded
+    addition is monotone in each addend.  A day counts against every
+    served threshold by its lower total; it is open when a threshold lies
+    above its lower total and at or below its upper one, and the pass keeps
+    the words of its open days.  After the passes the open days of the
+    block are evaluated exactly in one go: one ``resource_values`` call per
+    stream, one ``unit_power_series`` call per distinct series and the
+    fleet-order total.  These are the values a whole-block evaluation
+    gives, since each draw depends only on its own word, and their totals
+    settle the counts they can change.  Without thresholds (past
+    _MAX_THRESHOLD_LOADS loads) every day is open and the block's exact
+    totals are dispatched.
     """
     dists = ctx.distributions
-    block = draw_uniforms(dists, ctx.fleet, ctx.seed, n_years, start_year)
-    rows = {label: row for row, label in enumerate(block.labels)}
-    streams = {key: row for (kind, key), row in rows.items() if kind == "irradiance"}
-    regions = {unit.device.region_id: rows["wind", unit.device.region_id]
-               for unit in ctx.fleet if isinstance(unit.device, WindTurbineSpec)}
     keys = [_series_key(unit, dists.shared_irradiance) for unit in ctx.fleet]
     distinct: dict[tuple, DgUnit] = {}  # the first unit of each series
     for key, unit in zip(keys, ctx.fleet):
         distinct.setdefault(key, unit)
-    bounds = {key: pv_power_bounds(unit.device, dists.irradiance)
-              for key, unit in distinct.items() if isinstance(unit.device, PvArraySpec)}
+    streams = list(dict.fromkeys(key[1] for key in distinct))  # their labels
     served = _served_thresholds(ctx.levels, ctx.load_factors, ctx.blocking)
-    taus, steps = served if served is not None else ((), None)
-    settled = served is not None and not bounds  # no day is open
+    if served is not None:
+        taus, steps = served
+        bounds = {key: power_bounds(unit.device, dists) for key, unit in distinct.items()}
+        # Every pass writes its cells, bounds and totals into these buffers.
+        pass_years = min(n_years, _YEARS_PER_PASS)
+        cell_rows = np.empty((len(streams), pass_years, DAYS_PER_YEAR), dtype=np.uint64)
+        lower_rows = np.empty((len(distinct), pass_years * DAYS_PER_YEAR))
+        upper_rows = np.empty_like(lower_rows)
+        total_rows = np.empty((2, pass_years, DAYS_PER_YEAR))
+        reached = np.empty((n_years, len(taus)), dtype=np.int64)
 
-    # Every pass writes its speeds, powers and totals into these buffers.
-    pass_days = min(n_years, _YEARS_PER_PASS) * DAYS_PER_YEAR
-    speed_rows = np.empty((len(regions), pass_days))
-    lower_rows = np.empty((len(distinct), pass_days))
-    upper_rows = np.empty((len(distinct), pass_days))  # PV rows only
-    total_rows = np.empty((2, pass_days // DAYS_PER_YEAR, DAYS_PER_YEAR))
-    reached = np.empty((n_years, len(taus)), dtype=np.int64)
     open_days: list[np.ndarray] = []
     open_lows: list[np.ndarray] = []
-    open_wind: dict[tuple, list[np.ndarray]] = {key: [] for key in distinct
-                                                if key not in bounds}
+    open_words: list[np.ndarray] = []  # (days, streams) per pass
     for first in range(0, n_years, _YEARS_PER_PASS):
         last = min(first + _YEARS_PER_PASS, n_years)
-        start, stop = first * DAYS_PER_YEAR, last * DAYS_PER_YEAR
-        n_days = stop - start
-        resources = DailyResources(
-            wind_speeds={region: stream_days(dists, block, row, start, stop,
-                                             out=speed_rows[i, :n_days])
-                         for i, (region, row) in enumerate(regions.items())},
-            irradiance={},
-            n_days=n_days,
-        )
-        cells = {stream: irradiance_cells(block.values[first:last, row])
-                 for stream, row in streams.items()}
-        lower, upper = {}, {}
-        for i, (key, unit) in enumerate(distinct.items()):
-            if key in bounds:
-                low, high = bounds[key]
-                # Every cell is in range, and "clip" is faster than "raise".
-                lower[key] = low.take(cells[key[1]], out=lower_rows[i, :n_days],
-                                      mode="clip")
-                upper[key] = high.take(cells[key[1]], out=upper_rows[i, :n_days],
-                                       mode="clip")
-            else:
-                lower[key] = upper[key] = unit_power_series(
-                    unit, resources, out=lower_rows[i, :n_days])
-        totals = _fleet_total(keys, lower, total_rows[0, :last - first])
+        n_days = (last - first) * DAYS_PER_YEAR
+        drawn = draw_uniforms(dists, ctx.fleet, ctx.seed, last - first,
+                              start_year + first)
+        rows = [drawn.labels.index(label) for label in streams]
+        words = drawn.values
         if served is None:
-            is_open = np.ones(totals.shape, dtype=bool)
+            days = np.arange(n_days)
         else:
-            if not settled:
-                highs = _fleet_total(keys, upper, total_rows[1, :last - first])
-                is_open = np.zeros(totals.shape, dtype=bool)
+            cells = {label: u_cells(words[:, row], out=cell_rows[i, :last - first])
+                     .reshape(-1).view(np.intp)  # every cell is below 2^13
+                     for i, (label, row) in enumerate(zip(streams, rows))}
+            lower, upper = {}, {}
+            for i, (key, (low, high)) in enumerate(bounds.items()):
+                cell = cells[key[1]]
+                # Every cell is in range, and "clip" is faster than "raise".
+                lower[key] = low.take(cell, out=lower_rows[i, :n_days], mode="clip")
+                upper[key] = high.take(cell, out=upper_rows[i, :n_days], mode="clip")
+            totals = _fleet_total(keys, lower, total_rows[0, :last - first])
+            highs = _fleet_total(keys, upper, total_rows[1, :last - first])
+            is_open = np.zeros(totals.shape, dtype=bool)
             for row, tau in enumerate(taus):
                 reach = totals >= tau
                 reached[first:last, row] = reach.sum(axis=1)
-                if not settled:
-                    is_open |= (highs >= tau) ^ reach
-        if settled:
-            continue
-        days = np.flatnonzero(is_open)
-        open_days.append(days + start)
-        open_lows.append(totals.reshape(-1)[days])
-        for key, parts in open_wind.items():
-            parts.append(lower[key][days])
-    if settled:
-        return reached @ steps
+                is_open |= (highs >= tau) ^ reach
+            days = np.flatnonzero(is_open)
+            open_lows.append(totals.reshape(-1)[days])
+        open_days.append(days + first * DAYS_PER_YEAR)
+        year, day = np.divmod(days, DAYS_PER_YEAR)
+        open_words.append(words[year[:, None], rows, day[:, None]])
 
     days = np.concatenate(open_days)
-    year, day = np.divmod(days, DAYS_PER_YEAR)
+    words = np.concatenate(open_words)
+    values = {label: resource_values(dists, label, words[:, i])
+              for i, label in enumerate(streams)}
     resources = DailyResources(
-        wind_speeds={},
-        irradiance={stream: sample_irradiance(dists.irradiance, block.values[year, row, day])
-                    for stream, row in streams.items()},
+        wind_speeds={key: v for (kind, key), v in values.items() if kind == "wind"},
+        irradiance={key: v for (kind, key), v in values.items() if kind == "irradiance"},
         n_days=days.size,
     )
-    power = {key: np.concatenate(parts) for key, parts in open_wind.items()}
-    for key in bounds:
-        power[key] = unit_power_series(distinct[key], resources)
+    power = {key: unit_power_series(unit, resources) for key, unit in distinct.items()}
     totals = _fleet_total(keys, power, np.empty(days.size))
     if served is None:
         counts = np.empty((n_years, len(ctx.lp_ids)), dtype=np.int64)
         _dispatch(totals.reshape(n_years, DAYS_PER_YEAR),
                   np.multiply.outer(ctx.levels, ctx.load_factors), ctx.blocking, counts)
         return counts
+    year, day = np.divmod(days, DAYS_PER_YEAR)
     lows = np.concatenate(open_lows)
     for row, tau in enumerate(taus):
         tau = tau.take(day) if tau.size > 1 else tau

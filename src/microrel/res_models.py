@@ -34,13 +34,16 @@ __all__ = [
     "beta_inverse_cdf",
     "sample_irradiance",
     "pv_power",
-    "irradiance_cells",
+    "u_cells",
     "pv_power_bounds",
+    "wind_power_bounds",
+    "power_bounds",
     "unit_power_series",
     "UniformBlock",
     "draw_uniforms",
     "prepare_sampling",
     "stream_days",
+    "resource_values",
     "sample_daily_resources",
     "emit_trace",
     "trace_to_delimited",
@@ -715,10 +718,17 @@ def pv_power(spec: PvArraySpec, g, out: np.ndarray | None = None):
     return _scalar_or_array(power, scalar)
 
 
-def irradiance_cells(u: np.ndarray) -> np.ndarray:
-    """The u-cell floor(u * _BETA_CELLS) of each uniform, flattened: the
-    index into ``pv_power_bounds``.  u = 1 has the extra cell _BETA_CELLS."""
-    return (u * _BETA_CELLS).astype(np.intp).reshape(-1)
+# ``Generator.random`` turns a raw Philox word into the uniform
+# (word >> 11) * 2^-53, whose u-cell floor(u * _BETA_CELLS) is then
+# word >> _CELL_SHIFT.
+_UNIFORM_SHIFT = 11
+_CELL_SHIFT = 64 - (_BETA_CELLS.bit_length() - 1)
+
+
+def u_cells(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The u-cell of the uniform each raw word gives, the index into the
+    power bounds tables; written to ``out`` (uint64) when given."""
+    return np.right_shift(words, _CELL_SHIFT, out=out)
 
 
 # How far, relative to the bracket's upper end, a beta draw can sit outside
@@ -767,6 +777,59 @@ def pv_power_bounds(spec: PvArraySpec,
     x_low, x_high = _draw_brackets(params)
     return (pv_power(spec, params.scale_gmax * x_low) * (1.0 - _CELL_MARGIN),
             pv_power(spec, params.scale_gmax * x_high) * (1.0 + _CELL_MARGIN))
+
+
+def _speed_brackets(params: WeibullParams) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest wind speed of each u-cell, widened for rounding.
+
+    The speed falls as u grows, so a cell's speeds lie between those at its
+    u-edges, the lower edge clamped to MIN_UNIFORM as ``resource_values``
+    clamps the draws.  ``np.log`` and ``np.power`` are within a few ulps,
+    and a relative error e in -ln u becomes e / k in the speed; the edge
+    speeds are widened by _CELL_MARGIN * max(1, 1/k), over a thousand times
+    more than the error of an edge speed and a draw's together.  Entry
+    _BETA_CELLS (u = 1) repeats the last cell.
+    """
+    edges = np.arange(_BETA_CELLS) / _BETA_CELLS
+    edges[0] = MIN_UNIFORM
+    speeds = np.append(sample_wind_speed(params, edges), 0.0)  # 0 at u = 1
+    margin = _CELL_MARGIN * max(1.0, 1.0 / params.shape_k)
+    v_low = np.maximum(speeds[1:] * (1.0 - margin), 0.0)
+    v_high = speeds[:-1] * (1.0 + margin)
+    return np.append(v_low, v_low[-1]), np.append(v_high, v_high[-1])
+
+
+@lru_cache(maxsize=16)
+def wind_power_bounds(spec: WindTurbineSpec,
+                      params: WeibullParams) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest turbine power of a wind draw in each u-cell.
+
+    The curve is not monotone, so over the speeds of ``_speed_brackets`` a
+    cell whose speeds reach cut-in or cut-out has a lower bound of 0, and
+    one whose speeds reach [v_rated, v_cut_out) an upper bound of p_rated;
+    elsewhere the curve is extreme at the bracket's ends.  The rounded
+    cubic a v^3 - b p_rated is monotone only up to a few ulps of its terms,
+    which are at most p_rated (1 + b): at v_rated it can come out an ulp
+    above p_rated, and just above cut-in it could come out below 0.  Both
+    bounds are widened by _CELL_MARGIN times that.
+    """
+    v_low, v_high = _speed_brackets(params)
+    low = np.where((v_low > spec.v_cut_in) & (v_high < spec.v_cut_out),
+                   wind_power(spec, v_low), 0.0)
+    high = np.where(v_high >= spec.v_rated, spec.p_rated, wind_power(spec, v_high))
+    high[v_low >= spec.v_cut_out] = 0.0
+    b = spec.v_cut_in**3 / (spec.v_rated**3 - spec.v_cut_in**3)
+    slack = _CELL_MARGIN * spec.p_rated * (1.0 + b)
+    return low - slack, high + slack
+
+
+def power_bounds(device: Union[WindTurbineSpec, PvArraySpec],
+                 dists: ResourceDistributions) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest power of the device in each u-cell of its
+    resource stream's uniforms."""
+    if isinstance(device, WindTurbineSpec):
+        return wind_power_bounds(device, dists.wind_regions[device.region_id])
+    return pv_power_bounds(device, dists.irradiance)
 
 
 # ---------------------------------------------------------------------------
@@ -836,10 +899,12 @@ def _rekey(bit_generator: np.random.Philox, seed: int, year: int,
 
 
 class UniformBlock(NamedTuple):
-    """Whole years of uniforms for every stream of a fleet.
+    """Whole years of raw Philox words for every stream of a fleet.
 
-    ``values[y, s]`` holds the 365 uniforms of stream ``labels[s]`` in year
-    ``y`` of the block; day d of a stream is year d // 365, day d % 365.
+    ``values[y, s]`` holds the 365 uint64 words of stream ``labels[s]`` in
+    year ``y`` of the block; day d of a stream is year d // 365, day
+    d % 365.  A word gives the uniform (word >> 11) * 2^-53 that
+    ``Generator.random`` would, and its u-cell by ``u_cells``.
     """
 
     labels: list[tuple[str, str]]
@@ -851,59 +916,65 @@ def draw_uniforms(dists: ResourceDistributions,
                   seed: int,
                   n_years: int,
                   start_year: int = 0) -> UniformBlock:
-    """Draw ``n_years`` whole years of uniforms, from ``start_year`` on.
+    """Draw ``n_years`` whole years of uniforms, from ``start_year`` on, as
+    raw words.
 
     Each year consumes an independent RNG substream derived from
     (seed, year index), so a year's draws do not depend on the block it
     is drawn in.
     """
     labels = _stream_labels(dists, fleet)
-    uniforms = np.empty((n_years, len(labels), DAYS_PER_YEAR))
+    words = np.empty((n_years, len(labels), DAYS_PER_YEAR), dtype=np.uint64)
     if labels:
         bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        rng = np.random.Generator(bit_generator)
+        years = words.reshape(n_years, -1)
         state = None
         for year_offset in range(n_years):
             state = _rekey(bit_generator, seed, start_year + year_offset, state)
-            rng.random(out=uniforms[year_offset])
-    return UniformBlock(labels, uniforms)
+            years[year_offset] = bit_generator.random_raw(years.shape[1])
+    return UniformBlock(labels, words)
 
 
 def prepare_sampling(dists: ResourceDistributions,
                      fleet: Sequence[DgUnit]) -> None:
     """Build now the lazily cached tables the fleet's draws will use.
 
-    Only irradiance draws use any: the beta inverse CDF's bracket table,
-    about 9 200 betainc evaluations, and each PV spec's power bounds.  A process
-    about to fork workers calls this so that they inherit the tables
-    instead of each building its own.
+    Every unit has power bounds per u-cell (``power_bounds``); a turbine's
+    take ~0.4 ms to build.  Irradiance draws also use the beta inverse
+    CDF's bracket table, about 9 200 betainc evaluations, which the open
+    days' draws and the PV bounds read.  A process about to fork workers
+    calls this so that they inherit the tables instead of each building
+    its own.
     """
     if _irradiance_keys(dists, fleet):
         _beta_bracket_table(dists.irradiance.alpha, dists.irradiance.beta)
     for unit in fleet:
-        if isinstance(unit.device, PvArraySpec):
-            pv_power_bounds(unit.device, dists.irradiance)
+        power_bounds(unit.device, dists)
+
+
+def resource_values(dists: ResourceDistributions, label: tuple[str, str],
+                    words: np.ndarray) -> np.ndarray:
+    """Resource values of stream ``label`` for raw ``words``: Weibull speeds
+    of a wind stream, scaled beta draws of an irradiance stream.
+
+    Each value depends only on its own word.
+    """
+    u = np.multiply(words >> _UNIFORM_SHIFT, 2.0**-53)  # both steps are exact
+    kind, key = label
+    if kind == "irradiance":
+        return sample_irradiance(dists.irradiance, u)
+    np.maximum(u, MIN_UNIFORM, out=u)
+    return sample_wind_speed(dists.wind_regions[key], u, out=u)
 
 
 def stream_days(dists: ResourceDistributions, block: UniformBlock, row: int,
-                start: int, stop: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Resource values of stream ``block.labels[row]`` on days [start, stop).
-
-    Wind streams give Weibull speeds, written to ``out`` when given;
-    irradiance streams give scaled beta draws.  Each value depends only on
-    its own uniform.
-    """
-    kind, key = block.labels[row]
+                start: int, stop: int) -> np.ndarray:
+    """Resource values of stream ``block.labels[row]`` on days [start, stop)."""
     first = start // DAYS_PER_YEAR
     offset = first * DAYS_PER_YEAR
-    u = block.values[first:-(-stop // DAYS_PER_YEAR), row]
-    if start > offset or stop % DAYS_PER_YEAR:  # else whole years, read in place
-        u = u.reshape(-1)[start - offset:stop - offset]
-    if kind == "irradiance":
-        return sample_irradiance(dists.irradiance, u.reshape(-1))
-    u = np.maximum(u, MIN_UNIFORM, out=None if out is None else out.reshape(u.shape))
-    return sample_wind_speed(dists.wind_regions[key], u, out=u).reshape(-1)
+    words = block.values[first:-(-stop // DAYS_PER_YEAR), row].reshape(-1)
+    return resource_values(dists, block.labels[row],
+                           words[start - offset:stop - offset])
 
 
 def sample_daily_resources(dists: ResourceDistributions,

@@ -17,7 +17,9 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import astuple, dataclass
+from functools import lru_cache
 from importlib import resources
 from types import SimpleNamespace
 from typing import Any, Mapping, Optional, Sequence
@@ -74,6 +76,21 @@ ARTIFACT_VERSION = "0.1.0"
 FORMAT_DELIMITED = "delimited"
 FORMAT_STRUCTURED = "structured"
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's is ~7x faster
+# PyYAML follows YAML 1.1, whose floats need a dot: it reads 5.0e-3 as a
+# number but 5e-3, 2e3 and 1E+2 as strings.  Scenario files are read, and
+# written, with YAML 1.2's floats too, so that a string such as "1e3" is
+# written quoted.
+_YAML12_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?$")
+
+
+@lru_cache(maxsize=None)
+def _with_yaml12_floats(base: type) -> type:
+    """``base``, a PyYAML loader or dumper, resolving YAML 1.2 floats too;
+    its own implicit types are tried first."""
+    cls = type(base.__name__, (base,), {})
+    cls.add_implicit_resolver("tag:yaml.org,2002:float", _YAML12_FLOAT,
+                              list("-+.0123456789"))
+    return cls
 
 
 class ScenarioError(ValueError):
@@ -321,7 +338,7 @@ def parse_scenario(text: str) -> Scenario:
     constraint violation.  Unknown keys are rejected everywhere.
     """
     try:
-        document = yaml.load(text, Loader=_YAML_LOADER)
+        document = yaml.load(text, Loader=_with_yaml12_floats(_YAML_LOADER))
     except yaml.YAMLError as exc:
         raise ScenarioSyntaxError("", "not valid YAML: " + " ".join(str(exc).split())) from exc
     if not isinstance(document, dict):
@@ -421,8 +438,8 @@ def emit_scenario(scenario: Scenario) -> str:
         "simulation": vars(scenario),
         "load_factors": scenario.load_factors,
     }
-    return yaml.safe_dump(_write(document, _DOCUMENT), sort_keys=False,
-                          default_flow_style=False)
+    return yaml.dump(_write(document, _DOCUMENT), Dumper=_with_yaml12_floats(yaml.SafeDumper),
+                     sort_keys=False, default_flow_style=False)
 
 
 # ---------------------------------------------------------------------------

@@ -330,10 +330,10 @@ def test_block_counts_bit_identical_to_whole_block_reference(
                 err_msg=f"{n_years} years from {start_year}")
 
 
-def test_each_distinct_power_series_is_computed_once_per_pass(cases, monkeypatch):
+def test_each_distinct_power_series_is_computed_once_per_block(cases, monkeypatch):
     # case2's WTG3/WTG4 repeat WTG1/WTG2 in the same regions; the mixed
-    # fleet has 5 distinct series among 7 units under shared irradiance:
-    # 3 wind series per pass and 2 PV series per block, on its open days.
+    # fleet has 5 distinct series among 7 units under shared irradiance.
+    # Each is computed once per block, on the block's open days.
     calls = []
     original = engine.unit_power_series
 
@@ -343,7 +343,7 @@ def test_each_distinct_power_series_is_computed_once_per_pass(cases, monkeypatch
 
     monkeypatch.setattr(engine, "unit_power_series", counted)
     engine._simulate_block(engine._context_for(cases["case2"]), 0, 2 * P)
-    assert calls == ["WTG1", "WTG2"] * 2
+    assert calls == ["WTG1", "WTG2"]
     calls.clear()
     mixed = _two_specs_per_region(cases["case3"])
     engine._simulate_block(engine._context_for(mixed), 0, P)
@@ -351,9 +351,19 @@ def test_each_distinct_power_series_is_computed_once_per_pass(cases, monkeypatch
 
 
 def _adversarial_context(case3, name, dispatch):
-    """case3's context with a fleet or loads that stress the PV bounds."""
+    """case3's context with a fleet or loads that stress the PV or wind bounds."""
     ctx = engine._context_for(dataclasses.replace(case3, dispatch=dispatch))
     wind, pv = ctx.fleet[:2], ctx.fleet[2:]
+    if name == "wind_flat_top":
+        # Between 9 m/s and cut-out the lone turbine delivers exactly the
+        # sum of the needs, the least total that serves every load.
+        spec = dataclasses.replace(wind[0].device, p_rated=math.fsum(ctx.levels),
+                                   v_rated=9.0)
+        return dataclasses.replace(ctx, fleet=(DgUnit("WTG1", "LP7", spec),))
+    if name == "wind_p_res_near_1":
+        spec = WindTurbineSpec(1e6, v_rated=1.0, v_cut_in=0.05, v_cut_out=60.0,
+                               region_id="region1")
+        return dataclasses.replace(ctx, fleet=(DgUnit("WTG1", "LP7", spec), wind[1]))
     if name == "flat_top":
         # Above g_std (600 < scale_gmax = 850 W/m2) the lone array delivers
         # exactly the sum of the needs, the least total that serves every
@@ -379,7 +389,7 @@ def _adversarial_context(case3, name, dispatch):
                                       engine.DISPATCH_SERVE_IF_FITS])
 @pytest.mark.parametrize("name", ["flat_top", "pv_only", "pv_only_independent",
                                   "zero_load", "p_res_near_0", "p_res_near_1",
-                                  "seven_loads"])
+                                  "seven_loads", "wind_flat_top", "wind_p_res_near_1"])
 def test_block_counts_match_reference_where_pv_bounds_are_stressed(cases, name, dispatch):
     ctx = _adversarial_context(cases["case3"], name, dispatch)
     for n_years in (1, P + 1, engine._YEARS_PER_BLOCK):
@@ -387,11 +397,11 @@ def test_block_counts_match_reference_where_pv_bounds_are_stressed(cases, name, 
         np.testing.assert_array_equal(counts, reference_block_counts(ctx, 0, n_years),
                                       err_msg=f"{n_years} years")
     p_res = counts.sum(axis=0) / (n_years * 365)
-    if name == "flat_top":
+    if name in ("flat_top", "wind_flat_top"):
         assert p_res[-1] > 0.05
     if name == "p_res_near_0":
         assert np.all(p_res == 0.0)
-    if name == "p_res_near_1":
+    if name in ("p_res_near_1", "wind_p_res_near_1"):
         assert np.all(p_res > 0.95)
 
 
@@ -800,13 +810,15 @@ def _assert_no_child_left():
 @pytest.fixture
 def forks(monkeypatch):
     """Wrap os.fork so that each fork records the sizes of the beta bracket
-    table and served threshold caches the forked worker inherits."""
+    table, served threshold and wind power bounds caches the forked worker
+    inherits."""
     records = []
     fork = os.fork
 
     def recording_fork():
         records.append((res_models._beta_bracket_table.cache_info().currsize,
-                        engine._served_thresholds.cache_info().currsize))
+                        engine._served_thresholds.cache_info().currsize,
+                        res_models.wind_power_bounds.cache_info().currsize))
         return fork()
 
     monkeypatch.setattr(os, "fork", recording_fork)
@@ -859,11 +871,13 @@ def test_beta_tables_are_built_before_the_pool_starts(cases, forks,
                                                       case, prebuilt):
     # Forked workers inherit the tables only if the caller has them when it
     # forks; a fleet without PV arrays needs no beta table, but every fleet
-    # needs its served thresholds.
+    # needs its served thresholds, and each distinct turbine its wind power
+    # bounds (two in both cases).
     res_models._beta_bracket_table.cache_clear()
     engine._served_thresholds.cache_clear()
+    res_models.wind_power_bounds.cache_clear()
     run(dataclasses.replace(cases[case], max_years=1537), workers=3)
-    assert forks == [(prebuilt, 1)] * 2
+    assert forks == [(prebuilt, 1, 2)] * 2
 
 
 def _recorded_counts(monkeypatch):

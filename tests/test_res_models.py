@@ -704,6 +704,21 @@ def test_rekey_leaves_no_state_from_the_previous_year():
     )
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("start_year", [0, 511, 100_000])
+def test_raw_words_give_the_uniforms_and_cells_of_generator_random(seed, start_year):
+    # (w >> 11) * 2^-53 is what Generator.random makes of a raw word, so the
+    # u-cell floor(u * 8192) is w >> 51.  Three years of four streams.
+    block = res_models.draw_uniforms(_two_region_dists(shared=False), _mixed_fleet(),
+                                     seed, 3, start_year=start_year)
+    words = block.values.transpose(1, 0, 2).reshape(4, -1)
+    assert words.dtype == np.uint64
+    u = _reference_uniforms(seed, start_year, 4, 3 * 365)
+    np.testing.assert_array_equal((words >> np.uint64(11)) * 2.0**-53, u)
+    np.testing.assert_array_equal(res_models.u_cells(words),
+                                  np.floor(u * _BETA_CELLS).astype(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # The u-indexed beta bracket table
 # ---------------------------------------------------------------------------
@@ -863,7 +878,7 @@ def test_beta_draws_and_pv_power_stay_inside_their_cell_bounds(alpha, beta):
     margin = res_models._CELL_MARGIN * table.knots[knot + 1]
     assert np.all((table.knots[knot] - margin <= x) & (x <= table.knots[knot + 1] + margin))
     # So within the bracket of its u-cell, which holds every such knot cell.
-    cell = res_models.irradiance_cells(u)
+    cell = (u * _BETA_CELLS).astype(np.intp)
     x_low, x_high = res_models._draw_brackets(params)
     assert np.all((x_low[cell] <= x) & (x <= x_high[cell]))
     g = sample_irradiance(params, u)
@@ -880,3 +895,49 @@ def test_beta_draws_and_pv_power_stay_inside_their_cell_bounds(alpha, beta):
                           & (edge <= x_high * params.scale_gmax))
                 power = pv_power(spec, edge)
                 assert np.all((low[inside] <= power) & (power <= high[inside]))
+
+
+# Cut-in, rated and cut-out speeds inside the bulk of the bundled region1
+# Weibull, where many cells straddle them; at its rated speed the rounded
+# cubic comes out one ulp above p_rated.  And the bundled turbine specs.
+BOUNDED_WTG = [
+    WindTurbineSpec(p_rated=1500.0, v_rated=5.1, v_cut_in=2.9, v_cut_out=7.3),
+    WTG1,
+    WindTurbineSpec(1500.0, 12.0, 3.0, 25.0),
+]
+WIND_SHAPES = [REGION1, REGION2, WeibullParams(scale_c=3.0, shape_k=0.7)]
+
+
+@pytest.mark.parametrize("params", WIND_SHAPES)
+def test_wind_draws_and_power_stay_inside_their_cell_bounds(params):
+    # Both edges of every u-cell and the words next to them, random words,
+    # and the word of 0, which gives MIN_UNIFORM, and the greatest word.
+    dists = ResourceDistributions({"r": params}, FITTED_BETA)
+    edges = np.arange(_BETA_CELLS, dtype=np.uint64) << np.uint64(51)
+    words = np.concatenate([
+        edges, edges + np.uint64(2**11), edges[1:] - np.uint64(2**11),
+        np.random.default_rng(36).integers(0, 2**64, 10**6, dtype=np.uint64),
+        np.array([0, 2**64 - 1], dtype=np.uint64)])
+    speed = res_models.resource_values(dists, ("wind", "r"), words)
+    assert speed.max() == sample_wind_speed(params, MIN_UNIFORM)
+    cell = res_models.u_cells(words).view(np.intp)
+    v_low, v_high = res_models._speed_brackets(params)
+    assert np.all((v_low[cell] <= speed) & (speed <= v_high[cell]))
+    for spec in BOUNDED_WTG:
+        low, high = res_models.wind_power_bounds(spec, params)
+        assert low.shape == high.shape == (_BETA_CELLS + 1,)
+        power = wind_power(spec, speed)
+        assert np.all((low[cell] <= power) & (power <= high[cell]))
+        # Between its breakpoints the rounded curve is monotone, so over a
+        # cell's speeds it is extreme at the bracket's ends or near cut-in,
+        # rated and cut-out speed, where the rounded cubic meets 0 and
+        # p_rated.
+        for point in (spec.v_cut_in, spec.v_rated, spec.v_cut_out):
+            for v in point + np.arange(-64, 65) * np.spacing(point):
+                inside = (v_low <= v) & (v <= v_high)
+                power = wind_power(spec, v)
+                assert np.all((low[inside] <= power) & (power <= high[inside]))
+        # And tight: their widths add up to the curve's total variation over
+        # all speeds, up from 0 to p_rated and down again at cut-out.
+        np.testing.assert_allclose((high - low)[:-1].sum(), 2.0 * spec.p_rated,
+                                   rtol=1e-6)

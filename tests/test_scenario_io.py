@@ -214,6 +214,44 @@ def test_libyaml_and_python_loaders_read_equal_scenarios(name, monkeypatch):
     assert parse_scenario(text) == fast
 
 
+_LOADERS = ["SafeLoader"] + (["CSafeLoader"] if hasattr(yaml, "CSafeLoader") else [])
+
+
+@pytest.mark.parametrize("loader", _LOADERS)
+def test_numbers_in_exponent_form_without_a_dot_are_numbers(loader, monkeypatch):
+    # YAML 1.1 reads a float only with a dot (5.0e-3); YAML 1.2 also reads
+    # 5e-3, 2e3 and 1E+2.
+    monkeypatch.setattr(scenario_io, "_YAML_LOADER", getattr(yaml, loader))
+    text = bundled_scenario_path("case3").read_text()
+    edits = {"tolerance: 0.005": "tolerance: 5e-3",
+             "rated_kw: 2000.0\n      rated_speed": "rated_kw: 2e3\n      rated_speed",
+             "scale_gmax_w_m2: 850.0": "scale_gmax_w_m2: 1E+2"}
+    for old, new in edits.items():
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    scenario = parse_scenario(text)
+    base = bundled_scenarios()["case3"]
+    assert scenario.tolerance == 0.005
+    assert scenario.fleet[0].device == base.fleet[0].device
+    assert scenario.distributions.irradiance.scale_gmax == 100.0
+    with pytest.raises(ConstraintError, match="must be finite"):
+        parse_scenario(text.replace("tolerance: 5e-3", "tolerance: .nan"))
+    # A string field meets such a number as it meets any other: an unquoted
+    # id of 1e3 is the number 1000.0, as 1.0e+3 is.
+    topology = bundled_scenario_path("topology").read_text()
+    errors = []
+    for value in ("1e3", "1.0e+3"):
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(topology.replace("- id: s5", f"- id: {value}"))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert "expected a non-empty string, got 1000.0" in errors[0]
+    # So such a string is written quoted, and reads back as a string.
+    named = dataclasses.replace(base, name="1e3")
+    assert "name: '1e3'" in emit_scenario(named)
+    assert parse_scenario(emit_scenario(named)) == named
+
+
 def test_rejects_invalid_yaml_syntax():
     with pytest.raises(ScenarioSyntaxError):
         parse_scenario("{unbalanced: [")
