@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import BinaryIO, Iterable, Mapping, Optional, Sequence, Union
+from typing import BinaryIO, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,16 +33,15 @@ from .network import (
 )
 from .res_models import (
     DAYS_PER_YEAR,
-    SHARED_IRRADIANCE_KEY,
     DailyResources,
     DgUnit,
     ResourceDistributions,
-    WindTurbineSpec,
     draw_uniforms,
-    power_bounds,
     prepare_sampling,
     resource_values,
     sample_daily_resources,  # noqa: F401  (wrapped by perfbench/tracing.py)
+    stream_bounds,
+    stream_label,
     u_cells,
     unit_power_series,
 )
@@ -76,7 +76,8 @@ CONVERGENCE_WINDOW_YEARS = 100
 MIN_CONVERGENCE_YEARS = 1000
 _YEARS_PER_BLOCK = 512
 # Years per pass of the chain from u-cells to served-day counts within a
-# block, so that a pass's per-day arrays (~190 KB each) stay in cache.
+# block, so that a pass's per-day arrays (23 360 days, 23-190 KB each) stay
+# in cache.  Warm blocks measured alike at 64 to 512 and 15-25% slower at 16.
 _YEARS_PER_PASS = 64
 _MAX_THRESHOLD_LOADS = 6  # thresholds enumerate the 2^k served sets of k loads
 _THRESHOLD_BRACKET = 128  # ulps; a threshold is a few ulps off a subset sum
@@ -306,11 +307,7 @@ def _context_for(scenario: Scenario) -> _SimContext:
 def _series_key(unit: DgUnit, shared_irradiance: bool) -> tuple:
     """Units with equal keys have equal power series: the same spec and the
     same resource stream, whose label is the key's second item."""
-    device = unit.device
-    if isinstance(device, WindTurbineSpec):
-        return device, ("wind", device.region_id)
-    return device, ("irradiance",
-                    SHARED_IRRADIANCE_KEY if shared_irradiance else unit.name)
+    return unit.device, stream_label(unit, shared_irradiance)
 
 
 @lru_cache(maxsize=8)
@@ -366,84 +363,134 @@ def _fleet_total(keys: Sequence[tuple], series: Mapping[tuple, np.ndarray],
     return out
 
 
+class _Workspace(NamedTuple):
+    """The buffers a pass writes into, for fleets drawing ``words.shape[1]``
+    streams; every pass of up to _YEARS_PER_PASS years slices them."""
+
+    words: np.ndarray  # (years, streams, days) raw words
+    cells: np.ndarray  # (years, days): one stream's u-cells
+    lower: np.ndarray  # (years * days,) int32: the day's fixed-point bounds,
+    upper: np.ndarray  # summed over the streams
+    part: np.ndarray  # one stream's take, before it is added
+    reach: np.ndarray  # (years, days) bool
+    flip: np.ndarray
+    is_open: np.ndarray
+
+
+class _Workspaces(threading.local):
+    """Each thread's pass buffers, by the number of streams drawn."""
+
+    def __init__(self):
+        self.by_streams: dict[int, _Workspace] = {}
+
+
+_workspaces = _Workspaces()
+
+
+def _workspace(n_streams: int) -> _Workspace:
+    """This thread's pass buffers for ``n_streams`` drawn streams, made on
+    first use and kept: every later pass, block and run reuses them, so a
+    warm pass allocates nothing and touches no fresh page."""
+    cache = _workspaces.by_streams
+    if n_streams not in cache:
+        days = (_YEARS_PER_PASS, DAYS_PER_YEAR)
+        n_days = _YEARS_PER_PASS * DAYS_PER_YEAR
+        cache[n_streams] = _Workspace(
+            words=np.empty((_YEARS_PER_PASS, n_streams, DAYS_PER_YEAR), dtype=np.uint64),
+            cells=np.empty(days, dtype=np.uint64),
+            lower=np.empty(n_days, dtype=np.int32),
+            upper=np.empty(n_days, dtype=np.int32),
+            part=np.empty(n_days, dtype=np.int32),
+            reach=np.empty(days, dtype=bool),
+            flip=np.empty(days, dtype=bool),
+            is_open=np.empty(days, dtype=bool),
+        )
+    return cache[n_streams]
+
+
 def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarray:
     """Supplied-day counts, shape (n_years, n_load_points), priority order.
 
-    The block runs in passes of _YEARS_PER_PASS years.  A pass draws its
-    raw words and takes each stream's u-cells from them with one shift
-    (``u_cells``).  Every distinct power series enters it as bounds: the
-    least and greatest power of a draw in the day's u-cell
-    (``power_bounds``), two takes per series.  Added in fleet order, the
-    lower and the upper series bound each day's total, because rounded
-    addition is monotone in each addend.  A day counts against every
-    served threshold by its lower total; it is open when a threshold lies
-    above its lower total and at or below its upper one, and the pass keeps
-    the words of its open days.  After the passes the open days of the
-    block are evaluated exactly in one go: one ``resource_values`` call per
-    stream, one ``unit_power_series`` call per distinct series and the
-    fleet-order total.  These are the values a whole-block evaluation
-    gives, since each draw depends only on its own word, and their totals
-    settle the counts they can change.  Without thresholds (past
-    _MAX_THRESHOLD_LOADS loads) every day is open and the block's exact
-    totals are dispatched.
+    The block runs in passes of _YEARS_PER_PASS years, each in buffers
+    that every pass of the thread reuses (``_workspace``).  A pass draws
+    its raw words and takes each stream's u-cells from them with one shift
+    (``u_cells``).  Each stream's fixed-point bounds (``stream_bounds``)
+    enter it with one lower and one upper take, int32 multiples of a power
+    of two q; summed over the streams, exactly, they bound the day's
+    fleet-order total T: lower * q <= T <= upper * q.  A served threshold
+    tau becomes t = ceil(tau / q), capped at 2^31 - 1: a day whose lower
+    sum reaches t has T >= tau, and one whose upper sum is below t has
+    T < tau.  A day counts against every threshold by its lower sum; it is
+    open when its upper sum reaches a threshold its lower one does not,
+    and the pass keeps the words of its open days.  After the passes the
+    open days of the block are evaluated exactly in one go: one
+    ``resource_values`` call per stream, one ``unit_power_series`` call per
+    distinct series and the fleet-order total.  These are the values a
+    whole-block evaluation gives, since each draw depends only on its own
+    word, and their totals settle the counts they can change.  Without
+    thresholds (past _MAX_THRESHOLD_LOADS loads) every day is open and the
+    block's exact totals are dispatched.
     """
     dists = ctx.distributions
     keys = [_series_key(unit, dists.shared_irradiance) for unit in ctx.fleet]
     distinct: dict[tuple, DgUnit] = {}  # the first unit of each series
     for key, unit in zip(keys, ctx.fleet):
         distinct.setdefault(key, unit)
-    streams = list(dict.fromkeys(key[1] for key in distinct))  # their labels
+    bounds = stream_bounds(dists, ctx.fleet)
+    space = _workspace(bounds.n_rows)
     served = _served_thresholds(ctx.levels, ctx.load_factors, ctx.blocking)
     if served is not None:
         taus, steps = served
-        bounds = {key: power_bounds(unit.device, dists) for key, unit in distinct.items()}
-        # Every pass writes its cells, bounds and totals into these buffers.
-        pass_years = min(n_years, _YEARS_PER_PASS)
-        cell_rows = np.empty((len(streams), pass_years, DAYS_PER_YEAR), dtype=np.uint64)
-        lower_rows = np.empty((len(distinct), pass_years * DAYS_PER_YEAR))
-        upper_rows = np.empty_like(lower_rows)
-        total_rows = np.empty((2, pass_years, DAYS_PER_YEAR))
-        reached = np.empty((n_years, len(taus)), dtype=np.int64)
+        limits = bounds.limits(taus)
+        reached = np.empty((n_years, len(taus)), dtype=np.int16)  # <= 365 a year
 
     open_days: list[np.ndarray] = []
     open_lows: list[np.ndarray] = []
     open_words: list[np.ndarray] = []  # (days, streams) per pass
     for first in range(0, n_years, _YEARS_PER_PASS):
         last = min(first + _YEARS_PER_PASS, n_years)
-        n_days = (last - first) * DAYS_PER_YEAR
-        drawn = draw_uniforms(dists, ctx.fleet, ctx.seed, last - first,
-                              start_year + first)
-        rows = [drawn.labels.index(label) for label in streams]
-        words = drawn.values
+        years = last - first
+        words = draw_uniforms(dists, ctx.fleet, ctx.seed, years, start_year + first,
+                              out=space.words[:years]).values
         if served is None:
-            days = np.arange(n_days)
+            days = np.arange(years * DAYS_PER_YEAR)
         else:
-            cells = {label: u_cells(words[:, row], out=cell_rows[i, :last - first])
-                     .reshape(-1).view(np.intp)  # every cell is below 2^13
-                     for i, (label, row) in enumerate(zip(streams, rows))}
-            lower, upper = {}, {}
-            for i, (key, (low, high)) in enumerate(bounds.items()):
-                cell = cells[key[1]]
-                # Every cell is in range, and "clip" is faster than "raise".
-                lower[key] = low.take(cell, out=lower_rows[i, :n_days], mode="clip")
-                upper[key] = high.take(cell, out=upper_rows[i, :n_days], mode="clip")
-            totals = _fleet_total(keys, lower, total_rows[0, :last - first])
-            highs = _fleet_total(keys, upper, total_rows[1, :last - first])
-            is_open = np.zeros(totals.shape, dtype=bool)
-            for row, tau in enumerate(taus):
-                reach = totals >= tau
-                reached[first:last, row] = reach.sum(axis=1)
-                is_open |= (highs >= tau) ^ reach
+            n_days = years * DAYS_PER_YEAR
+            lower, upper, part = (space.lower[:n_days], space.upper[:n_days],
+                                  space.part[:n_days])
+            if not bounds.rows:  # no fleet: every total is 0
+                lower.fill(0)
+                upper.fill(0)
+            for s, row in enumerate(bounds.rows):
+                cell = u_cells(words[:, row], out=space.cells[:years])
+                cell = cell.reshape(-1).view(np.intp)  # every cell is below 2^13
+                # Every cell is in range, so no mode changes an index; per
+                # take of a pass, "wrap" took 15 us, "clip" 20, "raise" 27.
+                for table, total in ((bounds.lower[s], lower), (bounds.upper[s], upper)):
+                    if s == 0:
+                        table.take(cell, out=total, mode="wrap")
+                    else:
+                        total += table.take(cell, out=part, mode="wrap")
+            lower, upper = lower.reshape(years, -1), upper.reshape(years, -1)
+            reach, flip, is_open = (space.reach[:years], space.flip[:years],
+                                    space.is_open[:years])
+            is_open.fill(False)
+            for row, limit in enumerate(limits):
+                np.greater_equal(lower, limit, out=reach)
+                np.add.reduce(reach, axis=1, dtype=np.int16, out=reached[first:last, row])
+                np.greater_equal(upper, limit, out=flip)
+                flip ^= reach
+                is_open |= flip
             days = np.flatnonzero(is_open)
-            open_lows.append(totals.reshape(-1)[days])
+            open_lows.append(lower.reshape(-1)[days])
         open_days.append(days + first * DAYS_PER_YEAR)
         year, day = np.divmod(days, DAYS_PER_YEAR)
-        open_words.append(words[year[:, None], rows, day[:, None]])
+        open_words.append(words[year[:, None], bounds.rows, day[:, None]])
 
     days = np.concatenate(open_days)
     words = np.concatenate(open_words)
     values = {label: resource_values(dists, label, words[:, i])
-              for i, label in enumerate(streams)}
+              for i, label in enumerate(bounds.labels)}
     resources = DailyResources(
         wind_speeds={key: v for (kind, key), v in values.items() if kind == "wind"},
         irradiance={key: v for (kind, key), v in values.items() if kind == "irradiance"},
@@ -458,9 +505,10 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
         return counts
     year, day = np.divmod(days, DAYS_PER_YEAR)
     lows = np.concatenate(open_lows)
-    for row, tau in enumerate(taus):
-        tau = tau.take(day) if tau.size > 1 else tau
-        late = (totals >= tau) & (lows < tau)
+    for row, (tau, limit) in enumerate(zip(taus, limits)):
+        if tau.size > 1:
+            tau, limit = tau.take(day), limit.take(day)
+        late = (totals >= tau) & (lows < limit)
         reached[:, row] += np.bincount(year[late], minlength=n_years)
     return reached @ steps
 

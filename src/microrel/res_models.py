@@ -7,12 +7,14 @@ cumulative distribution function.  Piecewise power curves then convert the
 resource value to kW.
 
 All functions are pure: they depend only on their explicit arguments and are
-safe to call from any number of concurrent workers.
+safe to call from any number of concurrent workers.  ``draw_uniforms`` re-keys
+one Philox generator per thread instead of building one per call.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence, Union
@@ -38,6 +40,9 @@ __all__ = [
     "pv_power_bounds",
     "wind_power_bounds",
     "power_bounds",
+    "StreamBounds",
+    "stream_label",
+    "stream_bounds",
     "unit_power_series",
     "UniformBlock",
     "draw_uniforms",
@@ -823,13 +828,120 @@ def wind_power_bounds(spec: WindTurbineSpec,
     return low - slack, high + slack
 
 
-def power_bounds(device: Union[WindTurbineSpec, PvArraySpec],
-                 dists: ResourceDistributions) -> tuple[np.ndarray, np.ndarray]:
-    """The least and greatest power of the device in each u-cell of its
-    resource stream's uniforms."""
+def _resource_params(device: Union[WindTurbineSpec, PvArraySpec],
+                     dists: ResourceDistributions) -> Union[WeibullParams, BetaParams]:
     if isinstance(device, WindTurbineSpec):
-        return wind_power_bounds(device, dists.wind_regions[device.region_id])
-    return pv_power_bounds(device, dists.irradiance)
+        return dists.wind_regions[device.region_id]
+    return dists.irradiance
+
+
+def power_bounds(device: Union[WindTurbineSpec, PvArraySpec],
+                 params: Union[WeibullParams, BetaParams]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest power of the device in each u-cell of its
+    resource stream's uniforms, which follow ``params``."""
+    if isinstance(device, WindTurbineSpec):
+        return wind_power_bounds(device, params)
+    return pv_power_bounds(device, params)
+
+
+# The int32 stream sums of a day stay at most 2^_FIXED_POINT_BITS, so that
+# adding them cannot overflow.
+_FIXED_POINT_BITS = 30
+
+
+class StreamBounds(NamedTuple):
+    """Fixed-point bounds on each resource stream's part of a fleet's total.
+
+    ``labels`` are the streams the fleet's units draw from and ``rows``
+    their rows in the fleet's ``draw_uniforms`` blocks of ``n_rows``
+    streams.  On a day whose stream s has u-cell c, the summed power of the
+    units on s lies in [lower[s, c], upper[s, c]] * ``scale`` (int32
+    tables, _BETA_CELLS + 1 entries per stream), with room to spare for the
+    rounding of the fleet-order total: the day's total lies between the
+    int32 sums of its streams' entries times ``scale``.  Those sums are
+    exact, being at most 2^30 (``stream_bounds``).
+    """
+
+    labels: tuple[tuple[str, str], ...]
+    rows: tuple[int, ...]
+    n_rows: int
+    lower: np.ndarray
+    upper: np.ndarray
+    scale: float
+
+    def limits(self, taus: np.ndarray) -> np.ndarray:
+        """Thresholds as int32 t = ceil(tau / scale), capped at 2^31 - 1.
+
+        T >= tau wherever a day's lower sum reaches t, since T >=
+        lower * scale >= t * scale >= tau; and T < tau wherever its upper
+        sum is below t, since T <= upper * scale < tau.  A capped t exceeds
+        every upper sum, as does a tau above the fleet's greatest total.
+        """
+        return np.minimum(np.ceil(taus / self.scale), 2**31 - 1).astype(np.int32)
+
+
+def stream_label(unit: DgUnit, shared_irradiance: bool) -> tuple[str, str]:
+    """The label of the resource stream the unit draws from."""
+    device = unit.device
+    if isinstance(device, WindTurbineSpec):
+        return "wind", device.region_id
+    return "irradiance", SHARED_IRRADIANCE_KEY if shared_irradiance else unit.name
+
+
+def stream_bounds(dists: ResourceDistributions,
+                  fleet: Sequence[DgUnit]) -> StreamBounds:
+    """The fleet's fixed-point stream bounds (cached per stream layout).
+
+    Each stream's float bounds add the ``power_bounds`` of its units, and
+    bound their summed power.  Each is then widened by _CELL_MARGIN times
+    the fleet's unit count times its greatest total M, the sum of the
+    streams' greatest upper entries.  That covers, many times over, the
+    rounding of these sums and of the fleet-order total, each of which is
+    within (units - 1) 2^-53 M of its exact sum.  The widened lower bounds
+    are floored, and the upper ones ceiled, to multiples of scale = 2^e,
+    which only widens them; dividing by a power of two is exact.  e is the
+    least exponent for which the streams' greatest upper entries add to at
+    most 2^30, so no int32 sum of a day's entries can overflow.
+    """
+    units: dict[tuple[str, str], list] = {
+        label: [] for label in _stream_labels(dists, fleet)}
+    for unit in fleet:
+        units[stream_label(unit, dists.shared_irradiance)].append(
+            (unit.device, _resource_params(unit.device, dists)))
+    return _stream_bounds(tuple((label, tuple(members))
+                                for label, members in units.items()))
+
+
+@lru_cache(maxsize=16)
+def _stream_bounds(streams: tuple) -> StreamBounds:
+    used = [(row, label, members)
+            for row, (label, members) in enumerate(streams) if members]
+    lows, highs = [], []
+    for _, _, members in used:
+        bounds = [power_bounds(device, params) for device, params in members]
+        lows.append(sum(low for low, _ in bounds))
+        highs.append(sum(high for _, high in bounds))
+    shape = (len(used), _BETA_CELLS + 1)
+    lows, highs = np.reshape(lows, shape), np.reshape(highs, shape)
+    greatest = highs.max(axis=1, initial=0.0)
+    margin = _CELL_MARGIN * sum(len(members) for _, _, members in used) * greatest.sum()
+    lows -= margin
+    highs += margin
+    greatest += margin
+    # frexp's exponent E has 2^(E-1) <= greatest.sum() < 2^E, so no
+    # exponent below the first tried can fit.
+    exponent = math.frexp(greatest.sum())[1] - _FIXED_POINT_BITS - 1
+    while np.ceil(np.ldexp(greatest, -exponent)).sum() > 2**_FIXED_POINT_BITS:
+        exponent += 1
+    return StreamBounds(
+        labels=tuple(label for _, label, _ in used),
+        rows=tuple(row for row, _, _ in used),
+        n_rows=len(streams),
+        lower=np.floor(np.ldexp(lows, -exponent)).astype(np.int32),
+        upper=np.ceil(np.ldexp(highs, -exponent)).astype(np.int32),
+        scale=math.ldexp(1.0, exponent),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -911,28 +1023,51 @@ class UniformBlock(NamedTuple):
     values: np.ndarray
 
 
+class _Substreams(threading.local):
+    """Each thread's Philox generator, made at its first draw (importing
+    numpy.random is not free), and the state dict ``_rekey`` keys it with."""
+
+    generator: np.random.Philox | None = None
+    state: dict | None = None
+
+
+_substreams = _Substreams()
+
+
 def draw_uniforms(dists: ResourceDistributions,
                   fleet: Sequence[DgUnit],
                   seed: int,
                   n_years: int,
-                  start_year: int = 0) -> UniformBlock:
+                  start_year: int = 0,
+                  out: np.ndarray | None = None) -> UniformBlock:
     """Draw ``n_years`` whole years of uniforms, from ``start_year`` on, as
     raw words.
 
     Each year consumes an independent RNG substream derived from
     (seed, year index), so a year's draws do not depend on the block it
-    is drawn in.
+    is drawn in.  The words are written to ``out`` when given, a C-ordered
+    uint64 array of shape (n_years, streams, 365), and ``values`` is then
+    ``out`` itself.  One Philox generator per thread is re-keyed for every
+    year; re-keying sets its whole state, so no draw depends on an earlier
+    one.
     """
     labels = _stream_labels(dists, fleet)
-    words = np.empty((n_years, len(labels), DAYS_PER_YEAR), dtype=np.uint64)
+    shape = (n_years, len(labels), DAYS_PER_YEAR)
+    if out is None:
+        out = np.empty(shape, dtype=np.uint64)
+    elif out.shape != shape or out.dtype != np.uint64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-ordered uint64 array of shape {shape}")
     if labels:
-        bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        years = words.reshape(n_years, -1)
-        state = None
+        generator, state = _substreams.generator, _substreams.state
+        if generator is None:
+            generator = _substreams.generator = np.random.Philox(
+                key=np.zeros(2, dtype=np.uint64))
+        years = out.reshape(n_years, -1)
         for year_offset in range(n_years):
-            state = _rekey(bit_generator, seed, start_year + year_offset, state)
-            years[year_offset] = bit_generator.random_raw(years.shape[1])
-    return UniformBlock(labels, words)
+            state = _rekey(generator, seed, start_year + year_offset, state)
+            years[year_offset] = generator.random_raw(years.shape[1])
+        _substreams.state = state
+    return UniformBlock(labels, out)
 
 
 def prepare_sampling(dists: ResourceDistributions,
@@ -940,16 +1075,16 @@ def prepare_sampling(dists: ResourceDistributions,
     """Build now the lazily cached tables the fleet's draws will use.
 
     Every unit has power bounds per u-cell (``power_bounds``); a turbine's
-    take ~0.4 ms to build.  Irradiance draws also use the beta inverse
-    CDF's bracket table, about 9 200 betainc evaluations, which the open
-    days' draws and the PV bounds read.  A process about to fork workers
-    calls this so that they inherit the tables instead of each building
-    its own.
+    take ~0.4 ms to build.  The fleet's fixed-point stream bounds
+    (``stream_bounds``), which the passes read, add them up per stream.  Irradiance
+    draws also use the beta inverse CDF's bracket table, about 9 200
+    betainc evaluations, which the open days' draws and the PV bounds read.
+    A process about to fork workers calls this so that they inherit the
+    tables instead of each building its own.
     """
     if _irradiance_keys(dists, fleet):
         _beta_bracket_table(dists.irradiance.alpha, dists.irradiance.beta)
-    for unit in fleet:
-        power_bounds(unit.device, dists)
+    stream_bounds(dists, fleet)
 
 
 def resource_values(dists: ResourceDistributions, label: tuple[str, str],

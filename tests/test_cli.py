@@ -391,8 +391,8 @@ print(json.dumps([code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]
 """
 
 # Runs cli.main on sys.argv[1:] with an os.fork that records, at each fork,
-# the sizes of the beta bracket table, served threshold and wind power bounds
-# caches the forked block worker inherits.
+# the sizes of the beta bracket table, served threshold, wind power bounds
+# and stream bounds caches the forked block worker inherits.
 _FORKING_STUDY = """
 import json, os, sys
 from microrel import cli, engine, res_models
@@ -403,7 +403,8 @@ fork = os.fork
 def recording_fork():
     forks.append([res_models._beta_bracket_table.cache_info().currsize,
                   engine._served_thresholds.cache_info().currsize,
-                  res_models.wind_power_bounds.cache_info().currsize])
+                  res_models.wind_power_bounds.cache_info().currsize,
+                  res_models._stream_bounds.cache_info().currsize])
     return fork()
 
 os.fork = recording_fork
@@ -485,7 +486,7 @@ def test_pv_study_builds_the_beta_tables_before_the_pool_starts(case_paths,
     code, forks = _fresh_python(_FORKING_STUDY, "run", case_paths["case3"],
                                 "--workers", "2", "--out", str(forked))
     assert code == EXIT_OK
-    assert forks == [[1, 1, 2]]
+    assert forks == [[1, 1, 2, 1]]
     assert main(["run", case_paths["case3"], "--workers", "1",
                  "--out", str(inline)]) == EXIT_OK
     assert forked.read_bytes() == inline.read_bytes()
@@ -497,7 +498,7 @@ def test_wind_study_builds_its_power_bounds_before_the_pool_starts(case_paths,
     code, forks = _fresh_python(_FORKING_STUDY, "run", case_paths["case2"],
                                 "--workers", "2", "--out", str(tmp_path / "r.csv"))
     assert code == EXIT_OK
-    assert forks and all(fork == [0, 1, 2] for fork in forks)
+    assert forks and all(fork == [0, 1, 2, 1] for fork in forks)
 
 
 def test_a_block_workers_numerics_error_exits_3_with_one_line(

@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from microrel.network import (
     build_contribution_table,
 )
 from microrel.res_models import (
+    _BETA_CELLS,
     BetaParams,
+    DailyResources,
     DgUnit,
     NumericsError,
     PvArraySpec,
@@ -424,6 +427,139 @@ def test_few_irradiance_days_reach_the_beta_inverse(cases, monkeypatch):
     assert sum(sizes) < 0.01 * years * 365
 
 
+def _fixed_point_context(cases, name):
+    if name in ("wind_flat_top", "wind_p_res_near_1"):
+        return _adversarial_context(cases["case3"], name, engine.DISPATCH_BLOCKING)
+    ctx = engine._context_for(cases["case3"])
+    if name == "giant_and_tiny":
+        # A 1e6 kW turbine sets the fixed-point step, far above a 0.5 kW
+        # array's whole range.
+        turbine = WindTurbineSpec(1e6, v_rated=1.0, v_cut_in=0.05, v_cut_out=60.0,
+                                  region_id="region1")
+        return dataclasses.replace(ctx, fleet=(DgUnit("WTG1", "LP7", turbine),
+                                               DgUnit("PV1", "LP1", PvArraySpec(0.5))))
+    case, irradiance = name.split("-")
+    scenario = cases[case]
+    return engine._context_for(dataclasses.replace(
+        scenario, distributions=dataclasses.replace(
+            scenario.distributions, shared_irradiance=irradiance == "shared")))
+
+
+def _edge_and_random_words(n_streams: int) -> list[np.ndarray]:
+    """Per stream: the first word of every u-cell and the words two uniforms
+    either side of it, the greatest word, and 10^5 random words.  The edge
+    words sit on different days in each stream, so that every stream's
+    edges meet other cells of the rest."""
+    edges = np.arange(_BETA_CELLS, dtype=np.uint64) << np.uint64(51)
+    near = np.concatenate([edges + np.uint64(k * 2**11 % 2**64) for k in range(-2, 3)]
+                          + [np.array([2**64 - 1], dtype=np.uint64)])
+    rng = np.random.default_rng(18)
+    return [np.concatenate((np.roll(near, 4099 * s),
+                            rng.integers(0, 2**64, 10**5, dtype=np.uint64,
+                                         endpoint=False)))
+            for s in range(n_streams)]
+
+
+
+@pytest.mark.parametrize("name", [
+    "case2-shared", "case3-shared", "case3-independent", "case4-shared",
+    "case4-independent", "wind_flat_top", "wind_p_res_near_1", "giant_and_tiny",
+])
+def test_fixed_point_stream_bounds_bracket_the_fleet_order_total(cases, name):
+    ctx = _fixed_point_context(cases, name)
+    dists = ctx.distributions
+    bounds = res_models.stream_bounds(dists, ctx.fleet)
+    assert bounds.lower.dtype == bounds.upper.dtype == np.int32
+    words = dict(zip(bounds.labels, _edge_and_random_words(len(bounds.labels))))
+    lower = upper = 0
+    for s, label in enumerate(bounds.labels):
+        cell = res_models.u_cells(words[label]).view(np.intp)
+        lower = lower + bounds.lower[s].astype(np.int64)[cell]
+        upper = upper + bounds.upper[s].astype(np.int64)[cell]
+    # The greatest int32 sum of any day: no sum of int32 entries overflows.
+    assert bounds.upper.max(axis=1).sum() <= 2**30
+    assert -2**31 < lower.min() and upper.max() < 2**31
+    # The exact total, as the engine adds the open days' power in fleet order.
+    values = {label: res_models.resource_values(dists, label, w)
+              for label, w in words.items()}
+    resources = DailyResources(
+        wind_speeds={key: v for (kind, key), v in values.items() if kind == "wind"},
+        irradiance={key: v for (kind, key), v in values.items() if kind == "irradiance"},
+        n_days=lower.size)
+    total = np.zeros(lower.size)
+    for unit in ctx.fleet:
+        total += res_models.unit_power_series(unit, resources)
+    q = bounds.scale
+    assert np.all(lower * q <= total) and np.all(total <= upper * q)
+    # Decided days agree with the float comparison, for the served
+    # thresholds, totals of the days and their neighbouring doubles, and
+    # thresholds past the greatest total, whose limit is capped.
+    taus, _ = engine._served_thresholds(ctx.levels, ctx.load_factors, ctx.blocking)
+    picked = np.random.default_rng(19).choice(total, 200)
+    candidates = np.unique(np.concatenate((
+        taus.ravel(), picked, np.nextafter(picked, 0.0), np.nextafter(picked, np.inf),
+        [2.0**30 * q, 2.0**31 * q, 2.0**40 * q, np.inf])))
+    limits = bounds.limits(candidates)
+    assert limits.dtype == np.int32
+    for tau, limit in zip(candidates, limits):
+        reach = lower >= limit
+        assert np.all(total[reach] >= tau)
+        assert np.all(total[upper < limit] < tau)
+    assert limits[-1] == 2**31 - 1
+
+
+def test_interleaved_blocks_share_nothing_through_the_pass_buffers(cases):
+    # Fleets of two, three and four drawn streams (independent irradiance),
+    # and case4, which draws three like case3, run one after another on the
+    # buffers the thread keeps; each block equals the whole-block reference,
+    # in both orders, and no result shares memory with a buffer.
+    contexts = [engine._context_for(cases[name]) for name in ("case2", "case3", "case4")]
+    contexts.append(_fixed_point_context(cases, "case3-independent"))
+    blocks = [(ctx, start_year, n_years) for n_years in (1, P + 1, engine._YEARS_PER_BLOCK)
+              for start_year in (0, 511, 100_000) for ctx in contexts]
+    expected = [reference_block_counts(*block) for block in blocks]
+    for order in (blocks, blocks[::-1]):
+        for block in order:
+            counts = engine._simulate_block(*block)
+            np.testing.assert_array_equal(counts, expected[blocks.index(block)])
+            for space in engine._workspaces.by_streams.values():
+                assert not any(np.shares_memory(counts, buffer) for buffer in space)
+    assert {2, 3, 4} <= set(engine._workspaces.by_streams)
+    for ctx in contexts:
+        bounds = res_models.stream_bounds(ctx.distributions, ctx.fleet)
+        for space in engine._workspaces.by_streams.values():
+            assert not any(np.shares_memory(table, buffer) for buffer in space
+                           for table in (bounds.lower, bounds.upper))
+
+
+@pytest.mark.parametrize("blocking", [False, True])
+def test_a_block_without_a_fleet_serves_its_zero_level_loads_every_day(cases, blocking):
+    # case1 has no fleet but draws case2's two wind streams, whose block
+    # leaves its sums in the buffers first; they would reach these needs.
+    engine._simulate_block(engine._context_for(cases["case2"]), 0, P)
+    ctx = dataclasses.replace(engine._context_for(cases["case1"]),
+                              levels=(0.0, 1e-6, 1e-3, 1.0), blocking=blocking)
+    counts = engine._simulate_block(ctx, 0, P + 1)
+    np.testing.assert_array_equal(counts, reference_block_counts(ctx, 0, P + 1))
+    assert np.all(counts[:, 0] == 365) and not counts[:, 1:].any()
+
+
+def test_a_warm_block_allocates_no_pass_sized_array(cases):
+    # The second 512-year block of case3 reuses the first one's buffers;
+    # what it allocates (the open days' evaluation, per-year Philox output,
+    # the block's counts) stays below a quarter of a pass's raw words.
+    ctx = engine._context_for(cases["case3"])
+    engine._simulate_block(ctx, 0, engine._YEARS_PER_BLOCK)
+    tracemalloc.start()
+    try:
+        engine._simulate_block(ctx, engine._YEARS_PER_BLOCK, engine._YEARS_PER_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pass_words = engine._YEARS_PER_PASS * 3 * 365 * 8  # 560 KB
+    assert peak < pass_words / 4
+
+
 # ---------------------------------------------------------------------------
 # Analytical combination
 # ---------------------------------------------------------------------------
@@ -810,15 +946,16 @@ def _assert_no_child_left():
 @pytest.fixture
 def forks(monkeypatch):
     """Wrap os.fork so that each fork records the sizes of the beta bracket
-    table, served threshold and wind power bounds caches the forked worker
-    inherits."""
+    table, served threshold, wind power bounds and stream bounds caches the
+    forked worker inherits."""
     records = []
     fork = os.fork
 
     def recording_fork():
         records.append((res_models._beta_bracket_table.cache_info().currsize,
                         engine._served_thresholds.cache_info().currsize,
-                        res_models.wind_power_bounds.cache_info().currsize))
+                        res_models.wind_power_bounds.cache_info().currsize,
+                        res_models._stream_bounds.cache_info().currsize))
         return fork()
 
     monkeypatch.setattr(os, "fork", recording_fork)
@@ -871,13 +1008,14 @@ def test_beta_tables_are_built_before_the_pool_starts(cases, forks,
                                                       case, prebuilt):
     # Forked workers inherit the tables only if the caller has them when it
     # forks; a fleet without PV arrays needs no beta table, but every fleet
-    # needs its served thresholds, and each distinct turbine its wind power
-    # bounds (two in both cases).
+    # needs its served thresholds, each distinct turbine its wind power
+    # bounds (two in both cases) and the fleet its stream bounds.
     res_models._beta_bracket_table.cache_clear()
     engine._served_thresholds.cache_clear()
     res_models.wind_power_bounds.cache_clear()
+    res_models._stream_bounds.cache_clear()
     run(dataclasses.replace(cases[case], max_years=1537), workers=3)
-    assert forks == [(prebuilt, 1, 2)] * 2
+    assert forks == [(prebuilt, 1, 2, 1)] * 2
 
 
 def _recorded_counts(monkeypatch):

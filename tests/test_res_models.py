@@ -719,6 +719,39 @@ def test_raw_words_give_the_uniforms_and_cells_of_generator_random(seed, start_y
                                   np.floor(u * _BETA_CELLS).astype(np.uint64))
 
 
+def test_draws_into_a_buffer_equal_fresh_draws_whatever_came_before():
+    # The one generator a thread re-keys carries nothing from a draw to the
+    # next: each draw below follows one of another seed, years or fleet.
+    # Four streams (independent irradiance), then three (shared).
+    independent, shared = _two_region_dists(shared=False), _two_region_dists()
+    buffer = np.full((5, 4, 365), 7, dtype=np.uint64)
+    draws = [(independent, 0, 0), (shared, 2**64 - 1, 511), (independent, 3, 100_000),
+             (shared, 3, 100_000), (independent, 2**64 - 1, 511)]
+    for dists, seed, start_year in draws + draws[::-1]:
+        streams = 4 if dists is independent else 3
+        out = buffer.reshape(-1)[:5 * streams * 365].reshape(5, streams, 365)
+        block = res_models.draw_uniforms(dists, _mixed_fleet(), seed, 5, start_year,
+                                         out=out)
+        assert block.values is out
+        fresh = res_models.draw_uniforms(dists, _mixed_fleet(), seed, 5, start_year)
+        assert not np.shares_memory(fresh.values, buffer)
+        np.testing.assert_array_equal(block.values, fresh.values)
+        u = _reference_uniforms(seed, start_year, streams, 5 * 365)
+        np.testing.assert_array_equal(
+            (block.values.transpose(1, 0, 2).reshape(streams, -1) >> np.uint64(11))
+            * 2.0**-53, u)
+
+
+@pytest.mark.parametrize("out", [
+    np.empty((2, 3, 365), dtype=np.uint64), np.empty((3, 4, 365), dtype=np.uint64),
+    np.empty((3, 3, 365), dtype=np.int64), np.empty((3, 3, 730), dtype=np.uint64)[..., ::2],
+])
+def test_draws_reject_a_buffer_of_another_shape_type_or_layout(out):
+    # Three years of the three streams of shared irradiance.
+    with pytest.raises(ValueError, match="uint64 array of shape"):
+        res_models.draw_uniforms(_two_region_dists(), _mixed_fleet(), 1, 3, out=out)
+
+
 # ---------------------------------------------------------------------------
 # The u-indexed beta bracket table
 # ---------------------------------------------------------------------------
