@@ -79,8 +79,7 @@ _YEARS_PER_BLOCK = 512
 # block, so that a pass's per-day arrays (23 360 days, 23-190 KB each) stay
 # in cache.  Warm blocks measured alike at 64 to 512 and 15-25% slower at 16.
 _YEARS_PER_PASS = 64
-_MAX_THRESHOLD_LOADS = 6  # thresholds enumerate the 2^k served sets of k loads
-_THRESHOLD_BRACKET = 128  # ulps; a threshold is a few ulps off a subset sum
+_THRESHOLD_BRACKET = 128  # ulps; a threshold is a few ulps off a prefix sum of the served needs
 
 _IDENTITY_RTOL = 1e-9
 _MAX_SEED = 2**64
@@ -312,55 +311,66 @@ def _series_key(unit: DgUnit, shared_irradiance: bool) -> tuple:
 
 @lru_cache(maxsize=8)
 def _served_thresholds(levels: tuple[float, ...], load_factors: tuple[float, ...],
-                       blocking: bool) -> Optional[tuple[np.ndarray, np.ndarray]]:
+                       blocking: bool) -> tuple[np.ndarray, np.ndarray]:
     """Thresholds that count each load's served days without dispatching.
 
-    A day's served loads, read as a binary code with the first load on top,
-    never decrease with its total T (README, "Evaluation method"): load j
-    is served on sum_c #(T >= tau_c) * (bit_j(c) - bit_j(c - 1)) days, with
-    tau_c the least double whose code is >= c, bisected over the doubles'
-    bit patterns with ``_dispatch`` as the oracle from a bracket at a subset
-    sum of the needs (all doubles where it fails).  Equal rows merge.
-    Returns thresholds (rows x days, one column for one factor) and steps
-    (rows x loads), or None past _MAX_THRESHOLD_LOADS loads.
+    A day's served loads, a boolean row in priority order, never fall in
+    lexicographic order as its total T grows (README, "Evaluation method"),
+    so from T = 0 each load factor's served sets form a chain.  The walk
+    steps every factor at once to the least double whose set is later,
+    bisected over the doubles' bit patterns with ``_dispatch`` as the
+    oracle, within a bracket about the total that first serves an unserved
+    load (from the last threshold to inf where the bracket fails).  Each
+    set of the chains' union but the last is a row, where a factor that
+    skips the set takes its next threshold.  Returns thresholds (rows x
+    days, one column for one factor) and steps (rows x loads): load j is
+    served on sum_r #(T >= tau_r) * steps[r, j] days.
     """
-    k = len(levels)
-    if not 0 < k <= _MAX_THRESHOLD_LOADS:
-        return None
     factors, day_factor = np.unique(load_factors, return_inverse=True)
-    needs = np.multiply.outer(levels, factors)
-    weights = 1 << np.arange(k - 1, -1, -1)
-    bits = (np.arange(2**k)[:, None] & weights) > 0  # bits[c, j]: code c serves load j
+    needs = np.multiply.outer(factors, levels)  # (factors, loads)
 
-    def code(patterns: np.ndarray) -> np.ndarray:  # of the doubles with these bits
-        counts = np.empty((patterns.size, k), dtype=np.int64)
-        _dispatch(patterns.reshape(-1, 1).view(np.float64).copy(),
-                  np.tile(needs, patterns.shape[0])[:, :, None], blocking, counts)
-        return (counts @ weights).reshape(patterns.shape)
-    sums = (bits @ needs).view(np.int64) + _THRESHOLD_BRACKET // 2
-    hi = np.full((2**k, factors.size), np.inf).view(np.int64)  # code(inf) is all ones
-    np.minimum.at(hi, (code(sums), np.arange(factors.size)), sums)
-    hi = np.minimum.accumulate(hi[::-1], axis=0)[-2::-1]
-    c = np.arange(1, 2**k)[:, None]
-    lo = np.maximum(hi - _THRESHOLD_BRACKET, 0)
-    lo = np.where(code(lo) < c, lo, -1)
-    while np.any(hi - lo > 1):
-        mid = lo + (hi - lo) // 2  # -1 (a NaN, code 0) only where hi - lo == 1
-        up = code(mid) >= c
-        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
-    tau = hi.view(np.float64)[:, day_factor if factors.size > 1 else [0]]
-    rows = np.flatnonzero(np.r_[True, np.any(tau[1:] != tau[:-1], axis=1)])
-    steps = np.add.reduceat(np.diff(bits.astype(np.int64), axis=0), rows, axis=0)
-    return tau[rows], steps
+    def served(patterns: np.ndarray, rows: np.ndarray) -> np.ndarray:  # of the doubles
+        counts = np.empty((patterns.size, len(levels)), dtype=np.int64)
+        _dispatch(patterns.view(np.float64)[:, None].copy(), needs[rows].T[:, :, None],
+                  blocking, counts)
+        return counts > 0
 
+    def later(sets: np.ndarray, than: np.ndarray) -> np.ndarray:  # lexicographically
+        return (sets & ~than)[np.arange(len(sets)), np.argmax(sets != than, axis=1)]
 
-def _fleet_total(keys: Sequence[tuple], series: Mapping[tuple, np.ndarray],
-                 out: np.ndarray) -> np.ndarray:
-    """Each day's fleet total, into ``out``: the series added in fleet order."""
-    out.fill(0.0)
-    for key in keys:
-        out += series[key].reshape(out.shape)
-    return out
+    inf = 0x7FF0 << 48  # the bits of inf, whose set serves every finite need
+    walking, at = np.arange(factors.size), np.zeros(factors.size, dtype=np.int64)
+    current, last = served(at, walking), served(at + inf, walking)
+    chain = [(walking, at, current)]
+    while (more := np.any(current != last, axis=1)).any():
+        walking, at, current, last = walking[more], at[more], current[more], last[more]
+        # Unserved load j is served from about the served needs above it plus
+        # its own; blocking can serve only the first unserved load.
+        need = needs[walking]
+        reach = np.where(current, np.inf, np.cumsum(need * current, axis=1) + need)
+        guess = (reach[np.arange(walking.size), current.argmin(axis=1)] if blocking
+                 else reach.min(axis=1)).view(np.int64)
+        lo = np.maximum(guess - _THRESHOLD_BRACKET // 2, at)
+        hi = np.minimum(guess + _THRESHOLD_BRACKET // 2, inf)
+        ends = later(served(np.r_[lo, hi], np.r_[walking, walking]), np.tile(current, (2, 1)))
+        held = ends[walking.size:] & ~ends[:walking.size]
+        lo, hi = np.where(held, lo, at), np.where(held, hi, inf)
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            up = later(served(mid, walking), current)
+            hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+        at, current = hi, served(hi, walking)
+        chain.append((walking, at, current))
+
+    factor, taus, sets = (np.concatenate(part) for part in zip(*chain))
+    # np.unique orders boolean rows lexicographically; the empty set is row 0.
+    union, rank = np.unique(np.vstack((sets, np.zeros_like(sets[:1]))), axis=0,
+                            return_inverse=True)
+    first = np.full((len(union), factors.size), np.inf)  # where a chain enters a set
+    first[rank.reshape(-1)[:factor.size], factor] = taus.view(np.float64)
+    tau = np.minimum.accumulate(first[::-1], axis=0)[-2::-1]  # least of any later set
+    steps = np.diff(union.astype(np.int64), axis=0)
+    return tau[:, day_factor if factors.size > 1 else [0]], steps
 
 
 class _Workspace(NamedTuple):
@@ -427,9 +437,7 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
     ``resource_values`` call per stream, one ``unit_power_series`` call per
     distinct series and the fleet-order total.  These are the values a
     whole-block evaluation gives, since each draw depends only on its own
-    word, and their totals settle the counts they can change.  Without
-    thresholds (past _MAX_THRESHOLD_LOADS loads) every day is open and the
-    block's exact totals are dispatched.
+    word, and their totals settle the counts they can change.
     """
     dists = ctx.distributions
     keys = [_series_key(unit, dists.shared_irradiance) for unit in ctx.fleet]
@@ -438,11 +446,9 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
         distinct.setdefault(key, unit)
     bounds = stream_bounds(dists, ctx.fleet)
     space = _workspace(bounds.n_rows)
-    served = _served_thresholds(ctx.levels, ctx.load_factors, ctx.blocking)
-    if served is not None:
-        taus, steps = served
-        limits = bounds.limits(taus)
-        reached = np.empty((n_years, len(taus)), dtype=np.int16)  # <= 365 a year
+    taus, steps = _served_thresholds(ctx.levels, ctx.load_factors, ctx.blocking)
+    limits = bounds.limits(taus)
+    reached = np.empty((n_years, len(taus)), dtype=np.int16)  # <= 365 a year
 
     open_days: list[np.ndarray] = []
     open_lows: list[np.ndarray] = []
@@ -452,37 +458,34 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
         years = last - first
         words = draw_uniforms(dists, ctx.fleet, ctx.seed, years, start_year + first,
                               out=space.words[:years]).values
-        if served is None:
-            days = np.arange(years * DAYS_PER_YEAR)
-        else:
-            n_days = years * DAYS_PER_YEAR
-            lower, upper, part = (space.lower[:n_days], space.upper[:n_days],
-                                  space.part[:n_days])
-            if not bounds.rows:  # no fleet: every total is 0
-                lower.fill(0)
-                upper.fill(0)
-            for s, row in enumerate(bounds.rows):
-                cell = u_cells(words[:, row], out=space.cells[:years])
-                cell = cell.reshape(-1).view(np.intp)  # every cell is below 2^13
-                # Every cell is in range, so no mode changes an index; per
-                # take of a pass, "wrap" took 15 us, "clip" 20, "raise" 27.
-                for table, total in ((bounds.lower[s], lower), (bounds.upper[s], upper)):
-                    if s == 0:
-                        table.take(cell, out=total, mode="wrap")
-                    else:
-                        total += table.take(cell, out=part, mode="wrap")
-            lower, upper = lower.reshape(years, -1), upper.reshape(years, -1)
-            reach, flip, is_open = (space.reach[:years], space.flip[:years],
-                                    space.is_open[:years])
-            is_open.fill(False)
-            for row, limit in enumerate(limits):
-                np.greater_equal(lower, limit, out=reach)
-                np.add.reduce(reach, axis=1, dtype=np.int16, out=reached[first:last, row])
-                np.greater_equal(upper, limit, out=flip)
-                flip ^= reach
-                is_open |= flip
-            days = np.flatnonzero(is_open)
-            open_lows.append(lower.reshape(-1)[days])
+        n_days = years * DAYS_PER_YEAR
+        lower, upper, part = (space.lower[:n_days], space.upper[:n_days],
+                              space.part[:n_days])
+        if not bounds.rows:  # no fleet: every total is 0
+            lower.fill(0)
+            upper.fill(0)
+        for s, row in enumerate(bounds.rows):
+            cell = u_cells(words[:, row], out=space.cells[:years])
+            cell = cell.reshape(-1).view(np.intp)  # every cell is below 2^13
+            # Every cell is in range, so no mode changes an index; per
+            # take of a pass, "wrap" took 15 us, "clip" 20, "raise" 27.
+            for table, total in ((bounds.lower[s], lower), (bounds.upper[s], upper)):
+                if s == 0:
+                    table.take(cell, out=total, mode="wrap")
+                else:
+                    total += table.take(cell, out=part, mode="wrap")
+        lower, upper = lower.reshape(years, -1), upper.reshape(years, -1)
+        reach, flip, is_open = (space.reach[:years], space.flip[:years],
+                                space.is_open[:years])
+        is_open.fill(False)
+        for row, limit in enumerate(limits):
+            np.greater_equal(lower, limit, out=reach)
+            np.add.reduce(reach, axis=1, dtype=np.int16, out=reached[first:last, row])
+            np.greater_equal(upper, limit, out=flip)
+            flip ^= reach
+            is_open |= flip
+        days = np.flatnonzero(is_open)
+        open_lows.append(lower.reshape(-1)[days])
         open_days.append(days + first * DAYS_PER_YEAR)
         year, day = np.divmod(days, DAYS_PER_YEAR)
         open_words.append(words[year[:, None], bounds.rows, day[:, None]])
@@ -497,12 +500,9 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
         n_days=days.size,
     )
     power = {key: unit_power_series(unit, resources) for key, unit in distinct.items()}
-    totals = _fleet_total(keys, power, np.empty(days.size))
-    if served is None:
-        counts = np.empty((n_years, len(ctx.lp_ids)), dtype=np.int64)
-        _dispatch(totals.reshape(n_years, DAYS_PER_YEAR),
-                  np.multiply.outer(ctx.levels, ctx.load_factors), ctx.blocking, counts)
-        return counts
+    totals = np.zeros(days.size)
+    for key in keys:  # the series added in fleet order
+        totals += power[key]
     year, day = np.divmod(days, DAYS_PER_YEAR)
     lows = np.concatenate(open_lows)
     for row, (tau, limit) in enumerate(zip(taus, limits)):

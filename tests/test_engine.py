@@ -204,7 +204,8 @@ def _random_levels(rng, n):
 @pytest.mark.parametrize("blocking", [False, True])
 def test_served_thresholds_match_dispatch_for_random_needs(blocking):
     rng = np.random.default_rng(1618)
-    for n in [1, 2, 3, 4, 5, 6] * 25:
+    # Fewer draws of the larger networks, whose chains of served sets are longer.
+    for n in [1, 2, 3, 4, 5, 6] * 25 + [7, 8, 9, 10] * 6 + list(range(11, 17)) * 2:
         factors = rng.choice([0.0, 1.0, 0.37, 1.9, float(rng.uniform(0.0, 2.0))], 8)
         thresholds, steps = _assert_thresholds_match_dispatch(
             _random_levels(rng, n), factors, blocking, rng)
@@ -212,6 +213,41 @@ def test_served_thresholds_match_dispatch_for_random_needs(blocking):
         np.testing.assert_array_equal(steps.sum(axis=0), 1)
         assert len(steps) <= (n if blocking else 2**n - 1)
         assert not blocking or np.all(steps >= 0)
+
+
+def test_seventy_blocking_loads_step_one_priority_prefix_at_a_time():
+    # Served sets are compared as boolean rows, not as integer codes, so no
+    # load count overflows them: 70 loads take a row per priority prefix.
+    rng = np.random.default_rng(70)
+    _, steps = _assert_thresholds_match_dispatch(
+        rng.uniform(100.0, 3000.0, 70), [1.0, 0.37, 1.9, 1.0], True, rng)
+    np.testing.assert_array_equal(steps, np.eye(70, dtype=np.int64))
+
+
+@pytest.mark.parametrize("blocking", [False, True])
+def test_power_of_two_needs_walk_every_served_set(blocking):
+    # With needs 32, 16, ..., 1 (x 100 kW) the served loads are the binary
+    # digits of the total, so serve-if-fits walks all 63 nonempty sets.
+    _, steps = _assert_thresholds_match_dispatch(
+        100.0 * 2.0 ** np.arange(5, -1, -1), [1.0, 0.37, 1.9], blocking,
+        np.random.default_rng(64))
+    assert len(steps) == (6 if blocking else 63)
+
+
+@pytest.mark.parametrize("bracket", [0, 2])
+def test_served_thresholds_do_not_depend_on_the_bracket(monkeypatch, bracket):
+    # A bracket of 0 ulps never holds, so every threshold is bisected from
+    # the last one to inf; one of 2 ulps holds only about exact sums.
+    rng = np.random.default_rng(2718)
+    networks = [(tuple(_random_levels(rng, n)),
+                 tuple(rng.choice([0.0, 1.0, 0.37, 1.9], 8)), blocking)
+                for n in (1, 3, 5, 8, 12) for blocking in (False, True)]
+    expected = [engine._served_thresholds.__wrapped__(*network) for network in networks]
+    monkeypatch.setattr(engine, "_THRESHOLD_BRACKET", bracket)
+    for network, (taus, steps) in zip(networks, expected):
+        got_taus, got_steps = engine._served_thresholds.__wrapped__(*network)
+        np.testing.assert_array_equal(got_taus, taus)
+        np.testing.assert_array_equal(got_steps, steps)
 
 
 @pytest.mark.parametrize("blocking", [False, True])
@@ -245,19 +281,21 @@ def test_served_code_is_nondecreasing_in_total(blocking):
         assert np.all(np.diff(code) >= 0)
 
 
+# Levels of up to 16 loads in priority order, two of them 0.
+_MANY_LEVELS = (500.0, 3000.0, 1000.0, 1000.0, 700.0, 0.0, 300.0, 200.0, 450.0, 120.0,
+                0.0, 80.0, 250.0, 60.0, 175.0, 150.0)
+
+
 @pytest.mark.parametrize("blocking", [False, True])
-@pytest.mark.parametrize("levels", [
-    (500.0, 3000.0, 1000.0, 1000.0, 700.0, 300.0, 200.0),  # too many loads
-    (3200.0, 1600.0, 800.0, 400.0, 200.0, 100.0),  # 63 served sets
-])
-def test_block_counts_match_reference_past_the_bundled_needs(cases, levels, blocking):
+@pytest.mark.parametrize("n_loads", [7, 10, 16])
+def test_block_counts_match_reference_past_the_bundled_needs(cases, n_loads, blocking):
+    # case4's per-day load factors, over block lengths that end mid-pass.
     ctx = dataclasses.replace(
-        engine._context_for(cases["case4"]), blocking=blocking, levels=levels,
-        lp_ids=tuple(f"L{j}" for j in range(len(levels))))
-    served = engine._served_thresholds(ctx.levels, ctx.load_factors, blocking)
-    assert (served is None) == (len(levels) > engine._MAX_THRESHOLD_LOADS)
-    np.testing.assert_array_equal(engine._simulate_block(ctx, 0, P + 1),
-                                  reference_block_counts(ctx, 0, P + 1))
+        engine._context_for(cases["case4"]), blocking=blocking,
+        levels=_MANY_LEVELS[:n_loads], lp_ids=tuple(f"L{j}" for j in range(n_loads)))
+    for start_year, n_years in ((0, P + 1), (511, 2 * P - 5)):
+        np.testing.assert_array_equal(engine._simulate_block(ctx, start_year, n_years),
+                                      reference_block_counts(ctx, start_year, n_years))
 
 
 @pytest.mark.parametrize("blocking", [False, True])
@@ -1042,8 +1080,8 @@ def _run_and_report(monkeypatch, scenario, workers):
 
 
 def _seventeen_load_scenario(case2):
-    # 17 load points: dispatched day by day (past the thresholds' limit),
-    # and a 512-year block of counts (69 632 bytes) exceeds a 64 KiB pipe.
+    # 17 load points, counted against a long walk's thresholds, and a
+    # 512-year block of their counts (69 632 bytes) exceeds a 64 KiB pipe.
     levels = [40.0 * (1 + j % 7) + 10.0 * j for j in range(17)]
     network = NetworkModel(
         load_points=tuple(LoadPoint(f"L{j}", level, 10 + j, j + 1)
@@ -1062,9 +1100,6 @@ def test_counts_and_reports_do_not_depend_on_the_worker_count(
         cases, monkeypatch, name, dispatch):
     base = (_seventeen_load_scenario(cases["case2"]) if name == "seventeen"
             else cases[name])
-    assert (engine._served_thresholds(
-        engine._context_for(base).levels, base.load_factors, False) is None) \
-        == (name == "seventeen")
     # At its own tolerance the study stops at the 1000-year floor; at 1e-300
     # it runs to the cap.
     for max_years, tolerance in itertools.product(

@@ -604,18 +604,33 @@ def test_report_text_with_commas_quotes_and_line_breaks_round_trips(text):
     assert emit_report(reparsed, "delimited") == delimited
 
 
-# The reports of every bundled study at its own seed and default convergence,
-# as the CLI wrote them (`microrel run|sweep SCENARIO [--format structured]`).
-# A change to any of them breaks ROADMAP rule (c) and must be explained in
-# CHANGES.md.
+# The reports of every bundled study, and of case3_twelve below, at its own
+# seed and default convergence, as the CLI wrote them (`microrel run|sweep
+# SCENARIO [--format structured]`).  A change to any of them breaks ROADMAP
+# rule (c) and must be explained in CHANGES.md.
 GOLDEN_REPORTS = Path(__file__).parent / "data" / "reports"
+
+
+def _twelve_load_case3(case3_doc):
+    """case3 with eight more load points after its four in priority, more
+    than any bundled network has."""
+    doc = copy.deepcopy(case3_doc)
+    doc["meta"]["name"] = "case3_twelve"
+    for j, level in enumerate([300.0, 120.0, 450.0, 80.0, 250.0, 60.0, 200.0, 150.0]):
+        lp_id = f"LP{11 + j}"
+        doc["loads"].append({"id": lp_id, "level_kw": level, "customers": 20 + 10 * j,
+                             "priority": 5 + j, "class": "residential"})
+        doc["network"]["aggregate"].append({"load_point": lp_id, "sum_lambda_per_yr": 0.2,
+                                            "sum_lambda_r_h_per_yr": 2.0 + 0.1 * j})
+        doc["priority"].append(lp_id)
+    return _parse_mutated(doc)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", ["case1", "case2", "case3", "case4", "sweep",
-                                  "topology"])
-def test_bundled_reports_match_the_goldens_byte_for_byte(cases, name, workers):
-    scenario = cases[name]
+                                  "topology", "case3_twelve"])
+def test_bundled_reports_match_the_goldens_byte_for_byte(cases, case3_doc, name, workers):
+    scenario = _twelve_load_case3(case3_doc) if name == "case3_twelve" else cases[name]
     if scenario.sweep_p is None:
         report = build_report(engine.run(scenario, workers=workers), scenario)
     else:
@@ -624,3 +639,4 @@ def test_bundled_reports_match_the_goldens_byte_for_byte(cases, name, workers):
     for fmt, suffix in (("delimited", "csv"), ("structured", "json")):
         golden = (GOLDEN_REPORTS / f"{name}.{suffix}").read_bytes()
         assert emit_report(report, fmt).encode() == golden, f"{name}.{suffix}"
+
