@@ -41,7 +41,6 @@ from .res_models import (
     resource_values,
     sample_daily_resources,  # noqa: F401  (wrapped by perfbench/tracing.py)
     stream_bounds,
-    stream_label,
     u_cells,
     unit_power_series,
 )
@@ -168,6 +167,8 @@ class Scenario:
                 )
         if self.sweep_p is not None:
             object.__setattr__(self, "sweep_p", tuple(float(p) for p in self.sweep_p))
+            if not self.sweep_p:
+                raise ValueError("sweep_p must list at least one probability")
             if any(not 0.0 <= p <= 1.0 for p in self.sweep_p):
                 raise ValueError("sweep_p values must lie in [0, 1]")
 
@@ -235,8 +236,8 @@ def _dispatch(remaining: np.ndarray, needs: np.ndarray, blocking: bool,
 
     ``remaining`` (rows x days) holds each day's generation and ends as the
     curtailed surplus.  ``needs[k]`` is load k's level on each day, loads in
-    priority order.  ``counts[:, k]`` receives the days per row on which
-    load k is served.  It defines both rules, and the served thresholds.
+    priority order.  ``counts[:, k]`` (int64) receives the days per row on
+    which load k is served.  It defines both rules, and the served thresholds.
     """
     fits = np.empty(remaining.shape, dtype=bool)
     served = np.ones(remaining.shape, dtype=bool) if blocking else fits
@@ -244,7 +245,7 @@ def _dispatch(remaining: np.ndarray, needs: np.ndarray, blocking: bool,
         np.less_equal(need, remaining, out=fits)
         if blocking:
             served &= fits
-        counts[:, column] = np.count_nonzero(served, axis=1)
+        np.add.reduce(served, axis=1, dtype=np.int64, out=counts[:, column])
         np.subtract(remaining, need, out=remaining, where=served)
 
 
@@ -301,12 +302,6 @@ def _context_for(scenario: Scenario) -> _SimContext:
         blocking=scenario.dispatch == DISPATCH_BLOCKING,
         seed=scenario.seed,
     )
-
-
-def _series_key(unit: DgUnit, shared_irradiance: bool) -> tuple:
-    """Units with equal keys have equal power series: the same spec and the
-    same resource stream, whose label is the key's second item."""
-    return unit.device, stream_label(unit, shared_irradiance)
 
 
 @lru_cache(maxsize=8)
@@ -434,16 +429,12 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
     open when its upper sum reaches a threshold its lower one does not,
     and the pass keeps the words of its open days.  After the passes the
     open days of the block are evaluated exactly in one go: one
-    ``resource_values`` call per stream, one ``unit_power_series`` call per
-    distinct series and the fleet-order total.  These are the values a
+    ``resource_values`` call per stream, then each unit's
+    ``unit_power_series`` added in fleet order.  These are the values a
     whole-block evaluation gives, since each draw depends only on its own
     word, and their totals settle the counts they can change.
     """
     dists = ctx.distributions
-    keys = [_series_key(unit, dists.shared_irradiance) for unit in ctx.fleet]
-    distinct: dict[tuple, DgUnit] = {}  # the first unit of each series
-    for key, unit in zip(keys, ctx.fleet):
-        distinct.setdefault(key, unit)
     bounds = stream_bounds(dists, ctx.fleet)
     space = _workspace(bounds.n_rows)
     taus, steps = _served_thresholds(ctx.levels, ctx.load_factors, ctx.blocking)
@@ -492,17 +483,12 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
 
     days = np.concatenate(open_days)
     words = np.concatenate(open_words)
-    values = {label: resource_values(dists, label, words[:, i])
-              for i, label in enumerate(bounds.labels)}
-    resources = DailyResources(
-        wind_speeds={key: v for (kind, key), v in values.items() if kind == "wind"},
-        irradiance={key: v for (kind, key), v in values.items() if kind == "irradiance"},
-        n_days=days.size,
-    )
-    power = {key: unit_power_series(unit, resources) for key, unit in distinct.items()}
+    streams = {label: resource_values(dists, label, words[:, i])
+               for i, label in enumerate(bounds.labels)}
+    resources = DailyResources(streams, days.size, dists.shared_irradiance)
     totals = np.zeros(days.size)
-    for key in keys:  # the series added in fleet order
-        totals += power[key]
+    for unit in ctx.fleet:
+        totals += unit_power_series(unit, resources)
     year, day = np.divmod(days, DAYS_PER_YEAR)
     lows = np.concatenate(open_lows)
     for row, (tau, limit) in enumerate(zip(taus, limits)):

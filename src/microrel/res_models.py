@@ -47,7 +47,6 @@ __all__ = [
     "UniformBlock",
     "draw_uniforms",
     "prepare_sampling",
-    "stream_days",
     "resource_values",
     "sample_daily_resources",
     "emit_trace",
@@ -950,37 +949,32 @@ def _stream_bounds(streams: tuple) -> StreamBounds:
 
 @dataclass(frozen=True)
 class DailyResources:
-    """Per-day resource samples for a fleet.
+    """Per-day resource values for a fleet, by stream.
 
-    ``wind_speeds`` maps region id to an (n_days,) speed array;
-    ``irradiance`` maps an irradiance stream key (the shared key or a PV
-    unit name) to an (n_days,) irradiance array.
+    ``streams`` maps each stream label the fleet draws from
+    (``stream_label``) to an (n_days,) array: Weibull speeds (m/s) of a
+    wind region, scaled beta irradiance (W/m2) of an irradiance stream.
+    ``shared_irradiance`` is the fleet's ``ResourceDistributions`` flag,
+    which ``stream_label`` needs to find a PV array's stream.
     """
 
-    wind_speeds: Mapping[str, np.ndarray]
-    irradiance: Mapping[str, np.ndarray]
+    streams: Mapping[tuple[str, str], np.ndarray]
     n_days: int
-
-
-def _irradiance_keys(dists: ResourceDistributions,
-                     fleet: Sequence[DgUnit]) -> list[str]:
-    pv_units = [unit.name for unit in fleet if isinstance(unit.device, PvArraySpec)]
-    if not pv_units:
-        return []
-    if dists.shared_irradiance:
-        return [SHARED_IRRADIANCE_KEY]
-    return pv_units
+    shared_irradiance: bool
 
 
 def _stream_labels(dists: ResourceDistributions,
                    fleet: Sequence[DgUnit]) -> list[tuple[str, str]]:
-    """Fixed draw order: wind regions sorted by id, then irradiance streams.
+    """Fixed draw order: wind regions sorted by id, then irradiance streams
+    in the fleet order of their first array.
 
     The layout depends only on the declared regions and the PV units, so
     adding a turbine to an existing region leaves every stream unchanged.
     """
     labels = [("wind", region) for region in sorted(dists.wind_regions)]
-    labels.extend(("irradiance", key) for key in _irradiance_keys(dists, fleet))
+    labels.extend(dict.fromkeys(stream_label(unit, dists.shared_irradiance)
+                                for unit in fleet
+                                if isinstance(unit.device, PvArraySpec)))
     return labels
 
 
@@ -1082,7 +1076,7 @@ def prepare_sampling(dists: ResourceDistributions,
     A process about to fork workers calls this so that they inherit the
     tables instead of each building its own.
     """
-    if _irradiance_keys(dists, fleet):
+    if any(isinstance(unit.device, PvArraySpec) for unit in fleet):
         _beta_bracket_table(dists.irradiance.alpha, dists.irradiance.beta)
     stream_bounds(dists, fleet)
 
@@ -1102,22 +1096,12 @@ def resource_values(dists: ResourceDistributions, label: tuple[str, str],
     return sample_wind_speed(dists.wind_regions[key], u, out=u)
 
 
-def stream_days(dists: ResourceDistributions, block: UniformBlock, row: int,
-                start: int, stop: int) -> np.ndarray:
-    """Resource values of stream ``block.labels[row]`` on days [start, stop)."""
-    first = start // DAYS_PER_YEAR
-    offset = first * DAYS_PER_YEAR
-    words = block.values[first:-(-stop // DAYS_PER_YEAR), row].reshape(-1)
-    return resource_values(dists, block.labels[row],
-                           words[start - offset:stop - offset])
-
-
 def sample_daily_resources(dists: ResourceDistributions,
                            fleet: Sequence[DgUnit],
                            seed: int,
                            n_days: int,
                            start_year: int = 0) -> DailyResources:
-    """Draw ``n_days`` of wind speeds and irradiance for ``fleet``.
+    """Draw ``n_days`` of every stream ``fleet`` reads, by stream label.
 
     Days are grouped into 365-day years; each year consumes an independent
     RNG substream derived from (seed, year index), and a full year of
@@ -1128,29 +1112,18 @@ def sample_daily_resources(dists: ResourceDistributions,
         raise ValueError(f"n_days must be >= 1, got {n_days}")
     block = draw_uniforms(dists, fleet, seed, -(-n_days // DAYS_PER_YEAR),
                           start_year)
-    wind_speeds: dict[str, np.ndarray] = {}
-    irradiance: dict[str, np.ndarray] = {}
-    for row, (kind, key) in enumerate(block.labels):
-        target = wind_speeds if kind == "wind" else irradiance
-        target[key] = stream_days(dists, block, row, 0, n_days)
-    return DailyResources(wind_speeds=wind_speeds, irradiance=irradiance,
-                          n_days=n_days)
+    streams = {label: resource_values(dists, label,
+                                      block.values[:, row].reshape(-1)[:n_days])
+               for row, label in enumerate(block.labels)}
+    return DailyResources(streams, n_days, dists.shared_irradiance)
 
 
-def _unit_irradiance(unit: DgUnit, resources: DailyResources) -> np.ndarray:
-    if SHARED_IRRADIANCE_KEY in resources.irradiance:
-        return resources.irradiance[SHARED_IRRADIANCE_KEY]
-    return resources.irradiance[unit.name]
-
-
-def unit_power_series(unit: DgUnit, resources: DailyResources,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Per-day output (kW) of one unit given drawn resources, written to
-    ``out`` when given."""
-    if isinstance(unit.device, WindTurbineSpec):
-        speeds = resources.wind_speeds[unit.device.region_id]
-        return wind_power(unit.device, speeds, out=out)
-    return pv_power(unit.device, _unit_irradiance(unit, resources), out=out)
+def unit_power_series(unit: DgUnit, resources: DailyResources) -> np.ndarray:
+    """Per-day output (kW) of one unit: its device's power curve applied to
+    the values of its stream, ``stream_label(unit, shared_irradiance)``."""
+    values = resources.streams[stream_label(unit, resources.shared_irradiance)]
+    curve = wind_power if isinstance(unit.device, WindTurbineSpec) else pv_power
+    return curve(unit.device, values)
 
 
 # ---------------------------------------------------------------------------
@@ -1167,31 +1140,31 @@ class TraceSeries:
     power_kw: np.ndarray = field(repr=False)
 
 
+_RESOURCE_KINDS = {"wind": "wind_speed_m_s", "irradiance": "irradiance_w_m2"}
+
+
 def emit_trace(fleet: Sequence[DgUnit],
                dists: ResourceDistributions,
                n_days: int,
                seed: int) -> list[TraceSeries]:
     """Emit deterministic per-day resource and power series for a fleet.
 
-    The draws use the same (seed, year) substreams as the simulation engine,
-    so a 365-day trace of a run's whole fleet reproduces year 0 of that run
-    with the same seed.  The stream layout follows the fleet passed in, so
-    for part of a fleet with independent irradiance a PV array may get the
-    stream another array has in the run.
+    Each unit's resource is the series of its stream (``stream_label``),
+    and its power is ``unit_power_series``.  The draws use the same
+    (seed, year) substreams as the simulation engine, so a 365-day trace of
+    a run's whole fleet reproduces year 0 of that run with the same seed.
+    The stream layout follows the fleet passed in, so for part of a fleet
+    with independent irradiance a PV array may get the stream another array
+    has in the run.
     """
     resources = sample_daily_resources(dists, fleet, seed, n_days)
     traces = []
     for unit in fleet:
-        if isinstance(unit.device, WindTurbineSpec):
-            resource = resources.wind_speeds[unit.device.region_id]
-            kind = "wind_speed_m_s"
-        else:
-            resource = _unit_irradiance(unit, resources)
-            kind = "irradiance_w_m2"
+        label = stream_label(unit, dists.shared_irradiance)
         traces.append(TraceSeries(
             unit=unit.name,
-            resource_kind=kind,
-            resource=resource,
+            resource_kind=_RESOURCE_KINDS[label[0]],
+            resource=resources.streams[label],
             power_kw=unit_power_series(unit, resources),
         ))
     return traces

@@ -5,8 +5,8 @@ implementation under test: the beta CDF is integrated numerically from the
 density, dispatch outcomes are found by enumerating subsets, and the KS
 statistic is computed from the empirical CDF definition.  The one exception
 is the whole-block simulation reference at the end, which reuses the
-package's samplers and power curves and differs only in how the block is
-organised.
+package's samplers and power curves but lays out the streams itself, from
+the documented rule, and organises the block differently.
 """
 
 from __future__ import annotations
@@ -185,49 +185,66 @@ def dispatch_by_enumeration(total: float, loads: Sequence[tuple[str, float]],
 
 
 def reference_daily_resources(dists, fleet, seed: int, n_days: int,
-                              start_year: int = 0):
-    """The whole-block resource draws: one stream at a time over all days."""
+                              start_year: int = 0) -> dict:
+    """Each unit's resource values, by unit name, drawn over all days at once.
+
+    The streams are laid out as README documents them: the wind regions
+    sorted by id, then one irradiance stream, "shared" for the whole fleet
+    or else one per PV array in fleet order.  Year y of stream s is
+    uniforms 365 s to 365 s + 364 of the Philox keyed by (seed, y).  A
+    turbine reads its region's stream, a PV array the shared stream or its
+    own.
+    """
     from microrel import res_models as rm
 
-    labels = rm._stream_labels(dists, fleet)
+    regions = sorted(dists.wind_regions)
+    arrays = [unit.name for unit in fleet if isinstance(unit.device, rm.PvArraySpec)]
+    if dists.shared_irradiance:
+        row_of = {name: len(regions) for name in arrays}
+        n_streams = len(regions) + bool(arrays)
+    else:
+        row_of = {name: len(regions) + i for i, name in enumerate(arrays)}
+        n_streams = len(regions) + len(arrays)
     n_years = -(-n_days // rm.DAYS_PER_YEAR)
-    uniforms = np.empty((n_years, len(labels), rm.DAYS_PER_YEAR))
-    if labels:
+    uniforms = np.empty((n_years, n_streams, rm.DAYS_PER_YEAR))
+    if n_streams:
         bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         rng = np.random.Generator(bit_generator)
         for year_offset in range(n_years):
             rm._rekey(bit_generator, seed, start_year + year_offset)
             rng.random(out=uniforms[year_offset])
 
-    wind_speeds = {}
-    irradiance = {}
-    for row, (kind, key) in enumerate(labels):
-        u = uniforms[:, row].reshape(-1)[:n_days]
-        if kind == "wind":
-            u = np.maximum(u, rm.MIN_UNIFORM)
-            wind_speeds[key] = rm.sample_wind_speed(dists.wind_regions[key], u)
+    values = {}
+    for unit in fleet:
+        device = unit.device
+        if isinstance(device, rm.WindTurbineSpec):
+            u = uniforms[:, regions.index(device.region_id)].reshape(-1)[:n_days]
+            values[unit.name] = rm.sample_wind_speed(dists.wind_regions[device.region_id],
+                                                     np.maximum(u, rm.MIN_UNIFORM))
         else:
-            irradiance[key] = rm.sample_irradiance(dists.irradiance, u)
-    return rm.DailyResources(wind_speeds=wind_speeds, irradiance=irradiance,
-                             n_days=n_days)
+            u = uniforms[:, row_of[unit.name]].reshape(-1)[:n_days]
+            values[unit.name] = rm.sample_irradiance(dists.irradiance, u)
+    return values
 
 
 def reference_block_counts(ctx, start_year: int, n_years: int) -> np.ndarray:
     """Supplied-day counts of a block computed the straightforward way.
 
-    The whole block is drawn at once, every unit's power series is computed
-    on its own, and each load's dispatch step builds new arrays.  Only the
-    samplers and power curves are shared with the package.
+    The whole block is drawn at once, every unit's power curve is applied
+    to its own stream's values, and each load's dispatch step builds new
+    arrays.  Only the samplers and power curves are shared with the
+    package.
     """
     from microrel import res_models as rm
 
     n_days = n_years * rm.DAYS_PER_YEAR
-    resources = reference_daily_resources(
+    values = reference_daily_resources(
         ctx.distributions, ctx.fleet, ctx.seed, n_days, start_year=start_year
     )
     total = np.zeros(n_days)
     for unit in ctx.fleet:
-        total += rm.unit_power_series(unit, resources)
+        curve = rm.wind_power if isinstance(unit.device, rm.WindTurbineSpec) else rm.pv_power
+        total += curve(unit.device, values[unit.name])
     remaining = total.reshape(n_years, rm.DAYS_PER_YEAR)
 
     factors = np.asarray(ctx.load_factors)

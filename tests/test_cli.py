@@ -247,6 +247,17 @@ def test_sweep_rejects_malformed_or_out_of_range_p(case_paths):
     assert main(["sweep", case_paths["case3"], "--p", "0.5,1.7"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_empty_sweep_ladder_is_a_configuration_error(tmp_path, capsys, command):
+    path = tmp_path / "empty-ladder.yaml"
+    path.write_text(bundled_scenario_path("sweep").read_text().replace(
+        "sweep_p: [1.0, 0.75, 0.5, 0.25, 0.0]", "sweep_p: []"))
+    assert main([command, str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "[constraint] simulation.sweep_p" in err
+
+
 def test_sample_single_unit_to_stdout(case_paths, capsys):
     code = main(["sample", case_paths["case3"], "--days", "10", "--unit", "WTG1"])
     assert code == EXIT_OK
@@ -291,17 +302,37 @@ def test_sample_one_unit_with_independent_irradiance(tmp_path, capsys):
         assert capsys.readouterr().out == (out_dir / f"{name}.csv").read_text()
 
 
-# Every unit's `microrel sample SCENARIO --days 730 --out DIR` trace for case2
-# and case3: two years, so the traces cross a year boundary.  They hold the
-# samplers' doubles exactly; a change to any of them must be explained in
-# CHANGES.md like a change to the golden reports.
+def test_sample_writes_distinct_traces_for_an_array_named_shared(tmp_path):
+    # "shared" is also the label of the shared irradiance stream; with
+    # independent irradiance the array of that name and PV2 still read
+    # their own streams.
+    doc = bundled_scenario_path("case3").read_text()
+    doc = doc.replace("shared_sample: true", "shared_sample: false")
+    path = tmp_path / "named-shared.yaml"
+    path.write_text(doc.replace("name: PV1", "name: shared"))
+    out_dir = tmp_path / "traces"
+    assert main(["sample", str(path), "--days", "40", "--out", str(out_dir)]) == EXIT_OK
+    assert (out_dir / "shared.csv").read_text() != (out_dir / "PV2.csv").read_text()
+
+
+# Every unit's `microrel sample SCENARIO --days 730 --out DIR` trace for case2,
+# case3 and case3_independent (case3 with `shared_sample: false`): two years,
+# so the traces cross a year boundary.  They hold the samplers' doubles
+# exactly; a change to any of them must be explained in CHANGES.md like a
+# change to the golden reports.
 GOLDEN_TRACES = Path(__file__).parent / "data" / "traces"
 
 
-@pytest.mark.parametrize("case", ["case2", "case3"])
+@pytest.mark.parametrize("case", ["case2", "case3", "case3_independent"])
 def test_sample_traces_match_the_goldens_byte_for_byte(case_paths, case, tmp_path):
+    if case == "case3_independent":
+        scenario = tmp_path / f"{case}.yaml"
+        scenario.write_text(bundled_scenario_path("case3").read_text().replace(
+            "shared_sample: true", "shared_sample: false"))
+    else:
+        scenario = case_paths[case]
     out = tmp_path / case
-    assert main(["sample", case_paths[case], "--days", "730", "--out", str(out)]) == EXIT_OK
+    assert main(["sample", str(scenario), "--days", "730", "--out", str(out)]) == EXIT_OK
     golden = sorted(path.name for path in (GOLDEN_TRACES / case).iterdir())
     assert sorted(path.name for path in out.iterdir()) == golden
     for name in golden:

@@ -348,16 +348,29 @@ def _two_specs_per_region(case3):
     return dataclasses.replace(case3, name="mixed", fleet=fleet)
 
 
+def _array_named_shared(case3):
+    # PV1 renamed "shared", the label of the shared irradiance stream: under
+    # independent irradiance PV2 must still read its own stream.
+    fleet = tuple(dataclasses.replace(unit, name="shared") if unit.name == "PV1" else unit
+                  for unit in case3.fleet)
+    return dataclasses.replace(case3, name="named_shared", fleet=fleet)
+
+
 P = engine._YEARS_PER_PASS
+CASE3_VARIANTS = {"mixed": _two_specs_per_region, "named_shared": _array_named_shared}
 
 
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("dispatch", [engine.DISPATCH_BLOCKING,
                                       engine.DISPATCH_SERVE_IF_FITS])
-@pytest.mark.parametrize("name", ["case2", "case3", "case4", "sweep", "mixed"])
+@pytest.mark.parametrize("name", ["case2", "case3", "case4", "sweep", "mixed",
+                                  "named_shared"])
 def test_block_counts_bit_identical_to_whole_block_reference(
         cases, name, dispatch, shared):
-    base = _two_specs_per_region(cases["case3"]) if name == "mixed" else cases[name]
+    if name in CASE3_VARIANTS:
+        base = CASE3_VARIANTS[name](cases["case3"])
+    else:
+        base = cases[name]
     scenario = dataclasses.replace(
         base, dispatch=dispatch,
         distributions=dataclasses.replace(base.distributions,
@@ -371,24 +384,23 @@ def test_block_counts_bit_identical_to_whole_block_reference(
                 err_msg=f"{n_years} years from {start_year}")
 
 
-def test_each_distinct_power_series_is_computed_once_per_block(cases, monkeypatch):
-    # case2's WTG3/WTG4 repeat WTG1/WTG2 in the same regions; the mixed
-    # fleet has 5 distinct series among 7 units under shared irradiance.
-    # Each is computed once per block, on the block's open days.
+def test_each_unit_power_series_is_computed_once_per_block_in_fleet_order(cases,
+                                                                         monkeypatch):
+    # The open days' totals add every unit's series in fleet order, one
+    # call per unit per block, each on all of the block's open days.
     calls = []
     original = engine.unit_power_series
 
-    def counted(unit, resources, **kwargs):
-        calls.append(unit.name)
-        return original(unit, resources, **kwargs)
+    def counted(unit, resources):
+        calls.append((unit.name, resources.n_days))
+        return original(unit, resources)
 
     monkeypatch.setattr(engine, "unit_power_series", counted)
-    engine._simulate_block(engine._context_for(cases["case2"]), 0, 2 * P)
-    assert calls == ["WTG1", "WTG2"]
-    calls.clear()
-    mixed = _two_specs_per_region(cases["case3"])
-    engine._simulate_block(engine._context_for(mixed), 0, P)
-    assert len(calls) == 5
+    for scenario, n_years in ((cases["case2"], 2 * P), (_two_specs_per_region(cases["case3"]), P)):
+        calls.clear()
+        engine._simulate_block(engine._context_for(scenario), 0, n_years)
+        assert [name for name, _ in calls] == [unit.name for unit in scenario.fleet]
+        assert len({n_days for _, n_days in calls}) == 1 and calls[0][1] > 0
 
 
 def _adversarial_context(case3, name, dispatch):
@@ -520,10 +532,7 @@ def test_fixed_point_stream_bounds_bracket_the_fleet_order_total(cases, name):
     # The exact total, as the engine adds the open days' power in fleet order.
     values = {label: res_models.resource_values(dists, label, w)
               for label, w in words.items()}
-    resources = DailyResources(
-        wind_speeds={key: v for (kind, key), v in values.items() if kind == "wind"},
-        irradiance={key: v for (kind, key), v in values.items() if kind == "irradiance"},
-        n_days=lower.size)
+    resources = DailyResources(values, lower.size, dists.shared_irradiance)
     total = np.zeros(lower.size)
     for unit in ctx.fleet:
         total += res_models.unit_power_series(unit, resources)

@@ -553,12 +553,21 @@ def test_independent_irradiance_gives_distinct_pv_resource():
     assert not np.array_equal(pv1.resource, pv2.resource)
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_whole_fleet_trace_is_year_zero_of_a_run(shared):
+@pytest.mark.parametrize("shared, pv1_name", [
+    pytest.param(True, "PV1", id="True"),
+    pytest.param(False, "PV1", id="False"),
+    pytest.param(True, "shared", id="True-named-shared"),
+    pytest.param(False, "shared", id="False-named-shared"),
+])
+def test_whole_fleet_trace_is_year_zero_of_a_run(shared, pv1_name):
     # Each unit's trace is the engine's year-0 stream of that unit and its
     # power, so dispatching the traces gives the engine's year-0 counts.
+    # An array named "shared", the shared stream's label, still reads its
+    # own stream under independent irradiance, and lends it to no other.
     case3 = bundled_scenarios()["case3"]
-    scenario = dataclasses.replace(case3, distributions=dataclasses.replace(
+    fleet = tuple(dataclasses.replace(unit, name=pv1_name) if unit.name == "PV1" else unit
+                  for unit in case3.fleet)
+    scenario = dataclasses.replace(case3, fleet=fleet, distributions=dataclasses.replace(
         case3.distributions, shared_irradiance=shared))
     dists, fleet = scenario.distributions, scenario.fleet
     traces = emit_trace(fleet, dists, DAYS_PER_YEAR, scenario.seed)
@@ -571,12 +580,12 @@ def test_whole_fleet_trace_is_year_zero_of_a_run(shared):
         else:
             key = SHARED_IRRADIANCE_KEY if shared else unit.name
             label, curve = ("irradiance", key), pv_power
-        stream = res_models.stream_days(dists, block, rows[label], 0, DAYS_PER_YEAR)
+        stream = res_models.resource_values(dists, label, block.values[0, rows[label]])
         assert trace.unit == unit.name
         np.testing.assert_array_equal(trace.resource, stream)
         np.testing.assert_array_equal(trace.power_kw, curve(unit.device, stream))
         total += trace.power_kw
-    pv1, pv2 = (t.resource for t in traces if t.unit in ("PV1", "PV2"))
+    pv1, pv2 = (t.resource for t in traces if t.unit in (pv1_name, "PV2"))
     assert np.array_equal(pv1, pv2) == shared
 
     ctx = engine._context_for(scenario)
@@ -591,8 +600,8 @@ def test_whole_fleet_trace_is_year_zero_of_a_run(shared):
 def test_wind_regions_draw_independent_streams():
     resources = sample_daily_resources(_two_region_dists(), _mixed_fleet(),
                                        seed=1, n_days=365)
-    assert not np.array_equal(resources.wind_speeds["region1"],
-                              resources.wind_speeds["region2"])
+    assert not np.array_equal(resources.streams[("wind", "region1")],
+                              resources.streams[("wind", "region2")])
 
 
 def test_adding_turbine_to_existing_region_keeps_streams():
@@ -603,11 +612,9 @@ def test_adding_turbine_to_existing_region_keeps_streams():
     extra = fleet + (DgUnit("WTG3", "LP5", WTG1),)
     base = sample_daily_resources(dists, fleet, seed=21, n_days=365)
     grown = sample_daily_resources(dists, extra, seed=21, n_days=365)
-    for region in ("region1", "region2"):
-        np.testing.assert_array_equal(base.wind_speeds[region],
-                                      grown.wind_speeds[region])
-    np.testing.assert_array_equal(base.irradiance["shared"],
-                                  grown.irradiance["shared"])
+    assert list(base.streams) == list(grown.streams)
+    for label in base.streams:
+        np.testing.assert_array_equal(base.streams[label], grown.streams[label])
 
 
 def test_day_series_prefix_stability():
@@ -615,8 +622,8 @@ def test_day_series_prefix_stability():
     fleet = _mixed_fleet()
     short = sample_daily_resources(dists, fleet, seed=8, n_days=100)
     long = sample_daily_resources(dists, fleet, seed=8, n_days=500)
-    np.testing.assert_array_equal(short.wind_speeds["region1"],
-                                  long.wind_speeds["region1"][:100])
+    for label in short.streams:
+        np.testing.assert_array_equal(short.streams[label], long.streams[label][:100])
 
 
 def test_trace_to_delimited_format():
@@ -661,26 +668,27 @@ def test_daily_draws_equal_fresh_generator_per_year(seed, start_year):
     for row, region in enumerate(("region1", "region2")):
         expected = sample_wind_speed(dists.wind_regions[region],
                                      np.maximum(u[row], MIN_UNIFORM))
-        np.testing.assert_array_equal(got.wind_speeds[region], expected)
+        np.testing.assert_array_equal(got.streams[("wind", region)], expected)
     for row, unit in ((2, "PV1"), (3, "PV2")):
-        np.testing.assert_array_equal(got.irradiance[unit],
+        np.testing.assert_array_equal(got.streams[("irradiance", unit)],
                                       sample_irradiance(FITTED_BETA, u[row]))
 
 
-def test_stream_days_over_any_range_is_a_slice_of_the_whole_series():
-    # The engine transforms a block's uniforms pass by pass; every range,
-    # including ones that start or end inside a year, must give the values
-    # the whole-series sampler gives on those days.
+def test_resource_values_of_any_range_is_a_slice_of_the_whole_series():
+    # The engine evaluates only a block's open days, from their own words;
+    # every range of words, including ones that start or end inside a
+    # year, must give the values the whole-series sampler gives on them.
     dists = _two_region_dists(shared=False)
     whole = sample_daily_resources(dists, _mixed_fleet(), seed=5, n_days=3 * 365,
                                    start_year=9)
     block = res_models.draw_uniforms(dists, _mixed_fleet(), 5, 3, start_year=9)
-    series = {**whole.wind_speeds, **whole.irradiance}
-    for row, (_, key) in enumerate(block.labels):
+    assert list(whole.streams) == block.labels
+    for row, label in enumerate(block.labels):
+        words = block.values[:, row].reshape(-1)
         for start, stop in ((0, 1095), (0, 365), (365, 730), (100, 900), (729, 731)):
             np.testing.assert_array_equal(
-                res_models.stream_days(dists, block, row, start, stop),
-                series[key][start:stop])
+                res_models.resource_values(dists, label, words[start:stop]),
+                whole.streams[label][start:stop])
 
 
 def test_rekey_leaves_no_state_from_the_previous_year():
