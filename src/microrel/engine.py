@@ -668,29 +668,15 @@ def _convergence_statistic(running_ens: np.ndarray, window: int,
     return stat[stat.size - running_ens.size:]
 
 
-def _find_stop_year(statistic: np.ndarray, tolerance: float,
-                    max_years: int, offset: int) -> Optional[int]:
-    """First year (1-based) meeting the convergence rule, or None.
-
-    ``statistic[i]`` belongs to year ``offset + i + 1``.
-    """
-    first = max(MIN_CONVERGENCE_YEARS - offset, 1)
-    limit = min(statistic.size, max_years - offset)
-    if limit < first:
-        return None
-    hits = np.flatnonzero(statistic[first - 1:limit] < tolerance)
-    if hits.size == 0:
-        return None
-    return offset + first + int(hits[0])
-
-
 class _Convergence:
-    """The convergence rule applied wave by wave to the new years only.
+    """The one record of a run, which the convergence rule extends wave by
+    wave with the new years only.
 
-    It carries forward what the rule needs of earlier years: the supplied
-    days per load point, the latest year's counts and the last cumulative
-    sums of the running ENS.  The statistic it sees for every year is
-    bit-identical to one recomputed over all years simulated so far.
+    It keeps the years taken, the supplied days per load point and each
+    year's running ENS and statistic; a wave that holds the stop year is cut
+    at that year.  To extend the series it carries the latest year's counts
+    and the last cumulative sums of the running ENS.  The statistic it sees
+    for every year is bit-identical to one recomputed over all years taken.
     """
 
     def __init__(self, scenario: Scenario, lp_ids: Sequence[str],
@@ -698,13 +684,16 @@ class _Convergence:
         self._scenario = scenario
         self._lp_ids = lp_ids
         self._table = table
-        self._years = 0
-        self._totals = np.zeros(len(lp_ids), dtype=np.int64)
+        self.years = 0
+        self.totals = np.zeros(len(lp_ids), dtype=np.int64)
+        self.running_ens: list[np.ndarray] = []  # one array per wave
+        self.statistic: list[np.ndarray] = []
         self._latest = np.zeros((0, len(lp_ids)), dtype=np.int64)
         self._head = np.zeros(1)
 
     def add(self, counts: np.ndarray) -> Optional[int]:
-        """Take the counts of the next years; return the stop year, if any."""
+        """Take the counts of the next years, up to the first one that meets
+        the convergence rule; return that stop year, if any."""
         scenario = self._scenario
         # numpy takes a one-row product through a dot kernel that can round
         # differently from the matrix-vector kernel of longer series, so a
@@ -714,18 +703,24 @@ class _Convergence:
         running = _running_ens_series(
             rows, self._lp_ids, scenario.network, self._table,
             scenario.p_islanding,
-            prior_counts=self._totals - lead.sum(axis=0),
-            prior_years=self._years - lead.shape[0],
+            prior_counts=self.totals - lead.sum(axis=0),
+            prior_years=self.years - lead.shape[0],
         )[lead.shape[0]:]
         window = CONVERGENCE_WINDOW_YEARS
         statistic = _convergence_statistic(running, window, self._head)
-        stop = _find_stop_year(statistic, scenario.tolerance,
-                               scenario.max_years, self._years)
+        # statistic[i] belongs to year self.years + i + 1.
+        floor = max(MIN_CONVERGENCE_YEARS - self.years, 1)
+        hits = np.flatnonzero(statistic[floor - 1:] < scenario.tolerance)
+        if hits.size:  # the wave ends at its stop year
+            taken = floor + int(hits[0])
+            counts, running, statistic = counts[:taken], running[:taken], statistic[:taken]
         self._head = _cumulative_sums(self._head, running)[-(2 * window + 1):]
-        self._totals += counts.sum(axis=0)
+        self.running_ens.append(running)
+        self.statistic.append(statistic)
+        self.totals += counts.sum(axis=0)
         self._latest = counts[-1:]
-        self._years += counts.shape[0]
-        return stop
+        self.years += counts.shape[0]
+        return self.years if hits.size else None
 
 
 _BLOCK_TAG, _ERROR_TAG = b"b", b"e"
@@ -812,12 +807,12 @@ def run(scenario: Scenario, workers: int = 1) -> RunResult:
     table = build_contribution_table(scenario.network)
     ctx = _context_for(scenario)
     n_lp = len(ctx.lp_ids)
+    record = _Convergence(scenario, ctx.lp_ids, table)
 
     if not scenario.fleet:
-        # Nothing stochastic: the supply probability is exactly zero.
-        counts = np.zeros((1, n_lp), dtype=np.int64)
-        converged = True
-        years_run = 1
+        # Nothing stochastic: one year settles the estimate.
+        record.add(_simulate_block(ctx, 0, 1))
+        stop = 1
     else:
         # Lazy, so a cap far beyond where the run converges costs nothing;
         # len(starts) would overflow past 2^63 blocks.
@@ -826,8 +821,6 @@ def run(scenario: Scenario, workers: int = 1) -> RunResult:
         w = min(workers, n_blocks) if hasattr(os, "fork") else 1
         prepare_sampling(ctx.distributions, ctx.fleet)
         _served_thresholds(ctx.levels, ctx.load_factors, ctx.blocking)
-        convergence = _Convergence(scenario, ctx.lp_ids, table)
-        simulated: list[np.ndarray] = []
         stop = None
         forked: dict[int, tuple[int, BinaryIO]] = {}  # process -> pid, pipe
         try:
@@ -837,28 +830,18 @@ def run(scenario: Scenario, workers: int = 1) -> RunResult:
             for j, start in enumerate(starts):
                 size = min(_YEARS_PER_BLOCK, scenario.max_years - start)
                 if j % w:
-                    simulated.append(_receive_block(forked, j % w, (size, n_lp)))
+                    stop = record.add(_receive_block(forked, j % w, (size, n_lp)))
                 else:
-                    simulated.append(_simulate_block(ctx, start, size))
-                stop = convergence.add(simulated[-1])
+                    stop = record.add(_simulate_block(ctx, start, size))
                 if stop is not None:
                     break
         finally:
             if forked:
                 _stop_block_workers(forked)
-        converged = stop is not None
-        years_run = stop if converged else scenario.max_years
-        counts = np.concatenate(simulated, axis=0)[:years_run]
 
-    running_ens = _running_ens_series(
-        counts, ctx.lp_ids, scenario.network, table, scenario.p_islanding
-    )
-    statistic = _convergence_statistic(running_ens, CONVERGENCE_WINDOW_YEARS)
-
-    totals = counts.sum(axis=0)
-    total_days = DAYS_PER_YEAR * years_run
+    total_days = DAYS_PER_YEAR * record.years
     p_res = {
-        lp_id: PResEstimate(int(totals[i]), total_days)
+        lp_id: PResEstimate(int(record.totals[i]), total_days)
         for i, lp_id in enumerate(ctx.lp_ids)
     }
     per_lp = combine_analytical(p_res, table, scenario.network.upstream,
@@ -867,13 +850,13 @@ def run(scenario: Scenario, workers: int = 1) -> RunResult:
     return RunResult(
         scenario_name=scenario.name,
         seed=scenario.seed,
-        years_run=years_run,
-        converged=converged,
+        years_run=record.years,
+        converged=stop is not None,
         p_res=p_res,
         per_lp=per_lp,
         system=system,
-        running_ens=running_ens,
-        statistic=statistic,
+        running_ens=np.concatenate(record.running_ens),
+        statistic=np.concatenate(record.statistic),
     )
 
 

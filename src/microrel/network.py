@@ -266,12 +266,6 @@ class NetworkModel:
             lp.id for lp in sorted(self.load_points, key=lambda lp: lp.priority_rank)
         )
 
-    def section(self, section_id: str) -> FeederSection:
-        for sec in self.sections:
-            if sec.id == section_id:
-                return sec
-        raise TopologyError(f"unknown section {section_id!r}")
-
 
 def _validate_topology(network: NetworkModel) -> None:
     sections = {sec.id: sec for sec in network.sections}

@@ -96,11 +96,6 @@ class WeibullParams:
         if not (self.shape_k > 0.0 and math.isfinite(self.shape_k)):
             raise ValueError(f"shape_k must be positive, got {self.shape_k}")
 
-    @property
-    def mean_speed(self) -> float:
-        """Analytic distribution mean c*Gamma(1 + 1/k) in m/s."""
-        return self.scale_c * math.gamma(1.0 + 1.0 / self.shape_k)
-
 
 @dataclass(frozen=True)
 class BetaParams:
@@ -250,7 +245,7 @@ def sample_wind_speed(params: WeibullParams, u, out: np.ndarray | None = None):
     return _scalar_or_array(v, scalar)
 
 
-def wind_power(spec: WindTurbineSpec, v, out: np.ndarray | None = None):
+def wind_power(spec: WindTurbineSpec, v):
     """Wind-turbine output (kW) for hub-height speed ``v`` (m/s).
 
     Zero at or below cut-in and at or beyond cut-out, cubic between cut-in
@@ -258,8 +253,7 @@ def wind_power(spec: WindTurbineSpec, v, out: np.ndarray | None = None):
     cubic branch is a*v**3 - b*p_rated with
     a = p_rated / (v_rated**3 - v_cut_in**3) and
     b = v_cut_in**3 / (v_rated**3 - v_cut_in**3), which makes the curve
-    continuous at both interior breakpoints.  An array result is written to
-    ``out`` when given, which must not overlap ``v``.
+    continuous at both interior breakpoints.
     """
     arr, scalar = _as_array(v)
     if not arr.min(initial=0.0) >= 0.0:
@@ -267,7 +261,7 @@ def wind_power(spec: WindTurbineSpec, v, out: np.ndarray | None = None):
     denom = spec.v_rated**3 - spec.v_cut_in**3
     a = spec.p_rated / denom
     b = spec.v_cut_in**3 / denom
-    power = np.power(arr, 3, out=out)
+    power = np.power(arr, 3)
     power *= a
     power -= b * spec.p_rated
     # putmask and a product with the band mask measured faster than
@@ -702,18 +696,16 @@ def sample_irradiance(params: BetaParams, u):
     return x
 
 
-def pv_power(spec: PvArraySpec, g, out: np.ndarray | None = None):
+def pv_power(spec: PvArraySpec, g):
     """Photovoltaic output (kW) for irradiance ``g`` (W/m2).
 
     Quadratic in g below the breakpoint r_c, linear between r_c and the
-    standard irradiance g_std, and flat at rated power above g_std.  An
-    array result is written to ``out`` when given, which must not overlap
-    ``g``.
+    standard irradiance g_std, and flat at rated power above g_std.
     """
     arr, scalar = _as_array(g)
     if not arr.min(initial=0.0) >= 0.0:
         raise ValueError("irradiance must be nonnegative and not NaN")
-    power = np.multiply(arr, spec.p_sn, out=out)  # p_sn * g, both branches
+    power = arr * spec.p_sn  # p_sn * g, both branches
     quadratic = power * arr
     quadratic /= spec.g_std * spec.r_c
     power /= spec.g_std

@@ -276,6 +276,20 @@ def test_sample_is_deterministic(case_paths, capsys):
     assert capsys.readouterr().out != first
 
 
+def test_sample_single_unit_to_a_file(case_paths, tmp_path, capsys):
+    # A path that is not a directory receives the one trace itself, the
+    # bytes that --unit writes to stdout.
+    main(["sample", case_paths["case3"], "--days", "15", "--unit", "PV2"])
+    expected = capsys.readouterr().out
+    out = tmp_path / "pv2.csv"
+    code = main(["sample", case_paths["case3"], "--days", "15", "--unit", "PV2",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out.is_file() and out.read_text() == expected
+    assert len(expected.splitlines()) == 16
+
+
 def test_sample_whole_fleet_to_directory(case_paths, tmp_path):
     out_dir = tmp_path / "traces"
     code = main(["sample", case_paths["case3"], "--days", "20",

@@ -591,6 +591,26 @@ def test_a_block_without_a_fleet_serves_its_zero_level_loads_every_day(cases, bl
     assert np.all(counts[:, 0] == 365) and not counts[:, 1:].any()
 
 
+@pytest.mark.parametrize("blocking", [False, True])
+def test_a_run_without_a_fleet_counts_like_simulate_year(cases, blocking):
+    # case1 has no fleet; its first and third loads in priority order drop
+    # to 0 kW.  Both rules serve the first every day; only serve-if-fits
+    # reaches the third past the unserved second.
+    base = cases["case1"]
+    zeroed = base.network.priority_order()[0:3:2]
+    network = dataclasses.replace(base.network, load_points=tuple(
+        dataclasses.replace(lp, load_level=0.0) if lp.id in zeroed else lp
+        for lp in base.network.load_points))
+    dispatch = engine.DISPATCH_BLOCKING if blocking else engine.DISPATCH_SERVE_IF_FITS
+    scenario = dataclasses.replace(base, network=network, dispatch=dispatch)
+    result = run(scenario)
+    year = simulate_year(scenario, 0)
+    assert result.years_run == 1 and result.converged
+    assert {lp: est.supplied_days for lp, est in result.p_res.items()} == year
+    assert year[zeroed[0]] == 365 and year[zeroed[1]] == (0 if blocking else 365)
+    assert sum(year.values()) == (365 if blocking else 730)
+
+
 def test_a_warm_block_allocates_no_pass_sized_array(cases):
     # The second 512-year block of case3 reuses the first one's buffers;
     # what it allocates (the open days' evaluation, per-year Philox output,
@@ -927,7 +947,8 @@ def test_wave_bookkeeping_is_bit_identical_to_full_recompute(
     result = run(scenario, workers=workers)
     counts = engine._simulate_block(engine._context_for(scenario), 0, max_years)
 
-    *waves, final = calls
+    # Every recorded call is a wave; the oracle below records its own calls.
+    waves = list(calls)
     wave_years = [running.size for running, _ in waves]
     assert sum(wave_years) == max_years
     assert max(wave_years) <= engine._YEARS_PER_BLOCK * workers
@@ -942,13 +963,13 @@ def test_wave_bookkeeping_is_bit_identical_to_full_recompute(
     assert result.years_run == max_years and not result.converged
     np.testing.assert_array_equal(result.running_ens, full_running)
     np.testing.assert_array_equal(result.statistic, full_statistic)
-    np.testing.assert_array_equal(final[1], full_statistic)
 
 
 def test_lone_last_year_matches_full_recompute(cases, monkeypatch):
     # With 6 * 512 + 1 years the last wave holds one year; its running ENS
-    # must round like the matrix-vector product over all years does.
-    scenario = cases["case3"]
+    # must round like the matrix-vector product over all years does.  A
+    # record takes no year past its stop year, so no year may meet the rule.
+    scenario = dataclasses.replace(cases["case3"], tolerance=1e-300)
     lp_ids = engine._context_for(scenario).lp_ids
     table = build_contribution_table(scenario.network)
     calls = _recorded_statistic_calls(monkeypatch)
@@ -967,13 +988,20 @@ def test_lone_last_year_matches_full_recompute(cases, monkeypatch):
 def test_stop_year_matches_full_recompute(cases, workers):
     scenario = cases["case3"]
     result = run(scenario, workers=workers)
-    counts = engine._simulate_block(engine._context_for(scenario), 0, 2048)
-    _, statistic = _full_series(scenario, counts)
+    ctx = engine._context_for(scenario)
+    counts = engine._simulate_block(ctx, 0, 2048)
+    running, statistic = _full_series(scenario, counts)
     window = statistic[engine.MIN_CONVERGENCE_YEARS - 1:]
     expected = engine.MIN_CONVERGENCE_YEARS + int(
         np.flatnonzero(window < scenario.tolerance)[0])
     assert result.converged
     assert result.years_run == expected
+    # The wave that holds the stop year is cut there, counts and series alike.
+    np.testing.assert_array_equal(result.running_ens, running[:expected])
+    np.testing.assert_array_equal(result.statistic, statistic[:expected])
+    supplied = counts[:expected].sum(axis=0)
+    for i, lp_id in enumerate(ctx.lp_ids):
+        assert result.p_res[lp_id] == PResEstimate(int(supplied[i]), 365 * expected)
 
 
 def test_run_rejects_bad_worker_count(cases):

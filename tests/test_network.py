@@ -198,6 +198,26 @@ def test_topology_contribution_table_counts_all_sections():
                    for effect in analyze_failure_effects(net, sec.id))
 
 
+@pytest.mark.parametrize("quiet", [("s1",), ("s4", "s5"), ("s1", "s2", "s3", "s4", "s5", "s6")])
+def test_a_section_that_never_fails_adds_nothing_to_the_table(quiet):
+    # Each load point's totals are those of the other sections' pairs alone,
+    # exactly 0 when every section is quiet.
+    net = dataclasses.replace(TOPOLOGY_NETWORK, sections=tuple(
+        dataclasses.replace(sec, reliability=ComponentReliability(
+            0.0, sec.reliability.repair_time)) if sec.id in quiet else sec
+        for sec in TOPOLOGY_NETWORK.sections))
+    table = build_contribution_table(net)
+    pairs = {lp.id: [] for lp in net.load_points}
+    for sec in net.sections:
+        if sec.id not in quiet:
+            for effect in analyze_failure_effects(net, sec.id):
+                pairs[effect.load_point].append(
+                    (sec.reliability.failure_rate, effect.duration))
+    for lp_id, lp_pairs in pairs.items():
+        assert table.sum_lambda(lp_id) == math.fsum(lam for lam, _ in lp_pairs)
+        assert table.sum_lambda_r(lp_id) == math.fsum(lam * dur for lam, dur in lp_pairs)
+
+
 def test_analyze_rejects_unknown_section():
     with pytest.raises(TopologyError):
         analyze_failure_effects(TOPOLOGY_NETWORK, "s99")

@@ -402,8 +402,8 @@ def test_pv_power_rejects_negative_irradiance():
 
 KERNELS = {
     "sample_wind_speed": lambda x, **kw: sample_wind_speed(REGION1, x, **kw),
-    "wind_power": lambda x, **kw: wind_power(WTG1, x, **kw),
-    "pv_power": lambda x, **kw: pv_power(PV_STD, x, **kw),
+    "wind_power": lambda x: wind_power(WTG1, x),
+    "pv_power": lambda x: pv_power(PV_STD, x),
 }
 
 
@@ -443,7 +443,8 @@ def test_kernels_are_bit_identical_to_their_where_form(name):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("name", sorted(KERNELS))
+# Only the wind sampler takes an out buffer; the power curves return new arrays.
+@pytest.mark.parametrize("name", ["sample_wind_speed"])
 def test_kernels_write_into_out(name):
     x = _kernel_inputs(name)
     want = KERNELS[name](x)
