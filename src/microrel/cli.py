@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_workers: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("scenario", help="path to a scenario YAML file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario file's seed (the flag wins)")
@@ -62,11 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the artifact here instead of stdout")
         p.add_argument("--format", choices=["delimited", "structured"],
                        default="delimited", help="report serialization format")
-        if with_workers:
-            p.add_argument("--workers", type=int, default=_default_workers(),
-                           help="simulation worker processes "
-                                "(default: available parallelism; the result "
-                                "does not depend on this)")
+        p.add_argument("--workers", type=int, default=_default_workers(),
+                       help="simulation worker processes "
+                            "(default: available parallelism; the result "
+                            "does not depend on this)")
 
     p_run = sub.add_parser("run", help="evaluate a scenario")
     add_common(p_run)

@@ -227,18 +227,17 @@ def _scalar_or_array(arr: np.ndarray, scalar: bool):
     return float(arr[0]) if scalar else arr
 
 
-def sample_wind_speed(params: WeibullParams, u, out: np.ndarray | None = None):
+def sample_wind_speed(params: WeibullParams, u):
     """Invert the Weibull CDF: v = c * (-ln u)**(1/k).
 
     ``u`` must lie strictly inside (0, 1); the result is strictly decreasing
-    in ``u``.  Accepts scalars or arrays; an array result is written to
-    ``out`` when given (it may be ``u`` itself).
+    in ``u``.  Accepts scalars or arrays.
     """
     arr, scalar = _as_array(u)
     # One min and one max, which a NaN fails and an empty array passes.
     if not (arr.min(initial=0.5) > 0.0 and arr.max(initial=0.5) < 1.0):
         raise ValueError("uniform variate must lie strictly inside (0, 1)")
-    v = np.log(arr, out=out)
+    v = np.log(arr)
     np.negative(v, out=v)
     v **= 1.0 / params.shape_k  # the same ufunc as ``v ** (1/k)``
     v *= params.scale_c
@@ -481,33 +480,29 @@ def betainc(a, b, x):
     flat = arr.ravel()
     upper = flat > 0.5
     z = np.where(upper, 1.0 - flat, flat)
-    z_max = z.max(initial=0.0)
-    if z_max <= shape.z_series:
-        out = _betainc_series(shape, z, upper, z_max)
-    else:
-        out = np.empty_like(flat)
-        series = z <= shape.z_series
-        if series.any():
-            z_s = z[series]
-            out[series] = _betainc_series(shape, z_s, upper[series], z_s.max())
-        rest = np.flatnonzero(~series)
-        x_r = flat[rest]
-        prefactor = _betainc_prefactor(a, b, shape, x_r)
-        swap = x_r > (a + 1.0) / (a + b + 2.0)
-        direct = ~swap
-        value = np.empty_like(x_r)
-        if direct.any():
-            value[direct] = prefactor[direct] / a * _betainc_fraction(
-                a, b, x_r[direct], shape.cf_cap)
-        if swap.any():
-            value[swap] = 1.0 - prefactor[swap] / b * _betainc_fraction(
-                b, a, 1.0 - x_r[swap], shape.cf_cap)
-        out[rest] = value
+    out = np.empty_like(flat)
+    series = z <= shape.z_series
+    if series.any():
+        z_s = z[series]
+        out[series] = _betainc_series(shape, z_s, upper[series], z_s.max())
+    rest = np.flatnonzero(~series)
+    x_r = flat[rest]
+    prefactor = _betainc_prefactor(a, b, shape, x_r)
+    swap = x_r > (a + 1.0) / (a + b + 2.0)
+    direct = ~swap
+    value = np.empty_like(x_r)
+    if direct.any():
+        value[direct] = prefactor[direct] / a * _betainc_fraction(
+            a, b, x_r[direct], shape.cf_cap)
+    if swap.any():
+        value[swap] = 1.0 - prefactor[swap] / b * _betainc_fraction(
+            b, a, 1.0 - x_r[swap], shape.cf_cap)
+    out[rest] = value
     return out.reshape(arr.shape)[()]
 
 
-# The inverse-CDF table has _BETA_CELLS equal cells in u: a query u falls in
-# cell floor(u * _BETA_CELLS), whose two knots sit near the cell's u-edges.
+# The inverse-CDF table has _BETA_CELLS knot cells, whose knots sit near the
+# u-edges j / _BETA_CELLS; a query u is searched for among the knots' CDF.
 _BETA_CELLS = 2**13
 # Coarse CDF grid the knots are interpolated from, in t where x = 3t^2 - 2t^3
 # so that the steep or flat ends of the CDF get extra points.
@@ -570,40 +565,31 @@ def _beta_bracket_table(alpha: float, beta: float) -> _BetaTable:
 
 
 def _beta_cells(table: _BetaTable, u: np.ndarray) -> np.ndarray:
-    """Cell index j per query with cdf[j] <= u <= cdf[j + 1].
+    """Cell index j per query u in [0, 1] with cdf[j] <= u <= cdf[j + 1]:
+    the last knot whose CDF is at most u, the last cell for u = 1.
 
-    The cell floor(u * _BETA_CELLS) holds u unless a knot's CDF lands on
-    the far side of u; then the neighbour does, as long as the knots are
-    within one cell of their u-edges.  A query that neither cell holds is
-    searched for.
+    The knots' CDF is nondecreasing from cdf[0] = 0, so the cell is
+    nondecreasing in u.
     """
-    cdf = table.cdf
-    last = _BETA_CELLS - 1
-    cell = (u * _BETA_CELLS).astype(np.intp)
-    np.minimum(cell, last, out=cell)
-    below = u < cdf.take(cell)
-    above = u > cdf[1:].take(cell)
-    off = np.flatnonzero(below | above)
-    if off.size:
-        u_off = u[off]
-        moved = np.clip(cell[off] - below[off] + above[off], 0, last)
-        miss = (u_off < cdf.take(moved)) | (u_off > cdf.take(moved + 1))
-        if miss.any():
-            found = np.searchsorted(cdf, u_off[miss], side="right") - 1
-            moved[miss] = np.clip(found, 0, last)
-        cell[off] = moved
-    return cell
+    return np.minimum(np.searchsorted(table.cdf, u, side="right") - 1,
+                      _BETA_CELLS - 1)
+
+
+# The residual bound of the beta inverse CDF, and the CDF evaluations it may
+# spend on a query, the first one included.
+_BETA_TOL = 1e-10
+_BETA_MAX_ITER = 200
 
 
 def _beta_refine(params: BetaParams, table: _BetaTable, cell: np.ndarray,
-                 u: np.ndarray, x: np.ndarray, r: np.ndarray, tol: float,
-                 max_iter: int) -> np.ndarray:
-    """Refine start points ``x`` whose residuals ``r = I_x - u`` exceed tol.
+                 u: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Refine start points ``x`` whose residuals ``r = I_x - u`` exceed
+    _BETA_TOL.
 
     Newton steps fall back to bisection whenever a step would leave the
     bracket, which starts as the query's cell.  When the bracket has
-    collapsed to two adjacent doubles and neither met tol, the end with the
-    smaller residual is returned.
+    collapsed to two adjacent doubles and neither met the bound, the end
+    with the smaller residual is returned.
     """
     out = x.copy()
     pending = np.arange(x.size)
@@ -614,7 +600,7 @@ def _beta_refine(params: BetaParams, table: _BetaTable, cell: np.ndarray,
     ln_b = _betainc_shape(params.alpha, params.beta).ln_beta
     a_m1 = params.alpha - 1.0
     b_m1 = params.beta - 1.0
-    for _ in range(max_iter - 1):
+    for _ in range(_BETA_MAX_ITER - 1):
         above = r > 0.0
         hi, r_hi = np.where(above, x, hi), np.where(above, r, r_hi)
         lo, r_lo = np.where(above, lo, x), np.where(above, r_lo, r)
@@ -633,7 +619,7 @@ def _beta_refine(params: BetaParams, table: _BetaTable, cell: np.ndarray,
         reject = ~np.isfinite(x_new) | (x_new <= lo) | (x_new >= hi)
         x = np.where(reject, 0.5 * (lo + hi), x_new)
         r = betainc(params.alpha, params.beta, x) - u
-        done = np.abs(r) <= tol
+        done = np.abs(r) <= _BETA_TOL
         out[pending[done]] = x[done]
         if done.all():
             return out
@@ -641,30 +627,27 @@ def _beta_refine(params: BetaParams, table: _BetaTable, cell: np.ndarray,
         pending, u, x, r, lo, hi, r_lo, r_hi = (
             v[keep] for v in (pending, u, x, r, lo, hi, r_lo, r_hi))
     raise NumericsError(
-        f"beta inverse CDF did not converge within {max_iter} iterations",
+        f"beta inverse CDF did not converge within {_BETA_MAX_ITER} iterations",
         residual=float(np.abs(r).max()),
     )
 
 
-def beta_inverse_cdf(params: BetaParams, u, tol: float = 1e-10,
-                     max_iter: int = 200):
+def beta_inverse_cdf(params: BetaParams, u):
     """Invert the regularized incomplete beta function.
 
-    Returns x in [0, 1] with ``|I_x(alpha, beta) - u| <= tol`` for each
+    Returns x in [0, 1] with ``|I_x(alpha, beta) - u| <= 1e-10`` for each
     element of ``u`` in [0, 1], or the nearest double to the exact inverse
-    when no double meets tol.  A cached table indexed by u gives every
-    query a bracketing cell and a quadratic start point, which betainc
-    checks; those outside tol are refined by Newton steps that fall back to
-    bisection whenever a step would leave the bracket.  For the bundled
-    shape about 1.1% of start points need refining.  ``max_iter`` counts
-    CDF evaluations per query, the first one included.
+    when no double meets that bound.  A cached knot table, searched by u
+    (``_beta_cells``), gives every query a bracketing cell and a quadratic
+    start point, which betainc checks; those outside the bound are refined
+    by Newton steps that fall back to bisection whenever a step would leave
+    the bracket.  For the bundled shape about 1.1% of start points need
+    refining.
 
     Raises:
-        ValueError: if any ``u`` is outside [0, 1] or ``tol`` is not positive.
-        NumericsError: if the iteration cap is hit before convergence.
+        ValueError: if any ``u`` is outside [0, 1].
+        NumericsError: if a query takes more than 200 CDF evaluations.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     arr, scalar = _as_array(u)
     if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=1.0) <= 1.0):
         raise ValueError("uniform variate must lie in [0, 1]")
@@ -678,22 +661,17 @@ def beta_inverse_cdf(params: BetaParams, u, tol: float = 1e-10,
     x += table.slope.take(cell)
     x *= du
     x += table.knots.take(cell)  # knots + du * (slope + du * curve)
-    x[flat == 1.0] = 1.0  # u = 0 already lands exactly on the knot x = 0
+    x[flat == 1.0] = 1.0  # u = 0 lands on the knot x = 0, as cdf[1] > 0
     r = betainc(params.alpha, params.beta, x) - flat
-    far = np.abs(r) > tol
+    far = np.abs(r) > _BETA_TOL
     if far.any():
-        x[far] = _beta_refine(params, table, cell[far], flat[far], x[far],
-                              r[far], tol, max_iter)
+        x[far] = _beta_refine(params, table, cell[far], flat[far], x[far], r[far])
     return _scalar_or_array(x.reshape(arr.shape), scalar)
 
 
 def sample_irradiance(params: BetaParams, u):
     """Daily irradiance (W/m2): the scaled beta inverse CDF of ``u``."""
-    x = beta_inverse_cdf(params, u)
-    if isinstance(x, float):
-        return params.scale_gmax * x
-    x *= params.scale_gmax  # a new array of beta_inverse_cdf's own
-    return x
+    return params.scale_gmax * beta_inverse_cdf(params, u)
 
 
 def pv_power(spec: PvArraySpec, g):
@@ -740,19 +718,18 @@ def _draw_brackets(params: BetaParams) -> tuple[np.ndarray, np.ndarray]:
     [knots[j], knots[j+1]] up to rounding.  Its start point's quadratic is
     monotone across the cell and meets both knots, and Newton steps and
     bisection stay inside a bracket made of the knots and points already
-    taken.  The knot cells that hold some u of u-cell c, [c, c + 1] / N
-    (the knots' CDF is nondecreasing, as _beta_cells' search needs), span
-    knots[first] to knots[last + 1].  Computing the start point costs a
-    few roundings of terms no larger than twice its cell's upper knot, so
-    it can leave the cell by ~2^-49 of that knot at most; the bracket is
-    widened by _CELL_MARGIN of its upper end, 512 times more.  Entry
-    _BETA_CELLS (u = 1) repeats the last cell.
+    taken.  _beta_cells is nondecreasing in u, so the knot cells of the u
+    in u-cell c, [c, c + 1] / N, run from the cell ``first`` of its lower
+    u-edge to the cell ``last`` of its upper one, and span knots[first] to
+    knots[last + 1].  Computing the start point costs a few roundings of
+    terms no larger than twice its cell's upper knot, so it can leave the
+    cell by ~2^-49 of that knot at most; the bracket is widened by
+    _CELL_MARGIN of its upper end, 512 times more.  Entry _BETA_CELLS
+    (u = 1) repeats the last cell.
     """
     table = _beta_bracket_table(params.alpha, params.beta)
-    edges = np.arange(_BETA_CELLS + 1) / _BETA_CELLS
-    first = np.searchsorted(table.cdf[1:], edges[:-1], side="left")
-    last = np.minimum(np.searchsorted(table.cdf, edges[1:], side="right") - 1,
-                      _BETA_CELLS - 1)
+    cells = _beta_cells(table, np.arange(_BETA_CELLS + 1) / _BETA_CELLS)
+    first, last = cells[:-1], cells[1:]
     x_low, x_high = table.knots[first], table.knots[last + 1]
     x_low = np.maximum(x_low - _CELL_MARGIN * x_high, 0.0)
     x_high = x_high + _CELL_MARGIN * x_high
@@ -1084,8 +1061,7 @@ def resource_values(dists: ResourceDistributions, label: tuple[str, str],
     kind, key = label
     if kind == "irradiance":
         return sample_irradiance(dists.irradiance, u)
-    np.maximum(u, MIN_UNIFORM, out=u)
-    return sample_wind_speed(dists.wind_regions[key], u, out=u)
+    return sample_wind_speed(dists.wind_regions[key], np.maximum(u, MIN_UNIFORM))
 
 
 def sample_daily_resources(dists: ResourceDistributions,

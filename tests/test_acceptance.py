@@ -239,7 +239,7 @@ def test_criterion_6_beta_inverse_against_brute_force_oracle():
     params = BetaParams(alpha=1.03745, beta=1.38279)
     oracle = BruteForceBetaCdf(params.alpha, params.beta)
     u = np.arange(0.001, 0.9995, 0.001)
-    x = beta_inverse_cdf(params, u, tol=1e-10)
+    x = beta_inverse_cdf(params, u)
     worst = np.abs(oracle.cdf(x) - u).max()
     assert worst <= 1e-8, f"worst oracle residual {worst:.3e}"
     _ok(f"6b beta inverse vs integrated-density oracle (residual {worst:.2e})")

@@ -353,6 +353,45 @@ def test_sample_traces_match_the_goldens_byte_for_byte(case_paths, case, tmp_pat
         assert (out / name).read_bytes() == (GOLDEN_TRACES / case / name).read_bytes(), name
 
 
+def _duplicate_wind_region(doc):
+    regions = doc["distributions"]["wind_regions"]
+    regions[1] = dict(regions[0])
+
+
+def _duplicate_aggregate_row(doc):
+    rows = doc["network"]["aggregate"]
+    rows[1] = dict(rows[0])
+
+
+def _zero_priority(doc):
+    doc["loads"][0]["priority"] = 0
+
+
+@pytest.mark.parametrize("edit, path", [
+    (_duplicate_wind_region, "distributions.wind_regions.1"),
+    (_duplicate_aggregate_row, "network.aggregate.1"),
+    (_zero_priority, "loads.0"),
+])
+def test_record_rule_violation_exits_3_with_one_line(tmp_path, capsys, edit, path):
+    doc = yaml.safe_load(bundled_scenario_path("case3").read_text())
+    edit(doc)
+    scenario = tmp_path / "broken.yaml"
+    scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
+    out = tmp_path / "report.csv"
+    assert main(["run", str(scenario), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"[constraint] {path}:" in err
+    assert not out.exists()
+
+
+def test_sample_zero_days_exits_2_with_one_line(case_paths, capsys):
+    assert main(["sample", case_paths["case3"], "--days", "0"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--days must be >= 1, got 0\n"
+
+
 def test_sample_multi_unit_stdout_is_rejected(case_paths):
     assert main(["sample", case_paths["case3"], "--days", "5"]) == EXIT_USAGE
 

@@ -31,7 +31,6 @@ from microrel.res_models import (
     _BetaTable,
     _beta_bracket_table,
     _beta_cells,
-    _beta_refine,
     _rekey,
 )
 from microrel.scenario_io import bundled_scenarios
@@ -180,7 +179,7 @@ def test_beta_inverse_cdf_median_matches_brute_force_oracle():
 
 def test_beta_inverse_cdf_against_oracle_grid(beta_oracle):
     u = np.arange(0.01, 1.0, 0.01)
-    x = beta_inverse_cdf(FITTED_BETA, u, tol=1e-10)
+    x = beta_inverse_cdf(FITTED_BETA, u)
     assert np.abs(beta_oracle.cdf(x) - u).max() <= 1e-8
 
 
@@ -212,20 +211,18 @@ def test_beta_inverse_cdf_returns_nearest_double_when_none_meets_tol(alpha, beta
         assert residual <= abs(res_models.betainc(alpha, beta, neighbour) - u)
 
 
-def test_beta_inverse_cdf_iteration_cap():
+def test_beta_inverse_cdf_iteration_cap(monkeypatch):
+    # The bound and the cap are read at call time.
+    monkeypatch.setattr(res_models, "_BETA_TOL", 1e-15)
+    monkeypatch.setattr(res_models, "_BETA_MAX_ITER", 1)
     with pytest.raises(NumericsError):
-        beta_inverse_cdf(FITTED_BETA, 0.4321, tol=1e-15, max_iter=1)
+        beta_inverse_cdf(FITTED_BETA, 0.4321)
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
 def test_beta_inverse_cdf_rejects_out_of_domain(bad):
     with pytest.raises(ValueError):
         beta_inverse_cdf(FITTED_BETA, bad)
-
-
-def test_beta_inverse_cdf_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        beta_inverse_cdf(FITTED_BETA, 0.5, tol=0.0)
 
 
 def test_sample_irradiance_endpoints_and_median():
@@ -397,11 +394,11 @@ def test_pv_power_rejects_negative_irradiance():
 
 
 # ---------------------------------------------------------------------------
-# The in-place kernels: checks, out buffers and bits
+# The in-place kernels: checks and bits
 # ---------------------------------------------------------------------------
 
 KERNELS = {
-    "sample_wind_speed": lambda x, **kw: sample_wind_speed(REGION1, x, **kw),
+    "sample_wind_speed": lambda x: sample_wind_speed(REGION1, x),
     "wind_power": lambda x: wind_power(WTG1, x),
     "pv_power": lambda x: pv_power(PV_STD, x),
 }
@@ -441,23 +438,6 @@ def test_kernels_are_bit_identical_to_their_where_form(name):
     got = KERNELS[name](x)
     # Compared as bits, so that 0.0 and -0.0 differ.
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-# Only the wind sampler takes an out buffer; the power curves return new arrays.
-@pytest.mark.parametrize("name", ["sample_wind_speed"])
-def test_kernels_write_into_out(name):
-    x = _kernel_inputs(name)
-    want = KERNELS[name](x)
-    out = np.full_like(x, np.nan)
-    assert KERNELS[name](x, out=out) is out
-    np.testing.assert_array_equal(out, want)
-
-
-def test_wind_sampler_runs_in_place_on_its_uniforms():
-    u = _kernel_inputs("sample_wind_speed")
-    want = sample_wind_speed(REGION1, u)
-    assert sample_wind_speed(REGION1, u, out=u) is u
-    np.testing.assert_array_equal(u, want)
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -791,8 +771,8 @@ def test_beta_table_brackets_every_cell(alpha, beta):
     np.testing.assert_array_equal(table.cdf,
                                   res_models.betainc(alpha, beta, table.knots))
     assert np.all(np.diff(table.cdf) >= 0.0)
-    # Knots sit within one cell of their u-edge, which is what lets the
-    # neighbour comparison stand in for a search.
+    # Knots sit within one cell of their u-edge, which keeps the PV bounds
+    # of each u-cell tight and the quadratic start points good.
     assert np.abs(table.cdf - CELL_EDGES).max() < 1.0 / _BETA_CELLS
     midpoints = (CELL_EDGES[:-1] + CELL_EDGES[1:]) / 2
     _assert_brackets_hold(table, np.concatenate((CELL_EDGES, midpoints)))
@@ -800,7 +780,7 @@ def test_beta_table_brackets_every_cell(alpha, beta):
 
 def test_beta_cells_search_when_no_neighbour_holds_u():
     # Knots at equal x steps are many cells away from their u-edges for a
-    # skewed shape, so most queries need the search fallback.
+    # skewed shape; the search brackets every query all the same.
     knots = np.linspace(0.0, 1.0, _BETA_CELLS + 1)
     cdf = res_models.betainc(0.5, 5.0, knots)
     zeros = np.zeros(_BETA_CELLS)
@@ -813,7 +793,7 @@ def test_beta_inverse_cdf_residual_at_edges_and_extremes(alpha, beta):
     params = BetaParams(alpha, beta)
     tol = 1e-10
     u = np.concatenate(([0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53], CELL_EDGES))
-    x = beta_inverse_cdf(params, u, tol=tol)
+    x = beta_inverse_cdf(params, u)
     assert np.all((x >= 0.0) & (x <= 1.0))
     assert np.abs(res_models.betainc(alpha, beta, x) - u).max() <= tol
     assert x[0] == 0.0 and x[1] == 1.0
@@ -828,32 +808,25 @@ def test_beta_inverse_cdf_agrees_with_oracle_for_each_shape(alpha, beta):
 
 
 # ---------------------------------------------------------------------------
-# The inverse checks every start point with betainc
+# Every draw meets the inverse's contract, as betainc alone judges it
 # ---------------------------------------------------------------------------
-
-def _betainc_only_inverse(params: BetaParams, u: np.ndarray,
-                          tol: float = 1e-10) -> np.ndarray:
-    """The inverse with every start point checked by betainc."""
-    table = _beta_bracket_table(params.alpha, params.beta)
-    cell = _beta_cells(table, u)
-    du = u - table.cdf[cell]
-    x = table.knots[cell] + du * (table.slope[cell] + du * table.curve[cell])
-    x[u == 1.0] = 1.0
-    r = res_models.betainc(params.alpha, params.beta, x) - u
-    far = np.abs(r) > tol
-    x[far] = _beta_refine(params, table, cell[far], u[far], x[far], r[far],
-                          tol, 200)
-    return x
-
 
 @pytest.mark.parametrize("alpha, beta", TABLE_SHAPES + [LARGE_SHAPE])
 def test_beta_inverse_cdf_equals_betainc_only_path(alpha, beta):
+    # |I_x - u| <= 1e-10, or, where no double meets that, neither
+    # neighbouring double of x is closer.
     params = BetaParams(alpha, beta)
     midpoints = (CELL_EDGES[:-1] + CELL_EDGES[1:]) / 2
     u = np.concatenate((np.random.default_rng(31).random(10**6),
                         CELL_EDGES, midpoints))
-    np.testing.assert_array_equal(beta_inverse_cdf(params, u),
-                                  _betainc_only_inverse(params, u))
+    x = beta_inverse_cdf(params, u)
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    residual = np.abs(res_models.betainc(alpha, beta, x) - u)
+    far = residual > 1e-10
+    for end in (0.0, 1.0):
+        neighbour = np.nextafter(x[far], end)
+        assert np.all(residual[far]
+                      <= np.abs(res_models.betainc(alpha, beta, neighbour) - u[far]))
 
 
 @pytest.mark.parametrize("alpha, beta", [(FITTED_BETA.alpha, FITTED_BETA.beta),
