@@ -22,10 +22,9 @@ from .engine import (
     simulate_year,
 )
 from .network import (
-    ContributionTable,
+    ComponentReliability,
     LoadPoint,
     NetworkModel,
-    UpstreamLink,
     analyze_failure_effects,
     build_contribution_table,
 )

@@ -181,7 +181,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     try:
         traces = emit_trace(scenario.fleet, scenario.distributions, args.days,
                             scenario.seed)
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy refuses a too-large shape with ValueError
         _diag(f"--days {args.days} is too large to sample in memory")
         return EXIT_USAGE
     if args.unit is not None:

@@ -26,9 +26,9 @@ from typing import BinaryIO, Iterable, Mapping, NamedTuple, Optional, Sequence, 
 import numpy as np
 
 from .network import (
-    ContributionTable,
+    ComponentReliability,
+    LoadPointAggregate,
     NetworkModel,
-    UpstreamLink,
     build_contribution_table,
 )
 from .res_models import (
@@ -519,32 +519,40 @@ def _p_res_value(estimate: Union[PResEstimate, float]) -> float:
     return p
 
 
+def _upstream_share(upstream: ComponentReliability, p_islanding: float, p):
+    """The upstream link's share of the failure rate and the unavailability
+    of a load point with supply probability ``p`` (a float or an array).
+
+    An upstream failure interrupts the load point only when the island fails
+    to form or the fleet cannot carry the load, hence the (1 - q*p) weight.
+    """
+    rate = (1.0 - p_islanding * p) * upstream.failure_rate
+    return rate, rate * upstream.repair_time
+
+
 def combine_analytical(p_res: Mapping[str, Union[PResEstimate, float]],
-                       contributions: ContributionTable,
-                       upstream: UpstreamLink,
+                       contributions: Mapping[str, LoadPointAggregate],
+                       upstream: ComponentReliability,
                        p_islanding: float = 1.0) -> dict[str, LoadPointIndices]:
     """Combine supply probabilities with network and upstream statistics.
 
-    For each load point i with supply probability p_i::
+    For each load point i with supply probability p_i, q = p_islanding::
 
-        lambda_i = sum(lambda_j) + (1 - p_islanding * p_i) * lambda_up
-        U_i      = sum(lambda_j * r_j) + (1 - p_islanding * p_i) * lambda_up * r_up
+        rate_i   = (1 - q * p_i) * lambda_up
+        lambda_i = sum(lambda_j) + rate_i
+        U_i      = sum(lambda_j * r_j) + rate_i * r_up
 
-    An upstream failure interrupts the load point only when the island fails
-    to form or the fleet cannot carry the load, hence the (1 - p) weight on
-    the upstream term.  With p_islanding = 0 the fleet contributes nothing.
+    With p_islanding = 0 the fleet contributes nothing.
     """
     if not 0.0 <= p_islanding <= 1.0:
         raise ValueError(f"p_islanding must lie in [0, 1], got {p_islanding}")
     indices = {}
-    for lp_id in contributions.load_point_ids:
+    for lp_id, totals in contributions.items():
         if lp_id not in p_res:
             raise KeyError(f"missing supply probability for load point {lp_id!r}")
-        p_effective = p_islanding * _p_res_value(p_res[lp_id])
-        lam = contributions.sum_lambda(lp_id) + (1.0 - p_effective) * upstream.failure_rate
-        u = contributions.sum_lambda_r(lp_id) + (
-            (1.0 - p_effective) * upstream.failure_rate * upstream.repair_time
-        )
+        rate, hours = _upstream_share(upstream, p_islanding, _p_res_value(p_res[lp_id]))
+        lam = totals.sum_lambda + rate
+        u = totals.sum_lambda_r + hours
         if lam > 0.0:
             indices[lp_id] = LoadPointIndices(lam, u, u / lam)
         else:
@@ -614,7 +622,8 @@ class SweepResult:
 
 
 def _running_ens_series(counts: np.ndarray, ctx_lp_ids: Sequence[str],
-                        network: NetworkModel, table: ContributionTable,
+                        network: NetworkModel,
+                        table: Mapping[str, LoadPointAggregate],
                         p_islanding: float,
                         prior_counts: Union[np.ndarray, int] = 0,
                         prior_years: int = 0) -> np.ndarray:
@@ -628,12 +637,9 @@ def _running_ens_series(counts: np.ndarray, ctx_lp_ids: Sequence[str],
     total_days = DAYS_PER_YEAR * np.arange(
         prior_years + 1, prior_years + years + 1, dtype=np.float64)
     p = cumulative / total_days[:, None]
-    upstream = network.upstream
     levels = np.array([network.load_point(lp).load_level for lp in ctx_lp_ids])
-    sum_lr = np.array([table.sum_lambda_r(lp) for lp in ctx_lp_ids])
-    u = sum_lr[None, :] + (1.0 - p_islanding * p) * (
-        upstream.failure_rate * upstream.repair_time
-    )
+    sum_lr = np.array([table[lp].sum_lambda_r for lp in ctx_lp_ids])
+    u = sum_lr + _upstream_share(network.upstream, p_islanding, p)[1]
     return u @ levels
 
 
@@ -680,7 +686,7 @@ class _Convergence:
     """
 
     def __init__(self, scenario: Scenario, lp_ids: Sequence[str],
-                 table: ContributionTable):
+                 table: Mapping[str, LoadPointAggregate]):
         self._scenario = scenario
         self._lp_ids = lp_ids
         self._table = table

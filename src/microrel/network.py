@@ -10,8 +10,10 @@ A network is described in one of two modes:
   contributions are derived by simulating the fault response of every
   section.  The bundled topology study uses this mode.
 
-Both modes produce the same ContributionTable consumed by the evaluation
-engine.
+Both modes give the same contribution table, a mapping from each load
+point id to its LoadPointAggregate in load-point order, which the
+evaluation engine combines with the upstream link.  Feeder sections and
+the upstream link share one record, ComponentReliability.
 """
 
 from __future__ import annotations
@@ -23,13 +25,11 @@ from typing import Mapping, Optional
 __all__ = [
     "TopologyError",
     "ComponentReliability",
-    "UpstreamLink",
     "LoadPoint",
     "FeederSection",
     "Switchgear",
     "FailureEffect",
     "LoadPointAggregate",
-    "ContributionTable",
     "NetworkModel",
     "analyze_failure_effects",
     "build_contribution_table",
@@ -63,18 +63,6 @@ def _check_nonnegative(name: str, value: float) -> None:
 @dataclass(frozen=True)
 class ComponentReliability:
     """Failure rate (occurrences/yr) and repair time (hours) of a component."""
-
-    failure_rate: float
-    repair_time: float
-
-    def __post_init__(self) -> None:
-        _check_nonnegative("failure_rate", self.failure_rate)
-        _check_nonnegative("repair_time", self.repair_time)
-
-
-@dataclass(frozen=True)
-class UpstreamLink:
-    """Bulk-grid connection whose failure forces the microgrid to island."""
 
     failure_rate: float
     repair_time: float
@@ -180,34 +168,12 @@ class LoadPointAggregate:
             raise ValueError("sum_lambda_r must be 0 when sum_lambda is 0")
 
 
-class ContributionTable:
-    """Each load point's feeder interruption totals, in load-point order.
-
-    ``sum_lambda`` is the rate of the interruptions the feeder causes and
-    ``sum_lambda_r`` the hours per year they last; the analytical
-    combination adds the upstream link's share to both.
-    """
-
-    def __init__(self, totals: Mapping[str, LoadPointAggregate]):
-        self._totals = dict(totals)
-
-    @property
-    def load_point_ids(self) -> tuple[str, ...]:
-        return tuple(self._totals)
-
-    def sum_lambda(self, load_point: str) -> float:
-        return self._totals[load_point].sum_lambda
-
-    def sum_lambda_r(self, load_point: str) -> float:
-        return self._totals[load_point].sum_lambda_r
-
-
 @dataclass(frozen=True)
 class NetworkModel:
     """Immutable description of the feeder in aggregate or topology mode."""
 
     load_points: tuple[LoadPoint, ...]
-    upstream: UpstreamLink
+    upstream: ComponentReliability  # bulk-grid link; a failure islands the microgrid
     aggregates: Optional[Mapping[str, LoadPointAggregate]] = None
     sections: tuple[FeederSection, ...] = ()
     switchgear: tuple[Switchgear, ...] = ()
@@ -401,18 +367,18 @@ def analyze_failure_effects(network: NetworkModel,
     return effects
 
 
-def build_contribution_table(network: NetworkModel) -> ContributionTable:
-    """Each load point's interruption totals from the network.
+def build_contribution_table(network: NetworkModel) -> dict[str, LoadPointAggregate]:
+    """Each load point's interruption totals, in load-point order.
 
-    Aggregate mode carries them as given; topology mode sums, for every
-    section whose failure interrupts the load point, its failure rate and
-    its rate times the duration set by the failure-effect class.
+    ``sum_lambda`` is the rate of the interruptions the feeder causes and
+    ``sum_lambda_r`` the hours per year they last.  Aggregate mode carries
+    them as given; topology mode sums, for every section whose failure
+    interrupts the load point, its failure rate and its rate times the
+    duration set by the failure-effect class.
     """
     if network.mode == MODE_AGGREGATE:
         assert network.aggregates is not None
-        return ContributionTable(
-            {lp.id: network.aggregates[lp.id] for lp in network.load_points}
-        )
+        return {lp.id: network.aggregates[lp.id] for lp in network.load_points}
     pairs: dict[str, list[tuple[float, float]]] = {
         lp.id: [] for lp in network.load_points
     }
@@ -423,9 +389,9 @@ def build_contribution_table(network: NetworkModel) -> ContributionTable:
             pairs[effect.load_point].append(
                 (sec.reliability.failure_rate, effect.duration)
             )
-    return ContributionTable({
+    return {
         lp_id: LoadPointAggregate(math.fsum(lam for lam, _ in lp_pairs),
                                   math.fsum(lam * dur for lam, dur in lp_pairs))
         for lp_id, lp_pairs in pairs.items()
-    })
+    }
 

@@ -239,8 +239,9 @@ def sample_wind_speed(params: WeibullParams, u):
         raise ValueError("uniform variate must lie strictly inside (0, 1)")
     v = np.log(arr)
     np.negative(v, out=v)
-    v **= 1.0 / params.shape_k  # the same ufunc as ``v ** (1/k)``
-    v *= params.scale_c
+    with np.errstate(over="ignore"):  # a tiny k overflows to the right limit, inf
+        v **= 1.0 / params.shape_k  # the same ufunc as ``v ** (1/k)``
+        v *= params.scale_c
     return _scalar_or_array(v, scalar)
 
 
@@ -260,9 +261,10 @@ def wind_power(spec: WindTurbineSpec, v):
     denom = spec.v_rated**3 - spec.v_cut_in**3
     a = spec.p_rated / denom
     b = spec.v_cut_in**3 / denom
-    power = np.power(arr, 3)
-    power *= a
-    power -= b * spec.p_rated
+    with np.errstate(over="ignore"):  # a speed past cut-out may overflow; it gives 0
+        power = np.power(arr, 3)
+        power *= a
+        power -= b * spec.p_rated
     # putmask and a product with the band mask measured faster than
     # np.where or np.copyto(where=); adding 0.0 turns the -0.0 of a
     # negative cubic value times 0 into the 0.0 that np.where gave.
@@ -683,10 +685,11 @@ def pv_power(spec: PvArraySpec, g):
     arr, scalar = _as_array(g)
     if not arr.min(initial=0.0) >= 0.0:
         raise ValueError("irradiance must be nonnegative and not NaN")
-    power = arr * spec.p_sn  # p_sn * g, both branches
-    quadratic = power * arr
-    quadratic /= spec.g_std * spec.r_c
-    power /= spec.g_std
+    with np.errstate(over="ignore"):  # an irradiance above g_std may overflow; it gives p_sn
+        power = arr * spec.p_sn  # p_sn * g, both branches
+        quadratic = power * arr
+        quadratic /= spec.g_std * spec.r_c
+        power /= spec.g_std
     np.putmask(power, arr < spec.r_c, quadratic)
     np.putmask(power, arr > spec.g_std, spec.p_sn)
     return _scalar_or_array(power, scalar)

@@ -42,7 +42,6 @@ from .network import (
     LoadPointAggregate,
     NetworkModel,
     Switchgear,
-    UpstreamLink,
 )
 from .res_models import (
     DAYS_PER_YEAR,
@@ -366,9 +365,8 @@ def parse_scenario(text: str) -> Scenario:
 
     loads = tuple(_build(f"loads.{i}", LoadPoint, row) for i, row in enumerate(doc["loads"]))
     net = doc["network"]
-    parts: dict[str, Any] = {
-        "load_points": loads, "upstream": _build("upstream", UpstreamLink, doc["upstream"]),
-    }
+    upstream = _build("upstream", ComponentReliability, doc["upstream"])
+    parts: dict[str, Any] = {"load_points": loads, "upstream": upstream}
     if net["mode"] == MODE_AGGREGATE:
         lp_ids = {lp.id for lp in loads}
         aggregates = parts["aggregates"] = {}

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,26 @@ def test_scenario_the_model_cannot_evaluate_is_config_error(tmp_path, capsys):
     assert err.count("\n") == 1
     assert "SAIFI is zero" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case, key, value", [
+    ("case2", "shape_k", "0.001"), ("case3", "scale_gmax_w_m2", "1.0e+300"),
+])
+def test_extreme_distributions_run_without_warnings(tmp_path, capsys, case,
+                                                    key, value):
+    # An infinite wind speed gives 0 kW past cut-out and a huge irradiance
+    # p_sn above g_std: the overflows reach the right limits, and outside
+    # pytest each warning would be two more stderr lines.
+    path = tmp_path / f"{case}.yaml"
+    path.write_text(re.sub(rf"{key}: [0-9.]+", f"{key}: {value}",
+                           bundled_scenario_path(case).read_text()))
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(path), "--workers", "1", "--out", str(out)]) == EXIT_OK
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.count("\n") == 1
+    assert "nan" not in out.read_text().lower()
 
 
 def test_validate_accepts_bundled_scenarios(case_paths, tmp_path, capsys):
@@ -405,13 +426,15 @@ def test_sample_empty_fleet_is_usage_error(case_paths):
 
 
 def test_sample_too_many_days_to_hold_exits_2_with_one_line(case_paths, capsys):
-    # numpy refuses the uniforms for 10^15 days at once, allocating nothing.
-    code = main(["sample", case_paths["case3"], "--days", str(10**15),
-                 "--unit", "PV1"])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "--days" in err and "too large" in err
+    # numpy refuses the uniforms for these days at once, allocating nothing:
+    # with MemoryError for 10^15, with ValueError for shapes it cannot index.
+    for days in (10**15, 10**18, 10**31):
+        code = main(["sample", case_paths["case3"], "--days", str(days),
+                     "--unit", "PV1"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"--days {days}" in err and "too large" in err
 
 
 @pytest.mark.parametrize("command, case", [

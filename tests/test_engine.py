@@ -24,10 +24,10 @@ from microrel.engine import (
     simulate_year,
 )
 from microrel.network import (
+    ComponentReliability,
     LoadPoint,
     LoadPointAggregate,
     NetworkModel,
-    UpstreamLink,
     build_contribution_table,
 )
 from microrel.res_models import (
@@ -671,7 +671,7 @@ def test_combination_accepts_estimates_and_floats():
 def test_combination_zero_rate_flags_undefined_repair_time():
     net = NetworkModel(
         load_points=(LoadPoint("L1", 10.0, 1, 1),),
-        upstream=UpstreamLink(0.0, 0.0),
+        upstream=ComponentReliability(0.0, 0.0),
         aggregates={"L1": LoadPointAggregate(0.0, 0.0)},
     )
     per_lp = combine_analytical({"L1": 0.0}, build_contribution_table(net),
@@ -690,6 +690,29 @@ def test_combination_validates_probabilities():
         combine_analytical(_zero_p_res(), table, net.upstream, p_islanding=2.0)
     with pytest.raises(KeyError):
         combine_analytical({"LP2": 0.0}, table, net.upstream)
+
+
+def test_running_ens_is_the_report_formula_at_each_years_p():
+    # The convergence rule's running ENS and the report's U_i share one
+    # upstream formula.  An upstream link of (0.3, 7.7) is not a power of
+    # two, so ((1 - q p) lambda_up) r_up and (1 - q p)(lambda_up r_up) round
+    # apart and any second rounding order shows.
+    net = dataclasses.replace(STUDY_NETWORK, upstream=ComponentReliability(0.3, 7.7))
+    table = build_contribution_table(net)
+    lp_ids = net.priority_order()
+    counts = np.random.default_rng(11).integers(0, 366, size=(300, len(lp_ids)))
+    prior_counts, prior_years, q = np.array([9000, 100, 3650, 0]), 40, 0.9
+    running = engine._running_ens_series(counts, lp_ids, net, table, q,
+                                         prior_counts=prior_counts,
+                                         prior_years=prior_years)
+    cumulative = np.cumsum(counts, axis=0, dtype=np.float64) + prior_counts
+    unavailability = np.array([
+        [combine_analytical(dict(zip(lp_ids, row / (365.0 * (prior_years + y + 1)))),
+                            table, net.upstream, q)[lp].unavailability
+         for lp in lp_ids]
+        for y, row in enumerate(cumulative)])
+    levels = np.array([net.load_point(lp).load_level for lp in lp_ids])
+    assert np.array_equal(running, unavailability @ levels)
 
 
 def test_load_point_indices_identity_enforced():
@@ -723,7 +746,7 @@ def test_system_indices_close_published_case1_arithmetic():
 def test_system_indices_require_customers_and_interruptions():
     no_customers = NetworkModel(
         load_points=(LoadPoint("L1", 10.0, 0, 1),),
-        upstream=UpstreamLink(0.5, 10.0),
+        upstream=ComponentReliability(0.5, 10.0),
         aggregates={"L1": LoadPointAggregate(0.1, 1.0)},
     )
     with pytest.raises(ZeroDivisionError):
@@ -731,7 +754,7 @@ def test_system_indices_require_customers_and_interruptions():
             {"L1": LoadPointIndices(0.1, 1.0, 10.0)}, no_customers)
     perfect = NetworkModel(
         load_points=(LoadPoint("L1", 10.0, 5, 1),),
-        upstream=UpstreamLink(0.0, 0.0),
+        upstream=ComponentReliability(0.0, 0.0),
         aggregates={"L1": LoadPointAggregate(0.0, 0.0)},
     )
     with pytest.raises(ZeroDivisionError):
@@ -1123,7 +1146,7 @@ def _seventeen_load_scenario(case2):
     network = NetworkModel(
         load_points=tuple(LoadPoint(f"L{j}", level, 10 + j, j + 1)
                           for j, level in enumerate(levels)),
-        upstream=UpstreamLink(0.5, 8.0),
+        upstream=ComponentReliability(0.5, 8.0),
         aggregates={f"L{j}": LoadPointAggregate(0.2 + 0.01 * j, 0.9)
                     for j in range(17)},
     )

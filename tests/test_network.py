@@ -9,14 +9,12 @@ from microrel.network import (
     EFFECT_REPAIR,
     EFFECT_SWITCH,
     ComponentReliability,
-    ContributionTable,
     FeederSection,
     LoadPoint,
     LoadPointAggregate,
     NetworkModel,
     Switchgear,
     TopologyError,
-    UpstreamLink,
     analyze_failure_effects,
     build_contribution_table,
 )
@@ -70,8 +68,8 @@ def test_aggregate_contribution_sums_match_dataset():
     net = STUDY_NETWORK
     table = build_contribution_table(net)
     for lp_id, agg in net.aggregates.items():
-        assert abs(table.sum_lambda(lp_id) - agg.sum_lambda) <= 1e-12
-        assert abs(table.sum_lambda_r(lp_id) - agg.sum_lambda_r) <= 1e-12
+        assert abs(table[lp_id].sum_lambda - agg.sum_lambda) <= 1e-12
+        assert abs(table[lp_id].sum_lambda_r - agg.sum_lambda_r) <= 1e-12
 
 
 def test_contribution_aggregates_equal_pair_sums():
@@ -83,26 +81,24 @@ def test_contribution_aggregates_equal_pair_sums():
         for effect in analyze_failure_effects(net, sec.id):
             pairs[effect.load_point].append(
                 (sec.reliability.failure_rate, effect.duration))
-    assert table.load_point_ids == tuple(pairs)
+    assert tuple(table) == tuple(pairs)
     for lp_id, lp_pairs in pairs.items():
-        assert table.sum_lambda(lp_id) == math.fsum(lam for lam, _ in lp_pairs)
-        assert table.sum_lambda_r(lp_id) == math.fsum(lam * dur for lam, dur in lp_pairs)
+        assert table[lp_id].sum_lambda == math.fsum(lam for lam, _ in lp_pairs)
+        assert table[lp_id].sum_lambda_r == math.fsum(lam * dur for lam, dur in lp_pairs)
     # LP4 is stranded by the s4 and s5 faults and switched for the other four.
-    assert table.sum_lambda_r("LP4") == pytest.approx(
+    assert table["LP4"].sum_lambda_r == pytest.approx(
         (0.040 + 0.040) * 30.0 + (0.040 + 0.040 + 0.036 + 0.030) * 3.5, abs=1e-12)
-    table = ContributionTable({"A": LoadPointAggregate(0.35, 2.7)})
-    assert (table.sum_lambda("A"), table.sum_lambda_r("A")) == (0.35, 2.7)
 
 
 def test_zero_failure_rate_network_has_zero_aggregates():
     net = NetworkModel(
         load_points=(LoadPoint("L1", 100.0, 10, 1),),
-        upstream=UpstreamLink(0.5, 10.0),
+        upstream=ComponentReliability(0.5, 10.0),
         aggregates={"L1": LoadPointAggregate(0.0, 0.0)},
     )
     table = build_contribution_table(net)
-    assert table.sum_lambda("L1") == 0.0
-    assert table.sum_lambda_r("L1") == 0.0
+    assert table["L1"].sum_lambda == 0.0
+    assert table["L1"].sum_lambda_r == 0.0
 
 
 def test_aggregate_requires_zero_duration_mass_for_zero_rate():
@@ -150,7 +146,7 @@ def test_every_section_classifies_every_load_point_exactly_once():
 def test_single_section_feeder_repairs_everything():
     net = NetworkModel(
         load_points=(LoadPoint("L1", 100.0, 5, 1), LoadPoint("L2", 50.0, 5, 2)),
-        upstream=UpstreamLink(0.5, 10.0),
+        upstream=ComponentReliability(0.5, 10.0),
         sections=(FeederSection("s1", ComponentReliability(0.1, 8.0),
                                 parent=None, isolator_upstream=True,
                                 load_points=("L1", "L2")),),
@@ -192,7 +188,7 @@ def test_topology_contribution_table_counts_all_sections():
     total_rate = math.fsum(sec.reliability.failure_rate for sec in net.sections)
     for lp in net.load_points:
         # Every section failure interrupts every load point on this feeder.
-        assert table.sum_lambda(lp.id) == pytest.approx(total_rate, abs=1e-12)
+        assert table[lp.id].sum_lambda == pytest.approx(total_rate, abs=1e-12)
     for sec in net.sections:
         assert all(effect.effect in (EFFECT_REPAIR, EFFECT_SWITCH)
                    for effect in analyze_failure_effects(net, sec.id))
@@ -214,8 +210,8 @@ def test_a_section_that_never_fails_adds_nothing_to_the_table(quiet):
                 pairs[effect.load_point].append(
                     (sec.reliability.failure_rate, effect.duration))
     for lp_id, lp_pairs in pairs.items():
-        assert table.sum_lambda(lp_id) == math.fsum(lam for lam, _ in lp_pairs)
-        assert table.sum_lambda_r(lp_id) == math.fsum(lam * dur for lam, dur in lp_pairs)
+        assert table[lp_id].sum_lambda == math.fsum(lam for lam, _ in lp_pairs)
+        assert table[lp_id].sum_lambda_r == math.fsum(lam * dur for lam, dur in lp_pairs)
 
 
 def test_analyze_rejects_unknown_section():
@@ -245,7 +241,7 @@ def test_topology_rejects_parent_cycle():
     with pytest.raises(TopologyError):
         NetworkModel(
             load_points=(_lp(1),),
-            upstream=UpstreamLink(0.5, 10.0),
+            upstream=ComponentReliability(0.5, 10.0),
             sections=(
                 _section("a", None, load_points=("L1",)),
                 _section("b", "c"),
@@ -259,7 +255,7 @@ def test_topology_rejects_multiple_roots():
     with pytest.raises(TopologyError):
         NetworkModel(
             load_points=(_lp(1),),
-            upstream=UpstreamLink(0.5, 10.0),
+            upstream=ComponentReliability(0.5, 10.0),
             sections=(_section("a", None, load_points=("L1",)),
                       _section("b", None)),
             switchgear=(Switchgear("feeder_breaker", 1.0),),
@@ -270,7 +266,7 @@ def test_topology_rejects_unknown_parent():
     with pytest.raises(TopologyError):
         NetworkModel(
             load_points=(_lp(1),),
-            upstream=UpstreamLink(0.5, 10.0),
+            upstream=ComponentReliability(0.5, 10.0),
             sections=(_section("a", None, load_points=("L1",)),
                       _section("b", "nope")),
             switchgear=(Switchgear("feeder_breaker", 1.0),),
@@ -281,7 +277,7 @@ def test_topology_rejects_unattached_load_point():
     with pytest.raises(TopologyError):
         NetworkModel(
             load_points=(_lp(1), _lp(2)),
-            upstream=UpstreamLink(0.5, 10.0),
+            upstream=ComponentReliability(0.5, 10.0),
             sections=(_section("a", None, load_points=("L1",)),),
             switchgear=(Switchgear("feeder_breaker", 1.0),),
         )
@@ -291,7 +287,7 @@ def test_topology_rejects_doubly_attached_load_point():
     with pytest.raises(TopologyError):
         NetworkModel(
             load_points=(_lp(1),),
-            upstream=UpstreamLink(0.5, 10.0),
+            upstream=ComponentReliability(0.5, 10.0),
             sections=(_section("a", None, load_points=("L1",)),
                       _section("b", "a", load_points=("L1",))),
             switchgear=(Switchgear("feeder_breaker", 1.0),),
@@ -301,10 +297,10 @@ def test_topology_rejects_doubly_attached_load_point():
 def test_topology_requires_exactly_one_breaker():
     sections = (_section("a", None, load_points=("L1",)),)
     with pytest.raises(TopologyError):
-        NetworkModel(load_points=(_lp(1),), upstream=UpstreamLink(0.5, 10.0),
+        NetworkModel(load_points=(_lp(1),), upstream=ComponentReliability(0.5, 10.0),
                      sections=sections, switchgear=())
     with pytest.raises(TopologyError):
-        NetworkModel(load_points=(_lp(1),), upstream=UpstreamLink(0.5, 10.0),
+        NetworkModel(load_points=(_lp(1),), upstream=ComponentReliability(0.5, 10.0),
                      sections=sections,
                      switchgear=(Switchgear("feeder_breaker", 1.0),
                                  Switchgear("feeder_breaker", 2.0)))
@@ -314,13 +310,13 @@ def test_topology_rejects_second_tie_and_dangling_tie():
     sections = (_section("a", None, load_points=("L1",)),)
     breaker = Switchgear("feeder_breaker", 1.0)
     with pytest.raises(TopologyError):
-        NetworkModel(load_points=(_lp(1),), upstream=UpstreamLink(0.5, 10.0),
+        NetworkModel(load_points=(_lp(1),), upstream=ComponentReliability(0.5, 10.0),
                      sections=sections,
                      switchgear=(breaker,
                                  Switchgear("normally_open_tie", 1.0, "a"),
                                  Switchgear("normally_open_tie", 1.0, "a")))
     with pytest.raises(TopologyError):
-        NetworkModel(load_points=(_lp(1),), upstream=UpstreamLink(0.5, 10.0),
+        NetworkModel(load_points=(_lp(1),), upstream=ComponentReliability(0.5, 10.0),
                      sections=sections,
                      switchgear=(breaker,
                                  Switchgear("normally_open_tie", 1.0, "zz")))
@@ -328,7 +324,7 @@ def test_topology_rejects_second_tie_and_dangling_tie():
 
 def test_network_mode_is_exclusive():
     lp = (_lp(1),)
-    up = UpstreamLink(0.5, 10.0)
+    up = ComponentReliability(0.5, 10.0)
     with pytest.raises(ValueError):
         NetworkModel(load_points=lp, upstream=up)  # neither mode
     with pytest.raises(ValueError):
@@ -341,7 +337,7 @@ def test_network_mode_is_exclusive():
 
 
 def test_network_rejects_duplicate_ids_and_ranks():
-    up = UpstreamLink(0.5, 10.0)
+    up = ComponentReliability(0.5, 10.0)
     with pytest.raises(ValueError):
         NetworkModel(load_points=(LoadPoint("X", 1.0, 1, 1), LoadPoint("X", 2.0, 1, 2)),
                      upstream=up,
@@ -354,7 +350,7 @@ def test_network_rejects_duplicate_ids_and_ranks():
 
 
 def test_aggregates_must_cover_load_points_exactly():
-    up = UpstreamLink(0.5, 10.0)
+    up = ComponentReliability(0.5, 10.0)
     with pytest.raises(ValueError):
         NetworkModel(load_points=(_lp(1), _lp(2)), upstream=up,
                      aggregates={"L1": LoadPointAggregate(0.1, 1.0)})
