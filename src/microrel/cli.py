@@ -233,8 +233,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ScenarioError as exc:
         _diag(f"configuration error [{exc.code}] {exc}")
         return EXIT_CONFIG
-    except (ZeroDivisionError, NumericsError, ValueError) as exc:
-        # The scenario parsed, but the model cannot evaluate it.
+    except (ArithmeticError, NumericsError, ValueError) as exc:
+        # The scenario parsed, but the model cannot evaluate it (an
+        # ArithmeticError: a division by zero, or an fsum's overflow).
         _diag(f"configuration error: {type(exc).__name__}: {exc}")
         return EXIT_CONFIG
     except OSError as exc:

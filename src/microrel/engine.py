@@ -36,8 +36,8 @@ from .res_models import (
     DailyResources,
     DgUnit,
     ResourceDistributions,
+    StreamBounds,
     draw_uniforms,
-    prepare_sampling,
     resource_values,
     sample_daily_resources,  # noqa: F401  (wrapped by perfbench/tracing.py)
     stream_bounds,
@@ -205,10 +205,7 @@ class LoadPointIndices:
     repair_time_defined: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("failure_rate", "unavailability", "repair_time"):
-            value = getattr(self, name)
-            if value < 0.0 or not math.isfinite(value):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        _require_finite(self, ("failure_rate", "unavailability", "repair_time"))
         if self.repair_time_defined:
             residual = abs(self.repair_time * self.failure_rate - self.unavailability)
             if residual > _IDENTITY_RTOL * max(1.0, self.unavailability):
@@ -224,6 +221,16 @@ class SystemIndices:
     caidi: float  # hours / interruption
     ens: float  # kWh / yr
     aens: float  # kWh / yr / customer
+
+    def __post_init__(self) -> None:
+        _require_finite(self, ("saifi", "saidi", "caidi", "ens", "aens"))
+
+
+def _require_finite(record, names: Sequence[str]) -> None:
+    for name in names:
+        value = getattr(record, name)
+        if value < 0.0 or not math.isfinite(value):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +285,9 @@ def priority_dispatch(total_res: float,
 
 @dataclass(frozen=True)
 class _SimContext:
-    """Everything a block needs to simulate its years; forked block workers
-    inherit it, so it is never pickled."""
+    """Everything a block needs to simulate its years, the run's tables
+    too: they are built from the other fields with it (``replace`` rebuilds
+    them).  Forked block workers inherit it, so it is never pickled."""
 
     distributions: ResourceDistributions
     fleet: tuple[DgUnit, ...]
@@ -288,6 +296,17 @@ class _SimContext:
     load_factors: tuple[float, ...]
     blocking: bool
     seed: int
+    bounds: StreamBounds = field(init=False, repr=False, compare=False)
+    taus: np.ndarray = field(init=False, repr=False, compare=False)
+    steps: np.ndarray = field(init=False, repr=False, compare=False)
+    limits: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        bounds = stream_bounds(self.distributions, self.fleet)
+        taus, steps = _served_thresholds(self.levels, self.load_factors, self.blocking)
+        for name, table in (("bounds", bounds), ("taus", taus), ("steps", steps),
+                            ("limits", bounds.limits(taus))):
+            object.__setattr__(self, name, table)
 
 
 def _context_for(scenario: Scenario) -> _SimContext:
@@ -419,26 +438,23 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
     The block runs in passes of _YEARS_PER_PASS years, each in buffers
     that every pass of the thread reuses (``_workspace``).  A pass draws
     its raw words and takes each stream's u-cells from them with one shift
-    (``u_cells``).  Each stream's fixed-point bounds (``stream_bounds``)
+    (``u_cells``).  Each stream's fixed-point bounds (``ctx.bounds``)
     enter it with one lower and one upper take, int32 multiples of a power
     of two q; summed over the streams, exactly, they bound the day's
     fleet-order total T: lower * q <= T <= upper * q.  A served threshold
-    tau becomes t = ceil(tau / q), capped at 2^31 - 1: a day whose lower
-    sum reaches t has T >= tau, and one whose upper sum is below t has
-    T < tau.  A day counts against every threshold by its lower sum; it is
-    open when its upper sum reaches a threshold its lower one does not,
-    and the pass keeps the words of its open days.  After the passes the
-    open days of the block are evaluated exactly in one go: one
-    ``resource_values`` call per stream, then each unit's
-    ``unit_power_series`` added in fleet order.  These are the values a
-    whole-block evaluation gives, since each draw depends only on its own
-    word, and their totals settle the counts they can change.
+    tau (``ctx.taus``) becomes t = ceil(tau / q) (``ctx.limits``), capped
+    at 2^31 - 1: a day whose lower sum reaches t has T >= tau, and one
+    whose upper sum is below t has T < tau.  A day counts against every
+    threshold by its lower sum; it is open when its upper sum reaches a
+    threshold its lower one does not, and the pass keeps the words of its
+    open days.  After the passes the open days of the block are evaluated
+    exactly in one go: one ``resource_values`` call per stream, then each
+    unit's ``unit_power_series`` added in fleet order.  These are the
+    values a whole-block evaluation gives, since each draw depends only on
+    its own word, and their totals settle the counts they can change.
     """
-    dists = ctx.distributions
-    bounds = stream_bounds(dists, ctx.fleet)
+    dists, bounds, taus, limits = ctx.distributions, ctx.bounds, ctx.taus, ctx.limits
     space = _workspace(bounds.n_rows)
-    taus, steps = _served_thresholds(ctx.levels, ctx.load_factors, ctx.blocking)
-    limits = bounds.limits(taus)
     reached = np.empty((n_years, len(taus)), dtype=np.int16)  # <= 365 a year
 
     open_days: list[np.ndarray] = []
@@ -496,7 +512,7 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
             tau, limit = tau.take(day), limit.take(day)
         late = (totals >= tau) & (lows < limit)
         reached[:, row] += np.bincount(year[late], minlength=n_years)
-    return reached @ steps
+    return reached @ ctx.steps
 
 
 def simulate_year(scenario: Scenario, year_index: int) -> dict[str, int]:
@@ -801,16 +817,22 @@ def run(scenario: Scenario, workers: int = 1) -> RunResult:
     Years are simulated in fixed-size blocks until the convergence rule
     triggers or ``scenario.max_years`` is reached.  Block j runs in process
     j mod w, w = min(workers, blocks): the caller is process 0 and forks
-    the others once the tables they inherit are built (where ``os.fork``
-    is missing, w = 1).  Forked workers run ahead and the caller takes the
-    blocks in order; because every year draws from its own (seed, year)
-    substream and the stopping year is a function of the per-year series
-    alone, the result is identical for any worker count.  On return, no
-    forked worker is left running.
+    the others, which inherit the run's context with its tables (where
+    ``os.fork`` is missing, w = 1).  Forked workers run ahead and the
+    caller takes the blocks in order; because every year draws from its own
+    (seed, year) substream and the stopping year is a function of the
+    per-year series alone, the result is identical for any worker count.
+    On return, no forked worker is left running.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     table = build_contribution_table(scenario.network)
+    # Without the microgrid (p = 0) each load point's failure rate and
+    # unavailability are greatest, so if these indices are valid, so are
+    # the run's.
+    compute_system_indices(combine_analytical(dict.fromkeys(table, 0.0), table,
+                                              scenario.network.upstream),
+                           scenario.network)
     ctx = _context_for(scenario)
     n_lp = len(ctx.lp_ids)
     record = _Convergence(scenario, ctx.lp_ids, table)
@@ -825,8 +847,6 @@ def run(scenario: Scenario, workers: int = 1) -> RunResult:
         starts = range(0, scenario.max_years, _YEARS_PER_BLOCK)
         n_blocks = -(-scenario.max_years // _YEARS_PER_BLOCK)
         w = min(workers, n_blocks) if hasattr(os, "fork") else 1
-        prepare_sampling(ctx.distributions, ctx.fleet)
-        _served_thresholds(ctx.levels, ctx.load_factors, ctx.blocking)
         stop = None
         forked: dict[int, tuple[int, BinaryIO]] = {}  # process -> pid, pipe
         try:

@@ -245,15 +245,12 @@ def _validate_topology(network: NetworkModel) -> None:
     for sec in network.sections:
         if sec.parent is not None and sec.parent not in sections:
             raise TopologyError(f"section {sec.id!r} has unknown parent {sec.parent!r}")
-    # Walk to the root from every section; a revisit means a parent cycle.
+    # With one root and every parent known, the sections the root does not
+    # reach lie on or below a parent cycle.
+    reached = _reachable(network, roots[0].id, set(), _neighbors(network))
     for sec in network.sections:
-        seen = set()
-        node = sec
-        while node.parent is not None:
-            if node.id in seen:
-                raise TopologyError(f"parent cycle involving section {sec.id!r}")
-            seen.add(node.id)
-            node = sections[node.parent]
+        if sec.id not in reached:
+            raise TopologyError(f"parent cycle involving section {sec.id!r}")
 
     lp_ids = {lp.id for lp in network.load_points}
     attached: dict[str, str] = {}

@@ -46,7 +46,6 @@ __all__ = [
     "unit_power_series",
     "UniformBlock",
     "draw_uniforms",
-    "prepare_sampling",
     "resource_values",
     "sample_daily_resources",
     "emit_trace",
@@ -874,7 +873,12 @@ def stream_bounds(dists: ResourceDistributions,
     which only widens them; dividing by a power of two is exact.  e is the
     least exponent for which the streams' greatest upper entries add to at
     most 2^30, so no int32 sum of a day's entries can overflow.
+
+    A fleet with PV arrays gets the beta inverse CDF's bracket table built
+    too, which its irradiance draws read, even if its PV bounds are cached.
     """
+    if any(isinstance(unit.device, PvArraySpec) for unit in fleet):
+        _beta_bracket_table(dists.irradiance.alpha, dists.irradiance.beta)
     units: dict[tuple[str, str], list] = {
         label: [] for label in _stream_labels(dists, fleet)}
     for unit in fleet:
@@ -1036,23 +1040,6 @@ def draw_uniforms(dists: ResourceDistributions,
     return UniformBlock(labels, out)
 
 
-def prepare_sampling(dists: ResourceDistributions,
-                     fleet: Sequence[DgUnit]) -> None:
-    """Build now the lazily cached tables the fleet's draws will use.
-
-    Every unit has power bounds per u-cell (``power_bounds``); a turbine's
-    take ~0.4 ms to build.  The fleet's fixed-point stream bounds
-    (``stream_bounds``), which the passes read, add them up per stream.  Irradiance
-    draws also use the beta inverse CDF's bracket table, about 9 200
-    betainc evaluations, which the open days' draws and the PV bounds read.
-    A process about to fork workers calls this so that they inherit the
-    tables instead of each building its own.
-    """
-    if any(isinstance(unit.device, PvArraySpec) for unit in fleet):
-        _beta_bracket_table(dists.irradiance.alpha, dists.irradiance.beta)
-    stream_bounds(dists, fleet)
-
-
 def resource_values(dists: ResourceDistributions, label: tuple[str, str],
                     words: np.ndarray) -> np.ndarray:
     """Resource values of stream ``label`` for raw ``words``: Weibull speeds
@@ -1106,12 +1093,8 @@ class TraceSeries:
     """Per-day (resource, power) series for one unit."""
 
     unit: str
-    resource_kind: str  # "wind_speed_m_s" or "irradiance_w_m2"
     resource: np.ndarray = field(repr=False)
     power_kw: np.ndarray = field(repr=False)
-
-
-_RESOURCE_KINDS = {"wind": "wind_speed_m_s", "irradiance": "irradiance_w_m2"}
 
 
 def emit_trace(fleet: Sequence[DgUnit],
@@ -1129,16 +1112,10 @@ def emit_trace(fleet: Sequence[DgUnit],
     has in the run.
     """
     resources = sample_daily_resources(dists, fleet, seed, n_days)
-    traces = []
-    for unit in fleet:
-        label = stream_label(unit, dists.shared_irradiance)
-        traces.append(TraceSeries(
-            unit=unit.name,
-            resource_kind=_RESOURCE_KINDS[label[0]],
-            resource=resources.streams[label],
-            power_kw=unit_power_series(unit, resources),
-        ))
-    return traces
+    return [TraceSeries(unit.name,
+                        resources.streams[stream_label(unit, dists.shared_irradiance)],
+                        unit_power_series(unit, resources))
+            for unit in fleet]
 
 
 def trace_to_delimited(series: TraceSeries) -> str:

@@ -80,6 +80,10 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's is ~7x
 # written, with YAML 1.2's floats too, so that a string such as "1e3" is
 # written quoted.
 _YAML12_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?$")
+# The deepest nesting of collections a scenario file may have; the schema's
+# is five.  PyYAML composes a document with one recursion per level (libyaml's
+# composer overflows the C stack past ~20 000), but parses it without any.
+_MAX_NESTING = 100
 
 
 @lru_cache(maxsize=None)
@@ -329,6 +333,46 @@ def _build(path: str, record: Any, fields: Mapping[str, Any], label: str = "",
         raise ConstraintError(path, label + reason) from exc
 
 
+def _check_events(text: str, loader: type) -> None:
+    """Reject, in one pass over the document's events, nesting deeper than
+    _MAX_NESTING and a key repeated within a mapping.  Keys are compared
+    as resolved scalars; a merge key (``<<``) may repeat, and override, the
+    keys it merges."""
+    def at(event: Any) -> str:
+        return f"line {event.start_mark.line + 1}, column {event.start_mark.column + 1}"
+
+    parser = loader(text)
+    try:
+        # Per open collection: a mapping's keys so far and whether its next
+        # node is a key, or None for a sequence.
+        open_collections: list[Optional[list]] = []
+        while parser.check_event():
+            event = parser.get_event()
+            if isinstance(event, yaml.CollectionEndEvent):
+                open_collections.pop()
+            elif not isinstance(event, yaml.NodeEvent):  # a stream's or document's
+                continue
+            mapping = open_collections[-1] if open_collections else None
+            if mapping is not None and mapping[1] and isinstance(event, yaml.ScalarEvent):
+                tag = event.tag
+                if tag in (None, "!"):
+                    tag = parser.resolve(yaml.ScalarNode, event.value, event.implicit)
+                if (tag, event.value) in mapping[0]:
+                    raise ScenarioSyntaxError("", f"repeated key {event.value!r} at {at(event)}")
+                if tag != "tag:yaml.org,2002:merge":
+                    mapping[0].add((tag, event.value))
+            if isinstance(event, yaml.CollectionStartEvent):
+                open_collections.append(
+                    [set(), True] if isinstance(event, yaml.MappingStartEvent) else None)
+                if len(open_collections) > _MAX_NESTING:
+                    raise ScenarioSyntaxError(
+                        "", f"collections nest deeper than {_MAX_NESTING} levels at {at(event)}")
+            elif mapping is not None:  # one of its nodes is complete
+                mapping[1] = not mapping[1]
+    finally:
+        parser.dispose()
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document.
 
@@ -336,8 +380,10 @@ def parse_scenario(text: str) -> Scenario:
     path: for any syntax problem, schema violation, dangling reference or
     constraint violation.  Unknown keys are rejected everywhere.
     """
+    loader = _with_yaml12_floats(_YAML_LOADER)
     try:
-        document = yaml.load(text, Loader=_with_yaml12_floats(_YAML_LOADER))
+        _check_events(text, loader)
+        document = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ScenarioSyntaxError("", "not valid YAML: " + " ".join(str(exc).split())) from exc
     if not isinstance(document, dict):

@@ -165,6 +165,32 @@ def test_extreme_distributions_run_without_warnings(tmp_path, capsys, case,
     assert "nan" not in out.read_text().lower()
 
 
+@pytest.mark.parametrize("fmt", ["delimited", "structured"])
+@pytest.mark.parametrize("key, value", [
+    ("level_kw", "1.0e+308"), ("level_kw", "1.0e+307"),
+    ("failure_rate_per_yr", "1.0e+308"),
+])
+def test_indices_that_overflow_exit_3_before_simulating(tmp_path, capsys, monkeypatch,
+                                                        key, value, fmt):
+    # Levels of 1e308 kW make ENS infinite, and 1e307 overflow its fsum; an
+    # upstream rate of 1e308 makes U infinite.  Each index is greatest
+    # without the microgrid, which the run checks before simulating a year.
+    def no_block(*args):
+        raise AssertionError("a block was simulated")
+
+    monkeypatch.setattr(engine, "_simulate_block", no_block)
+    path = tmp_path / "huge.yaml"
+    path.write_text(re.sub(rf"{key}: [0-9.]+", f"{key}: {value}",
+                           bundled_scenario_path("case3").read_text()))
+    out = tmp_path / "report"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(path), "--format", fmt, "--out", str(out)]) == EXIT_CONFIG
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_validate_accepts_bundled_scenarios(case_paths, tmp_path, capsys):
     code = main(["validate", case_paths["case3"]])
     assert code == EXIT_OK
@@ -208,6 +234,39 @@ def test_yaml_syntax_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
     assert err.count("\n") == 1
     assert "not valid YAML" in err and "line 2" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.yaml"]
+
+
+# Runs cli.main on sys.argv[2:], reading scenario files with the PyYAML
+# loader named by sys.argv[1].
+_LOADER_STUDY = """
+import sys, yaml
+from microrel import cli, scenario_io
+scenario_io._YAML_LOADER = getattr(yaml, sys.argv[1])
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+@pytest.mark.parametrize("name", ["deep", "repeated"])
+def test_deep_or_repeated_yaml_exits_3_with_one_line(tmp_path, loader, name):
+    # 100 000 nested lists overflowed libyaml's composer (SIGSEGV) and
+    # PyYAML's recursion limit, and a repeated key took the last value; in a
+    # subprocess, so that a crash fails this test alone.
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML without libyaml")
+    case3 = bundled_scenario_path("case3").read_text()
+    assert case3.count("  max_years: 100000\n") == 1
+    path = tmp_path / f"{name}.yaml"
+    path.write_text("[" * 100_000 if name == "deep" else
+                    case3.replace("  max_years: 100000\n",
+                                  "  max_years: 7\n  max_years: 100000\n"))
+    proc = subprocess.run([sys.executable, "-c", _LOADER_STUDY, loader, "validate",
+                           str(path)], env=_python_env(), capture_output=True,
+                          text=True, timeout=120)
+    reason = {"deep": "collections nest deeper than 100 levels at line 1, column 101",
+              "repeated": "repeated key 'max_years' at line 87, column 3"}[name]
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr == f"configuration error [syntax] {reason}\n"
 
 
 def test_missing_scenario_file_is_io_error(tmp_path):
@@ -519,11 +578,16 @@ print(json.dumps([cli.main(sys.argv[1:]), forks]))
 """
 
 
-def _fresh_python(*args: str):
+def _python_env() -> dict[str, str]:
+    """This environment, with the microrel under test first on the path."""
     env = dict(os.environ)
     src = str(Path(microrel.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", *args], env=env,
+    return env
+
+
+def _fresh_python(*args: str):
+    proc = subprocess.run([sys.executable, "-c", *args], env=_python_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])

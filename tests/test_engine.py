@@ -298,6 +298,24 @@ def test_block_counts_match_reference_past_the_bundled_needs(cases, n_loads, blo
                                       reference_block_counts(ctx, start_year, n_years))
 
 
+def test_a_replaced_context_rebuilds_its_tables(cases):
+    # The tables are fields of the context, built from its other fields:
+    # a context replaced with other loads and the other rule gets its own.
+    ctx = engine._context_for(cases["case4"])
+    levels = _MANY_LEVELS[:7]
+    other = dataclasses.replace(ctx, blocking=not ctx.blocking, levels=levels,
+                                lp_ids=tuple(f"L{j}" for j in range(7)))
+    taus, steps = engine._served_thresholds.__wrapped__(levels, ctx.load_factors,
+                                                         not ctx.blocking)
+    np.testing.assert_array_equal(other.taus, taus)
+    np.testing.assert_array_equal(other.steps, steps)
+    np.testing.assert_array_equal(other.limits, ctx.bounds.limits(taus))
+    assert other.bounds is ctx.bounds  # the same fleet's cached bounds
+    assert other.steps.shape[1] == 7 != ctx.steps.shape[1]
+    np.testing.assert_array_equal(engine._simulate_block(other, 0, P + 1),
+                                  reference_block_counts(other, 0, P + 1))
+
+
 @pytest.mark.parametrize("blocking", [False, True])
 def test_a_total_exactly_at_a_threshold_is_served(cases, blocking):
     # A lone turbine rated at the sum of the needs delivers exactly that sum
@@ -767,6 +785,15 @@ def test_system_indices_reject_missing_load_point():
     with pytest.raises(KeyError):
         compute_system_indices({"LP2": LoadPointIndices(0.1, 1.0, 10.0)},
                                STUDY_NETWORK)
+
+
+@pytest.mark.parametrize("name", ["saifi", "saidi", "caidi", "ens", "aens"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_system_indices_must_be_finite_and_non_negative(name, value):
+    values = dict(saifi=0.7, saidi=7.6, caidi=10.6, ens=42381.0, aens=60.5)
+    engine.SystemIndices(**values)
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        engine.SystemIndices(**{**values, name: value})
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,21 @@ def test_topology_rejects_parent_cycle():
         )
 
 
+@pytest.mark.parametrize("sections", [
+    (("d", "b"), ("a", None), ("b", "c"), ("c", "b")),  # d hangs below the cycle
+    (("a", None), ("d", "d"), ("b", "d")),  # d is its own parent
+])
+def test_a_parent_cycle_names_the_first_section_on_or_below_it(sections):
+    with pytest.raises(TopologyError, match="parent cycle involving section 'd'"):
+        NetworkModel(
+            load_points=(_lp(1),),
+            upstream=ComponentReliability(0.5, 10.0),
+            sections=tuple(_section(sec_id, parent, load_points=("L1",) if sec_id == "a" else ())
+                           for sec_id, parent in sections),
+            switchgear=(Switchgear("feeder_breaker", 1.0),),
+        )
+
+
 def test_topology_rejects_multiple_roots():
     with pytest.raises(TopologyError):
         NetworkModel(

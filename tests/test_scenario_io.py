@@ -11,7 +11,8 @@ import pytest
 import yaml
 
 from microrel import engine, scenario_io
-from microrel.res_models import PvArraySpec, WindTurbineSpec
+from microrel.network import FeederSection, LoadPoint, Switchgear
+from microrel.res_models import BetaParams, PvArraySpec, ResourceDistributions, WindTurbineSpec
 from microrel.scenario_io import (
     ConstraintError,
     DanglingReferenceError,
@@ -257,6 +258,48 @@ def test_rejects_invalid_yaml_syntax():
         parse_scenario("{unbalanced: [")
     with pytest.raises(ScenarioSyntaxError):
         parse_scenario("- a\n- b\n")
+
+
+@pytest.mark.parametrize("loader", _LOADERS)
+def test_a_repeated_key_is_rejected_but_a_merge_key_may_override(loader, monkeypatch):
+    monkeypatch.setattr(scenario_io, "_YAML_LOADER", getattr(yaml, loader))
+    text = bundled_scenario_path("case3").read_text()
+    assert text.count("\nsimulation:\n  max_years: 100000\n") == 1
+    for repeat in ("  max_years: 7\n", '  "max_years": 7\n'):  # one key, however written
+        with pytest.raises(ScenarioSyntaxError, match="repeated key 'max_years' at line 87"):
+            parse_scenario(text.replace("  max_years: 100000\n",
+                                        "  max_years: 100000\n" + repeat))
+    # A mapping's own keys override the keys it merges (<<), and the first
+    # merged mapping the later ones.
+    merged = parse_scenario(text.replace(
+        "\nsimulation:\n",
+        "\nsimulation:\n  <<: [{max_years: 7, sweep_p: [0.5]}, {sweep_p: [0.25]}]\n"))
+    assert merged == dataclasses.replace(bundled_scenarios()["case3"], sweep_p=(0.5,))
+
+
+def test_optional_fields_default_as_their_records_do():
+    # A key a file leaves out reads as the default of the record field it
+    # fills, so a file and the Python API cannot drift apart.
+    records = {
+        "_META": (engine.Scenario,), "_IRRADIANCE": (BetaParams, ResourceDistributions),
+        "_PV_ARRAY": (PvArraySpec,), "_SECTION": (FeederSection,),
+        "_SWITCHGEAR": (Switchgear,), "_LOAD": (LoadPoint,),
+        "_SIMULATION": (engine.Scenario,), "_DOCUMENT": (engine.Scenario,),
+    }
+    checked = []
+    for table, owners in records.items():
+        defaults = {field.name: field.default if field.default_factory is dataclasses.MISSING
+                    else field.default_factory()
+                    for owner in owners for field in dataclasses.fields(owner)}
+        for key, _, default, target in getattr(scenario_io, table):
+            if default is not scenario_io._REQUIRED:
+                assert default == defaults[target], f"{table} {key}"
+                checked.append(target)
+    assert sorted(checked) == sorted([
+        "description", "scale_gmax", "shared_irradiance", "g_std", "r_c",
+        "isolator_upstream", "isolator_downstream", "load_points", "at_section",
+        "customer_class", "max_years", "tolerance", "p_islanding", "dispatch",
+        "sweep_p", "load_factors"])
 
 
 def test_rejects_unknown_top_level_key(case3_doc):
