@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from importlib import import_module, resources
 from pathlib import Path
 
 import pytest
@@ -24,14 +25,14 @@ from microrel.cli import (
     main,
 )
 from microrel.res_models import NumericsError
-from microrel.scenario_io import bundled_scenario_path, parse_report
+from microrel.scenario_io import bundled_scenario_path, parse_report, parse_scenario
 from test_scenario_io import GOLDEN_REPORTS
 
 
 @pytest.fixture(scope="module")
 def case_paths():
     return {name: str(bundled_scenario_path(name))
-            for name in ("case1", "case2", "case3", "sweep", "topology")}
+            for name in scenario_io._BUNDLED_NAMES}
 
 
 def test_run_case1_writes_published_report(case_paths, tmp_path):
@@ -47,10 +48,11 @@ def test_run_case1_writes_published_report(case_paths, tmp_path):
 
 
 @pytest.mark.parametrize("fmt, suffix", [("delimited", "csv"), ("structured", "json")])
-@pytest.mark.parametrize("case", ["case1", "case3", "topology"])
+@pytest.mark.parametrize("case", scenario_io._BUNDLED_NAMES)
 def test_run_writes_the_golden_report(case_paths, tmp_path, case, fmt, suffix):
+    command = "sweep" if case == "sweep" else "run"
     out = tmp_path / f"{case}.{suffix}"
-    assert main(["run", case_paths[case], "--format", fmt, "--out", str(out)]) == EXIT_OK
+    assert main([command, case_paths[case], "--format", fmt, "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == (GOLDEN_REPORTS / f"{case}.{suffix}").read_bytes()
 
 
@@ -191,11 +193,30 @@ def test_indices_that_overflow_exit_3_before_simulating(tmp_path, capsys, monkey
     assert not out.exists()
 
 
-def test_validate_accepts_bundled_scenarios(case_paths, tmp_path, capsys):
-    code = main(["validate", case_paths["case3"]])
+@pytest.mark.parametrize("case", scenario_io._BUNDLED_NAMES)
+def test_validate_accepts_bundled_scenarios(case_paths, tmp_path, capsys, case):
+    code = main(["validate", case_paths[case]])
     assert code == EXIT_OK
     assert "is valid" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_package_ships_its_scenarios_and_console_script():
+    # Run against an installed copy, this checks what the install holds: the
+    # bundled scenarios as package data, and the `microrel` entry point.
+    shipped = resources.files(scenario_io.__package__) / "scenarios"
+    assert sorted(entry.name for entry in shipped.iterdir()
+                  if entry.name.endswith(".yaml")) == sorted(
+        f"{name}.yaml" for name in scenario_io._BUNDLED_NAMES)
+    for name in scenario_io._BUNDLED_NAMES:
+        parse_scenario(bundled_scenario_path(name).read_text())
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = tomllib.loads(
+        (Path(__file__).parent.parent / "pyproject.toml").read_text())
+    target = pyproject["project"]["scripts"]["microrel"]
+    assert target == "microrel.cli:main"
+    module, name = target.split(":")
+    assert getattr(import_module(module), name) is main
 
 
 def test_validate_rejects_broken_file_without_artifacts(tmp_path, capsys):

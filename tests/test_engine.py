@@ -97,6 +97,11 @@ def test_dispatch_rejects_negative_generation():
         priority_dispatch(-1.0, PRIORITY_LOADS)
 
 
+def test_dispatch_rejects_a_negative_load_level():
+    with pytest.raises(ValueError, match="load level for 'LP3' must be >= 0"):
+        priority_dispatch(1000.0, [("LP9", 100.0), ("LP3", -1.0)])
+
+
 @pytest.mark.parametrize("blocking", [False, True])
 def test_dispatch_matches_subset_enumeration(blocking):
     rng = np.random.default_rng(314)
@@ -878,12 +883,21 @@ def test_run_seed_changes_results(cases):
 
 
 def test_run_worker_count_does_not_change_results(cases):
-    scenario = cases["case3"]
-    inline = run(scenario, workers=1)
-    pooled = run(scenario, workers=2)
-    assert inline.years_run == pooled.years_run
-    assert inline.p_res == pooled.p_res
-    assert inline.system == pooled.system
+    # At its own tolerance a study stops at the 1000-year floor, two blocks;
+    # a forced 3000-year horizon is six, two for each of three processes, so
+    # forked workers reuse their pass buffers.  running_ens and statistic are
+    # what `run --trace` prints.
+    for name in ("case3", "case4"):
+        for scenario in (cases[name], dataclasses.replace(
+                cases[name], max_years=3000, tolerance=1e-300)):
+            inline = run(scenario, workers=1)
+            for workers in (2, 3):
+                forked = run(scenario, workers=workers)
+                for field in dataclasses.fields(engine.RunResult):
+                    np.testing.assert_equal(
+                        getattr(forked, field.name), getattr(inline, field.name),
+                        err_msg=f"{name}, {scenario.max_years} years, "
+                                f"{workers} workers: {field.name}")
 
 
 def test_run_respects_max_years_and_reports_nonconvergence(cases):
@@ -988,7 +1002,7 @@ def _full_series(scenario, counts):
 
 
 @pytest.mark.parametrize("max_years, workers",
-                         [(1000, 1), (1000, 2), (3000, 1), (3000, 2)])
+                         [(1000, 1), (1000, 2), (3000, 1), (3000, 2), (3000, 3)])
 def test_wave_bookkeeping_is_bit_identical_to_full_recompute(
         cases, monkeypatch, max_years, workers):
     scenario = dataclasses.replace(cases["case3"], max_years=max_years,

@@ -40,6 +40,12 @@ def test_calibrated_dataset_priority_order():
     assert STUDY_NETWORK.priority_order() == ("LP9", "LP3", "LP4", "LP2")
 
 
+def test_load_point_looks_up_by_id_and_rejects_an_unknown_one():
+    assert STUDY_NETWORK.load_point("LP3").id == "LP3"
+    with pytest.raises(KeyError, match="LP7"):
+        STUDY_NETWORK.load_point("LP7")
+
+
 def test_calibrated_dataset_aggregates():
     net = STUDY_NETWORK
     expected = {

@@ -669,7 +669,7 @@ def _twelve_load_case3(case3_doc):
     return _parse_mutated(doc)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("name", ["case1", "case2", "case3", "case4", "sweep",
                                   "topology", "case3_twelve"])
 def test_bundled_reports_match_the_goldens_byte_for_byte(cases, case3_doc, name, workers):
