@@ -8,9 +8,10 @@ data to produce per-load-point indices (failure rate, unavailability, repair
 time) and the customer-weighted system indices SAIFI, SAIDI, CAIDI, ENS and
 AENS.
 
-Years are independent given the seed: every simulated year consumes an RNG
-substream derived from (seed, year index), so runs are reproducible and the
-result is invariant to how many workers simulate the years.
+Years are independent given the seed: every simulated year reads its own
+words of a counter-based RNG keyed by (seed, year // 64), so runs are
+reproducible and the result is invariant to how many workers simulate the
+years.
 """
 
 from __future__ import annotations
@@ -33,16 +34,20 @@ from .network import (
 )
 from .res_models import (
     DAYS_PER_YEAR,
+    YEARS_PER_GROUP,
     DailyResources,
     DgUnit,
     ResourceDistributions,
     StreamBounds,
+    day_lanes,
+    day_words,
     draw_uniforms,
     resource_values,
     sample_daily_resources,  # noqa: F401  (wrapped by perfbench/tracing.py)
     stream_bounds,
     u_cells,
     unit_power_series,
+    words_per_year,
 )
 
 __all__ = [
@@ -75,9 +80,10 @@ CONVERGENCE_WINDOW_YEARS = 100
 MIN_CONVERGENCE_YEARS = 1000
 _YEARS_PER_BLOCK = 512
 # Years per pass of the chain from u-cells to served-day counts within a
-# block, so that a pass's per-day arrays (23 360 days, 23-190 KB each) stay
-# in cache.  Warm blocks measured alike at 64 to 512 and 15-25% slower at 16.
-_YEARS_PER_PASS = 64
+# block: one group of the sampler, whose coarse words one seek reads.  A
+# pass's per-day arrays (23 360 days, 23-190 KB each) stay in cache, and a
+# block starting at a multiple of 512 is a whole number of groups.
+_YEARS_PER_PASS = YEARS_PER_GROUP
 _THRESHOLD_BRACKET = 128  # ulps; a threshold is a few ulps off a prefix sum of the served needs
 
 _IDENTITY_RTOL = 1e-9
@@ -388,10 +394,10 @@ def _served_thresholds(levels: tuple[float, ...], load_factors: tuple[float, ...
 
 
 class _Workspace(NamedTuple):
-    """The buffers a pass writes into, for fleets drawing ``words.shape[1]``
+    """The buffers a pass writes into, for fleets drawing one number of
     streams; every pass of up to _YEARS_PER_PASS years slices them."""
 
-    words: np.ndarray  # (years, streams, days) raw words
+    coarse: np.ndarray  # (years, 4C) coarse words
     cells: np.ndarray  # (years, days): one stream's u-cells
     lower: np.ndarray  # (years * days,) int32: the day's fixed-point bounds,
     upper: np.ndarray  # summed over the streams
@@ -420,7 +426,7 @@ def _workspace(n_streams: int) -> _Workspace:
         days = (_YEARS_PER_PASS, DAYS_PER_YEAR)
         n_days = _YEARS_PER_PASS * DAYS_PER_YEAR
         cache[n_streams] = _Workspace(
-            words=np.empty((_YEARS_PER_PASS, n_streams, DAYS_PER_YEAR), dtype=np.uint64),
+            coarse=np.empty((_YEARS_PER_PASS, words_per_year(n_streams)), dtype=np.uint64),
             cells=np.empty(days, dtype=np.uint64),
             lower=np.empty(n_days, dtype=np.int32),
             upper=np.empty(n_days, dtype=np.int32),
@@ -435,9 +441,10 @@ def _workspace(n_streams: int) -> _Workspace:
 def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarray:
     """Supplied-day counts, shape (n_years, n_load_points), priority order.
 
-    The block runs in passes of _YEARS_PER_PASS years, each in buffers
-    that every pass of the thread reuses (``_workspace``).  A pass draws
-    its raw words and takes each stream's u-cells from them with one shift
+    The block runs in passes, each the years of one sampler group
+    (_YEARS_PER_PASS) that the block holds, in buffers that every pass of
+    the thread reuses (``_workspace``).  A pass reads its coarse words with
+    one seek and takes each stream's u-cells from their 16-bit lanes
     (``u_cells``).  Each stream's fixed-point bounds (``ctx.bounds``)
     enter it with one lower and one upper take, int32 multiples of a power
     of two q; summed over the streams, exactly, they bound the day's
@@ -446,12 +453,13 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
     at 2^31 - 1: a day whose lower sum reaches t has T >= tau, and one
     whose upper sum is below t has T < tau.  A day counts against every
     threshold by its lower sum; it is open when its upper sum reaches a
-    threshold its lower one does not, and the pass keeps the words of its
-    open days.  After the passes the open days of the block are evaluated
-    exactly in one go: one ``resource_values`` call per stream, then each
-    unit's ``unit_power_series`` added in fleet order.  These are the
-    values a whole-block evaluation gives, since each draw depends only on
-    its own word, and their totals settle the counts they can change.
+    threshold its lower one does not, and the pass keeps its full 64-bit
+    words, reading its fine words with one seek (``day_words``).  After
+    the passes the open days of the block are evaluated exactly in one go:
+    one ``resource_values`` call per stream, then each unit's
+    ``unit_power_series`` added in fleet order.  These are the values a
+    whole-block evaluation gives, since each draw depends only on its own
+    word, and their totals settle the counts they can change.
     """
     dists, bounds, taus, limits = ctx.distributions, ctx.bounds, ctx.taus, ctx.limits
     space = _workspace(bounds.n_rows)
@@ -459,20 +467,22 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
 
     open_days: list[np.ndarray] = []
     open_lows: list[np.ndarray] = []
-    open_words: list[np.ndarray] = []  # (days, streams) per pass
-    for first in range(0, n_years, _YEARS_PER_PASS):
-        last = min(first + _YEARS_PER_PASS, n_years)
+    open_lanes: list[np.ndarray] = []  # (days, streams) per pass
+    # Passes end where the sampler's groups do.
+    ends = [*range(-start_year % _YEARS_PER_PASS or _YEARS_PER_PASS, n_years,
+                   _YEARS_PER_PASS), n_years]
+    for first, last in zip([0, *ends], ends):
         years = last - first
-        words = draw_uniforms(dists, ctx.fleet, ctx.seed, years, start_year + first,
-                              out=space.words[:years]).values
         n_days = years * DAYS_PER_YEAR
+        coarse = draw_uniforms(dists, ctx.fleet, ctx.seed, years, start_year + first,
+                               out=space.coarse[:years]).coarse
         lower, upper, part = (space.lower[:n_days], space.upper[:n_days],
                               space.part[:n_days])
         if not bounds.rows:  # no fleet: every total is 0
             lower.fill(0)
             upper.fill(0)
         for s, row in enumerate(bounds.rows):
-            cell = u_cells(words[:, row], out=space.cells[:years])
+            cell = u_cells(coarse, row, out=space.cells[:years])
             cell = cell.reshape(-1).view(np.intp)  # every cell is below 2^13
             # Every cell is in range, so no mode changes an index; per
             # take of a pass, "wrap" took 15 us, "clip" 20, "raise" 27.
@@ -494,18 +504,18 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
         days = np.flatnonzero(is_open)
         open_lows.append(lower.reshape(-1)[days])
         open_days.append(days + first * DAYS_PER_YEAR)
-        year, day = np.divmod(days, DAYS_PER_YEAR)
-        open_words.append(words[year[:, None], bounds.rows, day[:, None]])
+        open_lanes.append(day_lanes(coarse, bounds.rows, days))
 
     days = np.concatenate(open_days)
-    words = np.concatenate(open_words)
+    year, day = np.divmod(days, DAYS_PER_YEAR)
+    words = day_words(np.concatenate(open_lanes), ctx.seed, bounds.n_rows, bounds.rows,
+                      start_year + year, day)
     streams = {label: resource_values(dists, label, words[:, i])
                for i, label in enumerate(bounds.labels)}
     resources = DailyResources(streams, days.size, dists.shared_irradiance)
     totals = np.zeros(days.size)
     for unit in ctx.fleet:
         totals += unit_power_series(unit, resources)
-    year, day = np.divmod(days, DAYS_PER_YEAR)
     lows = np.concatenate(open_lows)
     for row, (tau, limit) in enumerate(zip(taus, limits)):
         if tau.size > 1:
@@ -819,9 +829,10 @@ def run(scenario: Scenario, workers: int = 1) -> RunResult:
     j mod w, w = min(workers, blocks): the caller is process 0 and forks
     the others, which inherit the run's context with its tables (where
     ``os.fork`` is missing, w = 1).  Forked workers run ahead and the
-    caller takes the blocks in order; because every year draws from its own
-    (seed, year) substream and the stopping year is a function of the
-    per-year series alone, the result is identical for any worker count.
+    caller takes the blocks in order; because every year reads its own
+    words of the (seed, year // 64) Philox and the stopping year is a
+    function of the per-year series alone, the result is identical for any
+    worker count.
     On return, no forked worker is left running.
     """
     if workers < 1:

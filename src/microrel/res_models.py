@@ -7,8 +7,8 @@ cumulative distribution function.  Piecewise power curves then convert the
 resource value to kW.
 
 All functions are pure: they depend only on their explicit arguments and are
-safe to call from any number of concurrent workers.  ``draw_uniforms`` re-keys
-one Philox generator per thread instead of building one per call.
+safe to call from any number of concurrent workers.  The draws seek one
+Philox generator per thread instead of building one per call.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ __all__ = [
     "unit_power_series",
     "UniformBlock",
     "draw_uniforms",
+    "day_lanes",
+    "day_words",
     "resource_values",
     "sample_daily_resources",
     "emit_trace",
@@ -694,19 +696,6 @@ def pv_power(spec: PvArraySpec, g):
     return _scalar_or_array(power, scalar)
 
 
-# ``Generator.random`` turns a raw Philox word into the uniform
-# (word >> 11) * 2^-53, whose u-cell floor(u * _BETA_CELLS) is then
-# word >> _CELL_SHIFT.
-_UNIFORM_SHIFT = 11
-_CELL_SHIFT = 64 - (_BETA_CELLS.bit_length() - 1)
-
-
-def u_cells(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The u-cell of the uniform each raw word gives, the index into the
-    power bounds tables; written to ``out`` (uint64) when given."""
-    return np.right_shift(words, _CELL_SHIFT, out=out)
-
-
 # How far, relative to the bracket's upper end, a beta draw can sit outside
 # its bracket, and a PV power outside the powers at the widened ends.
 _CELL_MARGIN = 2.0**-40
@@ -954,48 +943,37 @@ def _stream_labels(dists: ResourceDistributions,
     return labels
 
 
-def _rekey(bit_generator: np.random.Philox, seed: int, year: int,
-           state: dict | None = None) -> dict:
-    """Reset ``bit_generator`` to the state of a new Philox keyed by (seed, year).
-
-    Counter-based substream: one Philox key per (seed, year) so results do
-    not depend on execution order or worker count.  Setting the state
-    skips the entropy draw a new Philox would make only to discard it.
-    Returns the state dict; pass it back as ``state`` to re-key again
-    without building a new one (the setter copies the values it reads).
-    """
-    if state is None:
-        # Python ints, which the setter reads faster than numpy elements.
-        state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": [seed, year]},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-    key = state["state"]["key"]
-    key[0], key[1] = seed, year
-    bit_generator.state = state
-    return state
+# The sampler's rule (README, "Determinism").  Word k of group g is output k
+# of a Philox keyed (seed, g) with its counter at 0, and group g holds the
+# years y with y // YEARS_PER_GROUP = g.  Philox writes its words four at a
+# time, one counter step each, so every year and every day starts a step.
+YEARS_PER_GROUP = 64
+_WORDS_PER_STEP = 4
+_LANES_PER_WORD = 4
+_LANE_BITS = 16
+# A day's 64-bit word holds its lane above the top _LANE_SHIFT bits of its
+# fine word (``day_words``).  resource_values takes the uniform
+# (word >> 11) * 2^-53 of it, whose u-cell floor(u * _BETA_CELLS) is the
+# lane's top _CELL_BITS bits.
+_LANE_SHIFT = 64 - _LANE_BITS
+_UNIFORM_SHIFT = 11
+_CELL_BITS = _BETA_CELLS.bit_length() - 1
+# The most words one random_raw call returns, unless a year has more: a
+# pass's coarse words are read in whole years, so that no call allocates an
+# array the size of a pass.
+_READ_WORDS = 2**13
 
 
-class UniformBlock(NamedTuple):
-    """Whole years of raw Philox words for every stream of a fleet.
-
-    ``values[y, s]`` holds the 365 uint64 words of stream ``labels[s]`` in
-    year ``y`` of the block; day d of a stream is year d // 365, day
-    d % 365.  A word gives the uniform (word >> 11) * 2^-53 that
-    ``Generator.random`` would, and its u-cell by ``u_cells``.
-    """
-
-    labels: list[tuple[str, str]]
-    values: np.ndarray
+def words_per_year(n_streams: int) -> int:
+    """4C: the coarse words of a year of ``n_streams`` streams, C the Philox
+    steps that hold its 365 n_streams lanes, four to a word."""
+    lanes_per_step = _WORDS_PER_STEP * _LANES_PER_WORD
+    return _WORDS_PER_STEP * -(-n_streams * DAYS_PER_YEAR // lanes_per_step)
 
 
 class _Substreams(threading.local):
     """Each thread's Philox generator, made at its first draw (importing
-    numpy.random is not free), and the state dict ``_rekey`` keys it with."""
+    numpy.random is not free), and the state dict ``_seek`` sets."""
 
     generator: np.random.Philox | None = None
     state: dict | None = None
@@ -1004,40 +982,148 @@ class _Substreams(threading.local):
 _substreams = _Substreams()
 
 
+def _seek(seed: int, group: int, first: int) -> np.random.Philox:
+    """This thread's Philox, whose next output is word ``first`` of group
+    ``group``, a multiple of four.
+
+    Setting its whole state, key (seed, group) and counter first / 4 with
+    an empty buffer, makes it a new Philox keyed (seed, group) from word
+    ``first`` on: no draw depends on an earlier one.
+    """
+    if _substreams.generator is None:
+        _substreams.generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        # Python ints, which the setter reads faster than numpy elements.
+        _substreams.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": _WORDS_PER_STEP,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    state = _substreams.state
+    state["state"]["key"][:] = seed, group
+    state["state"]["counter"][0] = first // _WORDS_PER_STEP
+    _substreams.generator.state = state
+    return _substreams.generator
+
+
+class UniformBlock(NamedTuple):
+    """Whole years of coarse Philox words for every stream of a fleet.
+
+    ``coarse[y]`` holds the 4C = ``words_per_year(S)`` coarse words of
+    year y of the block, for its S = len(labels) streams.  Lane i = 365 s
+    + d, bits 16 (i mod 4) to 16 (i mod 4) + 15 of word i // 4, belongs to
+    day d of stream ``labels[s]``.  ``u_cells`` takes a stream's u-cells
+    from them, ``day_lanes`` the lanes of chosen days, and ``day_words``
+    adds those days' fine words.
+    """
+
+    labels: list[tuple[str, str]]
+    coarse: np.ndarray
+
+
 def draw_uniforms(dists: ResourceDistributions,
                   fleet: Sequence[DgUnit],
                   seed: int,
                   n_years: int,
                   start_year: int = 0,
                   out: np.ndarray | None = None) -> UniformBlock:
-    """Draw ``n_years`` whole years of uniforms, from ``start_year`` on, as
-    raw words.
+    """Draw the coarse words of ``n_years`` whole years from ``start_year``
+    on.
 
-    Each year consumes an independent RNG substream derived from
-    (seed, year index), so a year's draws do not depend on the block it
-    is drawn in.  The words are written to ``out`` when given, a C-ordered
-    uint64 array of shape (n_years, streams, 365), and ``values`` is then
-    ``out`` itself.  One Philox generator per thread is re-keyed for every
-    year; re-keying sets its whole state, so no draw depends on an earlier
-    one.
+    Year y is words 4Cj to 4C(j + 1) - 1 of group g, for g, j = divmod(y,
+    YEARS_PER_GROUP), so a year's words do not depend on the block it is
+    drawn in.  The years of one group take one seek of the thread's
+    Philox, and random_raw calls of whole years, of at most 2^13 words
+    unless a year has more.  The words are written to ``out`` when given, a
+    C-ordered uint64 array of shape (n_years, 4C), and ``coarse`` is then
+    ``out`` itself.
     """
     labels = _stream_labels(dists, fleet)
-    shape = (n_years, len(labels), DAYS_PER_YEAR)
+    per_year = words_per_year(len(labels))
+    shape = (n_years, per_year)
     if out is None:
         out = np.empty(shape, dtype=np.uint64)
     elif out.shape != shape or out.dtype != np.uint64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-ordered uint64 array of shape {shape}")
     if labels:
-        generator, state = _substreams.generator, _substreams.state
-        if generator is None:
-            generator = _substreams.generator = np.random.Philox(
-                key=np.zeros(2, dtype=np.uint64))
-        years = out.reshape(n_years, -1)
-        for year_offset in range(n_years):
-            state = _rekey(generator, seed, start_year + year_offset, state)
-            years[year_offset] = generator.random_raw(years.shape[1])
-        _substreams.state = state
+        read = max(1, _READ_WORDS // per_year)  # years per random_raw call
+        first = 0
+        while first < n_years:
+            group, year = divmod(start_year + first, YEARS_PER_GROUP)
+            last = min(n_years, first + YEARS_PER_GROUP - year)
+            generator = _seek(seed, group, year * per_year)
+            for start in range(first, last, read):
+                years = min(read, last - start)
+                out[start:start + years] = generator.random_raw(
+                    years * per_year).reshape(years, per_year)
+            first = last
     return UniformBlock(labels, out)
+
+
+def u_cells(coarse: np.ndarray, row: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The u-cells of stream ``row``, the index into the power bounds
+    tables, on every day of ``coarse``.
+
+    ``coarse`` holds whole years of a ``UniformBlock``'s coarse words, and
+    a day's u-cell is its lane >> 3.  The result, (years, 365) uint64, is
+    written to ``out`` when given.  The stream's lanes of one bit position
+    are every fourth day, in consecutive words, so each position takes one
+    strided shift.
+    """
+    if out is None:
+        out = np.empty((coarse.shape[0], DAYS_PER_YEAR), dtype=np.uint64)
+    for position in range(_LANES_PER_WORD):
+        day = (position - row) % _LANES_PER_WORD  # lane 365 row + day is here
+        days = out[:, day::_LANES_PER_WORD]
+        word = (DAYS_PER_YEAR * row + day) // _LANES_PER_WORD
+        np.right_shift(coarse[:, word:word + days.shape[1]],
+                       _LANE_BITS * (position + 1) - _CELL_BITS, out=days)
+    out &= _BETA_CELLS - 1
+    return out
+
+
+def day_lanes(coarse: np.ndarray, rows: Sequence[int], days: np.ndarray) -> np.ndarray:
+    """The lanes of streams ``rows`` on ``days`` of ``coarse``, each in the
+    top 16 bits of a 64-bit word: (days, rows) uint64, the coarse half of
+    ``day_words``.  ``days`` are indices y * 365 + d into coarse's years."""
+    year, day = np.divmod(days, DAYS_PER_YEAR)
+    word, position = np.divmod(DAYS_PER_YEAR * np.asarray(rows, dtype=np.intp)
+                               + day[:, None], _LANES_PER_WORD)
+    lanes = coarse[year[:, None], word]
+    lanes >>= (_LANE_BITS * position).astype(np.uint64)
+    lanes <<= _LANE_SHIFT  # the lane, and none of the bits above it
+    return lanes
+
+
+def day_words(lanes: np.ndarray, seed: int, n_streams: int, rows: Sequence[int],
+              years: np.ndarray, days: np.ndarray) -> np.ndarray:
+    """The 64-bit words of streams ``rows`` on day ``days`` of ``years``,
+    whose lanes ``day_lanes`` gave: (days, rows) uint64, each giving
+    resource_values its day's uniform.
+
+    Stream s's word is (lane << 48) | (f >> 16), f its fine word: of the F
+    = 4 ceil(S / 4) fine words of day d of year j in group g, which start at
+    word 64 * 4C + (365 j + d) F of g, word s.  So the uniform is
+    (lane 2^37 + (f >> 27)) 2^-53.  Each run of consecutive days within
+    one group takes one seek: all the days of a group one, an open day
+    mostly its own.
+    """
+    per_day = _WORDS_PER_STEP * -(-n_streams // _WORDS_PER_STEP)  # F, whole Philox steps
+    group, year = np.divmod(years, YEARS_PER_GROUP)
+    slot = DAYS_PER_YEAR * year + days  # the day's place in its group
+    runs = np.flatnonzero((np.diff(group, prepend=-1) != 0)
+                          | (np.diff(slot, prepend=-2) != 1))
+    fine_start = YEARS_PER_GROUP * words_per_year(n_streams)
+    fine = [_seek(seed, g, fine_start + first * per_day).random_raw(n * per_day)
+            for g, first, n in zip(group[runs].tolist(), slot[runs].tolist(),
+                                   np.diff(runs, append=slot.size).tolist())]
+    fine = np.concatenate(fine or [np.empty(0, dtype=np.uint64)])
+    fine = fine.reshape(slot.size, per_day)[:, rows]
+    fine >>= _LANE_BITS
+    fine |= lanes
+    return fine
 
 
 def resource_values(dists: ResourceDistributions, label: tuple[str, str],
@@ -1061,17 +1147,21 @@ def sample_daily_resources(dists: ResourceDistributions,
                            start_year: int = 0) -> DailyResources:
     """Draw ``n_days`` of every stream ``fleet`` reads, by stream label.
 
-    Days are grouped into 365-day years; each year consumes an independent
-    RNG substream derived from (seed, year index), and a full year of
-    uniforms is always drawn even when only part of it is used, so a series
-    of length n is a prefix of any longer series with the same seed.
+    Day n is day n % 365 of year start_year + n // 365, drawn by the rule
+    of ``draw_uniforms`` and ``day_words``, so a series of length n is a
+    prefix of any longer series with the same seed, and a 365-day series
+    is a year of the engine's.  Each group of years takes one seek for its
+    coarse words and one for its fine words.
     """
     if n_days < 1:
         raise ValueError(f"n_days must be >= 1, got {n_days}")
     block = draw_uniforms(dists, fleet, seed, -(-n_days // DAYS_PER_YEAR),
                           start_year)
-    streams = {label: resource_values(dists, label,
-                                      block.values[:, row].reshape(-1)[:n_days])
+    rows, days = range(len(block.labels)), np.arange(n_days)
+    year, day = np.divmod(days, DAYS_PER_YEAR)
+    words = day_words(day_lanes(block.coarse, rows, days), seed, len(rows), rows,
+                      start_year + year, day)
+    streams = {label: resource_values(dists, label, words[:, row])
                for row, label in enumerate(block.labels)}
     return DailyResources(streams, n_days, dists.shared_irradiance)
 
@@ -1104,9 +1194,9 @@ def emit_trace(fleet: Sequence[DgUnit],
     """Emit deterministic per-day resource and power series for a fleet.
 
     Each unit's resource is the series of its stream (``stream_label``),
-    and its power is ``unit_power_series``.  The draws use the same
-    (seed, year) substreams as the simulation engine, so a 365-day trace of
-    a run's whole fleet reproduces year 0 of that run with the same seed.
+    and its power is ``unit_power_series``.  The draws follow the rule the
+    simulation engine reads, so a 365-day trace of a run's whole fleet
+    reproduces year 0 of that run with the same seed.
     The stream layout follows the fleet passed in, so for part of a fleet
     with independent irradiance a PV array may get the stream another array
     has in the run.

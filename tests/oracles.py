@@ -5,8 +5,8 @@ implementation under test: the beta CDF is integrated numerically from the
 density, dispatch outcomes are found by enumerating subsets, and the KS
 statistic is computed from the empirical CDF definition.  The one exception
 is the whole-block simulation reference at the end, which reuses the
-package's samplers and power curves but lays out the streams itself, from
-the documented rule, and organises the block differently.
+package's samplers and power curves but draws and lays out the streams
+itself, from the documented rule, and organises the block differently.
 """
 
 from __future__ import annotations
@@ -184,16 +184,51 @@ def dispatch_by_enumeration(total: float, loads: Sequence[tuple[str, float]],
     return matches[0]
 
 
+def rule_uniforms(seed: int, n_streams: int, start_year: int, n_days: int) -> np.ndarray:
+    """The uniforms of ``n_streams`` streams, (streams, n_days), by the rule
+    README documents, one group at a time.
+
+    Group g, the years y with y // 64 = g, reads a fresh Philox keyed
+    (seed, g) with its counter at 0; its output k is word k of the group.
+    With C = ceil(365 S / 16) and F = 4 ceil(S / 4) for S streams, year
+    j = y % 64 has the coarse words 4Cj to 4C(j + 1) - 1, and lane i =
+    365 s + d of the year is bits 16 (i mod 4) to 16 (i mod 4) + 15 of its
+    coarse word i // 4.  Day d of year j has the F fine words from word
+    256 C + (365 j + d) F on, f being word s of them for stream s.  The
+    uniform is (lane 2^37 + (f >> 27)) 2^-53.
+    """
+    c = -(-365 * n_streams // 16)
+    f = 4 * -(-n_streams // 4)
+    n_years = -(-n_days // 365)
+    lanes = np.empty((n_streams, n_years, 365), dtype=np.uint64)
+    fine = np.empty((n_streams, n_years, 365), dtype=np.uint64)
+    for year in range(start_year, start_year + n_years):
+        group, j = divmod(year, 64)
+        if year == start_year or j == 0:
+            # The key is built as uint64 explicitly: a plain list would not
+            # hold seed 2**64 - 1 exactly.
+            words = np.random.Philox(key=np.array([seed, group], dtype=np.uint64),
+                                     counter=0).random_raw(256 * c + 64 * 365 * f)
+        coarse = words[4 * c * j:4 * c * (j + 1)]
+        all_lanes = np.stack([(coarse >> np.uint64(16 * k)) & np.uint64(0xFFFF)
+                              for k in range(4)], axis=1).reshape(-1)
+        lanes[:, year - start_year] = all_lanes[:365 * n_streams].reshape(n_streams, 365)
+        first = 256 * c + 365 * j * f
+        day_fine = words[first:first + 365 * f].reshape(365, f)
+        fine[:, year - start_year] = day_fine[:, :n_streams].T
+    u = (lanes.astype(np.float64) * 2.0**37 + (fine >> np.uint64(27)).astype(np.float64))
+    return (u * 2.0**-53).reshape(n_streams, -1)[:, :n_days]
+
+
 def reference_daily_resources(dists, fleet, seed: int, n_days: int,
                               start_year: int = 0) -> dict:
     """Each unit's resource values, by unit name, drawn over all days at once.
 
     The streams are laid out as README documents them: the wind regions
     sorted by id, then one irradiance stream, "shared" for the whole fleet
-    or else one per PV array in fleet order.  Year y of stream s is
-    uniforms 365 s to 365 s + 364 of the Philox keyed by (seed, y).  A
-    turbine reads its region's stream, a PV array the shared stream or its
-    own.
+    or else one per PV array in fleet order.  Their uniforms follow the
+    documented rule (``rule_uniforms``).  A turbine reads its region's
+    stream, a PV array the shared stream or its own.
     """
     from microrel import res_models as rm
 
@@ -205,25 +240,18 @@ def reference_daily_resources(dists, fleet, seed: int, n_days: int,
     else:
         row_of = {name: len(regions) + i for i, name in enumerate(arrays)}
         n_streams = len(regions) + len(arrays)
-    n_years = -(-n_days // rm.DAYS_PER_YEAR)
-    uniforms = np.empty((n_years, n_streams, rm.DAYS_PER_YEAR))
-    if n_streams:
-        bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        rng = np.random.Generator(bit_generator)
-        for year_offset in range(n_years):
-            rm._rekey(bit_generator, seed, start_year + year_offset)
-            rng.random(out=uniforms[year_offset])
+    uniforms = rule_uniforms(seed, n_streams, start_year, n_days)
 
     values = {}
     for unit in fleet:
         device = unit.device
         if isinstance(device, rm.WindTurbineSpec):
-            u = uniforms[:, regions.index(device.region_id)].reshape(-1)[:n_days]
+            u = uniforms[regions.index(device.region_id)]
             values[unit.name] = rm.sample_wind_speed(dists.wind_regions[device.region_id],
                                                      np.maximum(u, rm.MIN_UNIFORM))
         else:
-            u = uniforms[:, row_of[unit.name]].reshape(-1)[:n_days]
-            values[unit.name] = rm.sample_irradiance(dists.irradiance, u)
+            values[unit.name] = rm.sample_irradiance(dists.irradiance,
+                                                     uniforms[row_of[unit.name]])
     return values
 
 

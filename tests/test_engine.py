@@ -7,6 +7,7 @@ import math
 import os
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,11 +400,18 @@ def test_block_counts_bit_identical_to_whole_block_reference(
         distributions=dataclasses.replace(base.distributions,
                                           shared_irradiance=shared))
     ctx = engine._context_for(scenario)
-    for n_years in (1, P - 1, P, P + 1, engine._YEARS_PER_BLOCK):
-        for start_year in (0, 511, 100_000):
+    # Blocks that start at a sampler group's last year, first or second, and
+    # end inside a group, at its end or past it.  A year's counts do not
+    # depend on the block, so each block is a slice of a longer reference.
+    block = engine._YEARS_PER_BLOCK
+    reference = {first: reference_block_counts(ctx, first, years)
+                 for first, years in ((0, P + 1 + block), (511, block), (100_000, block))}
+    for n_years in (1, P - 1, P, P + 1, block):
+        for start_year in (0, P - 1, P, P + 1, 511, 100_000):
+            first = max(first for first in reference if first <= start_year)
             np.testing.assert_array_equal(
                 engine._simulate_block(ctx, start_year, n_years),
-                reference_block_counts(ctx, start_year, n_years),
+                reference[first][start_year - first:][:n_years],
                 err_msg=f"{n_years} years from {start_year}")
 
 
@@ -500,6 +508,53 @@ def test_few_irradiance_days_reach_the_beta_inverse(cases, monkeypatch):
     assert sum(sizes) < 0.01 * years * 365
 
 
+def _spaced(n: int) -> str:
+    return f"{n:,}".replace(",", " ")
+
+
+def test_readme_figures_of_open_days_and_beta_draws(cases, monkeypatch):
+    # README, "Evaluation method", states two figures of the draws: the
+    # open days of case2-4 over 2 048 years at the bundled seed under both
+    # rules, and the beta draws of a forced 5 000-year case3 run at seed 7.
+    readme = " ".join((Path(__file__).parent.parent / "README.md").read_text().split())
+    open_days, original = [], engine.day_words
+
+    def counted(lanes, *args):
+        open_days.append(lanes.shape[0])
+        return original(lanes, *args)
+
+    monkeypatch.setattr(engine, "day_words", counted)
+    figures = []  # "<days> (<share>%)" by rule, then case
+    for rule in (engine.DISPATCH_BLOCKING, engine.DISPATCH_SERVE_IF_FITS):
+        for name in ("case2", "case3", "case4"):
+            ctx = engine._context_for(dataclasses.replace(cases[name], dispatch=rule))
+            open_days.clear()
+            for start in range(0, 2048, engine._YEARS_PER_BLOCK):
+                engine._simulate_block(ctx, start, engine._YEARS_PER_BLOCK)
+            n = sum(open_days)
+            figures.append(f"{_spaced(n)} ({100 * n / (2048 * 365):.3f}%)")
+    case2 = figures[0].replace(" (", " days (", 1)
+    assert (f"Over 2 048 years at the bundled seed, {case2} are open on bundled case2, "
+            f"{figures[1]} on case3 and {figures[2]} on case4 under their blocking "
+            f"rule, and {figures[3]}, {figures[4]} and {figures[5]} under "
+            "serve-if-fits.") in readme
+
+    sizes, inverse = [], res_models.beta_inverse_cdf
+
+    def inverted(params, u):
+        sizes.append(np.size(u))
+        return inverse(params, u)
+
+    monkeypatch.setattr(res_models, "beta_inverse_cdf", inverted)
+    result = run(dataclasses.replace(cases["case3"], seed=7, max_years=5000,
+                                     tolerance=1e-300))
+    assert result.years_run == 5000
+    days = 5000 * 365
+    assert (f"{_spaced(sum(sizes))} of the {_spaced(days)} irradiance days, "
+            f"{100 * sum(sizes) / days:.3f}%, in {len(sizes)} calls, in a forced 5 000-year "
+            "case3 run at seed 7 on one worker.") in readme
+
+
 def _fixed_point_context(cases, name):
     if name in ("wind_flat_top", "wind_p_res_near_1"):
         return _adversarial_context(cases["case3"], name, engine.DISPATCH_BLOCKING)
@@ -546,7 +601,7 @@ def test_fixed_point_stream_bounds_bracket_the_fleet_order_total(cases, name):
     words = dict(zip(bounds.labels, _edge_and_random_words(len(bounds.labels))))
     lower = upper = 0
     for s, label in enumerate(bounds.labels):
-        cell = res_models.u_cells(words[label]).view(np.intp)
+        cell = (words[label] >> np.uint64(51)).view(np.intp)  # a word's u-cell
         lower = lower + bounds.lower[s].astype(np.int64)[cell]
         upper = upper + bounds.upper[s].astype(np.int64)[cell]
     # The greatest int32 sum of any day: no sum of int32 entries overflows.

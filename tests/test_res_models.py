@@ -31,11 +31,12 @@ from microrel.res_models import (
     _BetaTable,
     _beta_bracket_table,
     _beta_cells,
-    _rekey,
+    _seek,
 )
 from microrel.scenario_io import bundled_scenarios
 from oracles import (BruteForceBetaCdf, KS_CRITICAL_5PCT, binomial_betainc,
-                     closed_form_betainc, ks_statistic, weibull_cdf)
+                     closed_form_betainc, ks_statistic, reference_daily_resources,
+                     weibull_cdf)
 
 REGION1 = WeibullParams(scale_c=7.88, shape_k=2.62, region_id="region1")
 REGION2 = WeibullParams(scale_c=8.46, shape_k=3.18, region_id="region2")
@@ -554,6 +555,10 @@ def test_whole_fleet_trace_is_year_zero_of_a_run(shared, pv1_name):
     traces = emit_trace(fleet, dists, DAYS_PER_YEAR, scenario.seed)
     block = res_models.draw_uniforms(dists, fleet, scenario.seed, 1)
     rows = {label: row for row, label in enumerate(block.labels)}
+    days = np.arange(DAYS_PER_YEAR)
+    words = res_models.day_words(
+        res_models.day_lanes(block.coarse, range(len(rows)), days), scenario.seed,
+        len(rows), range(len(rows)), np.zeros_like(days), days)
     total = np.zeros(DAYS_PER_YEAR)
     for unit, trace in zip(fleet, traces, strict=True):
         if isinstance(unit.device, WindTurbineSpec):
@@ -561,7 +566,7 @@ def test_whole_fleet_trace_is_year_zero_of_a_run(shared, pv1_name):
         else:
             key = SHARED_IRRADIANCE_KEY if shared else unit.name
             label, curve = ("irradiance", key), pv_power
-        stream = res_models.resource_values(dists, label, block.values[0, rows[label]])
+        stream = res_models.resource_values(dists, label, words[:, rows[label]])
         assert trace.unit == unit.name
         np.testing.assert_array_equal(trace.resource, stream)
         np.testing.assert_array_equal(trace.power_kw, curve(unit.device, stream))
@@ -620,28 +625,50 @@ def test_trace_to_delimited_format():
 
 
 # ---------------------------------------------------------------------------
-# Uniform streams: one re-keyed Philox per call
+# Uniform streams: one Philox per group of 64 years, seeked per pass
 # ---------------------------------------------------------------------------
+
+def _reference_words(seed: int, start_year: int, n_streams: int,
+                     n_years: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse words (years, 4C) and fine words (years, 365, F) from the
+    documented rule alone, with a fresh Philox per year: year y of group
+    g = y // 64 reads its coarse words from word 4C (y % 64) of the Philox
+    keyed (seed, g), and its days' fine words from word 256 C + 365 (y % 64)
+    F; a Philox at counter c next gives word 4c.  The key is built as uint64
+    explicitly: a plain list would not hold seed 2**64 - 1 exactly."""
+    c = -(-365 * n_streams // 16)
+    f = 4 * -(-n_streams // 4)
+    coarse, fine = [], []
+    for year in range(start_year, start_year + n_years):
+        group, j = divmod(year, 64)
+        key = np.array([seed, group], dtype=np.uint64)
+        coarse.append(np.random.Philox(key=key, counter=c * j).random_raw(4 * c))
+        first = (256 * c + 365 * j * f) // 4
+        fine.append(np.random.Philox(key=key, counter=first).random_raw(365 * f)
+                    .reshape(365, f))
+    return np.array(coarse).reshape(n_years, 4 * c), np.array(fine)
+
 
 def _reference_uniforms(seed: int, start_year: int, n_streams: int,
                         n_days: int) -> np.ndarray:
-    # A fresh generator per (seed, year).  The key is built as uint64
-    # explicitly: a plain list would not hold seed 2**64 - 1 exactly.
-    years = -(-n_days // 365)
-    chunks = [
-        np.random.Generator(np.random.Philox(
-            key=np.array([seed, start_year + y], dtype=np.uint64)
-        )).random((n_streams, 365))
-        for y in range(years)
-    ]
-    return np.concatenate(chunks, axis=1)[:, :n_days]
+    # Lane i = 365 s + d of a year is bits 16 (i mod 4) on of its coarse word
+    # i // 4, and u = (lane 2^37 + (f >> 27)) 2^-53 for stream s's fine word f.
+    n_years = -(-n_days // 365)
+    coarse, fine = _reference_words(seed, start_year, n_streams, n_years)
+    lanes = np.stack([(coarse >> np.uint64(16 * k)) & np.uint64(0xFFFF) for k in range(4)],
+                     axis=2).reshape(n_years, -1)[:, :365 * n_streams]
+    lanes = lanes.reshape(n_years, n_streams, 365).transpose(1, 0, 2)
+    low = (fine[:, :, :n_streams] >> np.uint64(27)).transpose(2, 0, 1)
+    u = (lanes.astype(np.float64) * 2.0**37 + low.astype(np.float64)) * 2.0**-53
+    return u.reshape(n_streams, -1)[:, :n_days]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
-@pytest.mark.parametrize("start_year", [0, 511, 100_000])
+@pytest.mark.parametrize("start_year", [0, 511, 100_000, 63, 64, 65])
 def test_daily_draws_equal_fresh_generator_per_year(seed, start_year):
     # Independent irradiance gives four streams: region1, region2, PV1, PV2.
-    # 1000 days end with a partial year.
+    # 1000 days end with a partial year; from start years 63 and 64 on they
+    # cross into the next group.
     dists = _two_region_dists(shared=False)
     got = sample_daily_resources(dists, _mixed_fleet(), seed=seed,
                                  n_days=1000, start_year=start_year)
@@ -655,33 +682,77 @@ def test_daily_draws_equal_fresh_generator_per_year(seed, start_year):
                                       sample_irradiance(FITTED_BETA, u[row]))
 
 
+def _fleet_of(n_streams: int):
+    """Dists and a fleet drawing 2 to 5 streams: two wind regions (a third
+    for five), then shared irradiance (3) or two independent arrays, the
+    first named like the shared stream (4 and 5)."""
+    dists, fleet = _two_region_dists(shared=n_streams == 3), _mixed_fleet()
+    if n_streams == 2:
+        return dists, fleet[:2]
+    if n_streams >= 4:
+        fleet = (fleet[0], fleet[1], dataclasses.replace(fleet[2], name=SHARED_IRRADIANCE_KEY),
+                 fleet[3])
+    if n_streams == 5:
+        dists = dataclasses.replace(dists, wind_regions={
+            **dists.wind_regions, "region3": WeibullParams(3.0, 0.7, "region3")})
+        fleet += (DgUnit("WTG3", "LP2", dataclasses.replace(WTG1, region_id="region3")),)
+    return dists, fleet
+
+
+@pytest.mark.parametrize("n_streams", [2, 3, 4, 5])
+def test_daily_draws_of_two_to_five_streams_follow_both_oracles(n_streams):
+    # Five streams take eight fine words a day (F = 8), three of them unread.
+    # The two oracles read the rule differently: a fresh Philox per year,
+    # seeked to its words, and one per group read from its first word.
+    dists, fleet = _fleet_of(n_streams)
+    got = sample_daily_resources(dists, fleet, seed=2**64 - 1, n_days=800,
+                                 start_year=63)
+    assert len(got.streams) == n_streams
+    u = _reference_uniforms(2**64 - 1, 63, n_streams, 800)
+    for row, label in enumerate(got.streams):
+        kind, key = label
+        if kind == "wind":
+            expected = sample_wind_speed(dists.wind_regions[key], np.maximum(u[row], MIN_UNIFORM))
+        else:
+            expected = sample_irradiance(FITTED_BETA, u[row])
+        np.testing.assert_array_equal(got.streams[label], expected)
+    by_unit = reference_daily_resources(dists, fleet, 2**64 - 1, 800, start_year=63)
+    for unit in fleet:
+        np.testing.assert_array_equal(
+            got.streams[res_models.stream_label(unit, dists.shared_irradiance)],
+            by_unit[unit.name])
+
+
 def test_resource_values_of_any_range_is_a_slice_of_the_whole_series():
     # The engine evaluates only a block's open days, from their own words;
-    # every range of words, including ones that start or end inside a
-    # year, must give the values the whole-series sampler gives on them.
+    # every range of days, including ones that start or end inside a year,
+    # must give the values the whole-series sampler gives on them.
     dists = _two_region_dists(shared=False)
     whole = sample_daily_resources(dists, _mixed_fleet(), seed=5, n_days=3 * 365,
-                                   start_year=9)
-    block = res_models.draw_uniforms(dists, _mixed_fleet(), 5, 3, start_year=9)
+                                   start_year=62)
+    block = res_models.draw_uniforms(dists, _mixed_fleet(), 5, 3, start_year=62)
     assert list(whole.streams) == block.labels
-    for row, label in enumerate(block.labels):
-        words = block.values[:, row].reshape(-1)
-        for start, stop in ((0, 1095), (0, 365), (365, 730), (100, 900), (729, 731)):
+    rows = range(len(block.labels))
+    for start, stop in ((0, 1095), (0, 365), (365, 730), (100, 900), (729, 731)):
+        days = np.arange(start, stop)
+        lanes = res_models.day_lanes(block.coarse, rows, days)
+        words = res_models.day_words(lanes, 5, len(rows), rows, 62 + days // 365, days % 365)
+        for row, label in enumerate(block.labels):
             np.testing.assert_array_equal(
-                res_models.resource_values(dists, label, words[start:stop]),
+                res_models.resource_values(dists, label, words[:, row]),
                 whole.streams[label][start:stop])
 
 
-def test_rekey_leaves_no_state_from_the_previous_year():
-    bit_generator = np.random.Philox(key=np.array([3, 4], dtype=np.uint64))
-    rng = np.random.Generator(bit_generator)
+def test_seek_leaves_no_state_from_the_previous_draw():
+    generator = _seek(1, 2, 0)  # this thread's one generator
+    rng = np.random.Generator(generator)
     rng.random(5)
     rng.integers(0, 2**31, size=3, dtype=np.uint32)  # leaves a spare 32-bit half
-    assert bit_generator.state["has_uint32"] == 1
-    assert bit_generator.state["buffer_pos"] < 4
-    _rekey(bit_generator, 2**64 - 1, 7)
-    fresh = np.random.Philox(key=np.array([2**64 - 1, 7], dtype=np.uint64))
-    got, want = bit_generator.state, fresh.state
+    assert generator.state["has_uint32"] == 1
+    assert generator.state["buffer_pos"] < 4
+    assert _seek(2**64 - 1, 7, 44) is generator  # word 44: counter 11
+    fresh = np.random.Philox(key=np.array([2**64 - 1, 7], dtype=np.uint64), counter=11)
+    got, want = generator.state, fresh.state
     for name in ("counter", "key"):
         np.testing.assert_array_equal(got["state"][name], want["state"][name])
     np.testing.assert_array_equal(got["buffer"], want["buffer"])
@@ -696,49 +767,127 @@ def test_rekey_leaves_no_state_from_the_previous_year():
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
 @pytest.mark.parametrize("start_year", [0, 511, 100_000])
 def test_raw_words_give_the_uniforms_and_cells_of_generator_random(seed, start_year):
-    # (w >> 11) * 2^-53 is what Generator.random makes of a raw word, so the
-    # u-cell floor(u * 8192) is w >> 51.  Three years of four streams.
+    # The coarse words are the raw words whose uniforms Generator.random of
+    # a fresh Philox at the year's counter gives, (w >> 11) * 2^-53.  A day's
+    # 64-bit word, read the same way, gives the rule's uniform u, and the
+    # u-cells of the block are floor(u * 8192): so u_cells of the lanes in
+    # bits 48-63 of a coarse word are Generator.random's cells too.  Three
+    # years of four streams.
     block = res_models.draw_uniforms(_two_region_dists(shared=False), _mixed_fleet(),
                                      seed, 3, start_year=start_year)
-    words = block.values.transpose(1, 0, 2).reshape(4, -1)
-    assert words.dtype == np.uint64
+    c4 = res_models.words_per_year(4)
+    assert block.coarse.dtype == np.uint64 and block.coarse.shape == (3, c4)
+    for y in range(3):
+        group, j = divmod(start_year + y, 64)
+        fresh = np.random.Philox(key=np.array([seed, group], dtype=np.uint64),
+                                 counter=c4 // 4 * j)
+        np.testing.assert_array_equal((block.coarse[y] >> np.uint64(11)) * 2.0**-53,
+                                      np.random.Generator(fresh).random(c4))
     u = _reference_uniforms(seed, start_year, 4, 3 * 365)
-    np.testing.assert_array_equal((words >> np.uint64(11)) * 2.0**-53, u)
-    np.testing.assert_array_equal(res_models.u_cells(words),
-                                  np.floor(u * _BETA_CELLS).astype(np.uint64))
+    days = np.arange(3 * 365)
+    year, day = np.divmod(days, 365)
+    words = res_models.day_words(res_models.day_lanes(block.coarse, range(4), days),
+                                 seed, 4, range(4), start_year + year, day)
+    np.testing.assert_array_equal((words >> np.uint64(11)) * 2.0**-53, u.T)
+    cells = np.stack([res_models.u_cells(block.coarse, row) for row in range(4)])
+    expected = np.floor(u * _BETA_CELLS).astype(np.uint64).reshape(4, 3, 365)
+    np.testing.assert_array_equal(cells, expected)
+    top = (3 - np.arange(4)) % 4  # each stream's days whose lane is in bits 48-63
+    for row in range(4):
+        lane_day = np.arange(top[row], 365, 4)
+        lane_word = (365 * row + lane_day) // 4
+        np.testing.assert_array_equal(expected[row][:, lane_day],
+                                      block.coarse[:, lane_word] >> np.uint64(51))
 
 
 def test_draws_into_a_buffer_equal_fresh_draws_whatever_came_before():
-    # The one generator a thread re-keys carries nothing from a draw to the
+    # The one generator a thread seeks carries nothing from a draw to the
     # next: each draw below follows one of another seed, years or fleet.
     # Four streams (independent irradiance), then three (shared).
     independent, shared = _two_region_dists(shared=False), _two_region_dists()
-    buffer = np.full((5, 4, 365), 7, dtype=np.uint64)
+    buffer = np.full((5, res_models.words_per_year(4)), 7, dtype=np.uint64)
     draws = [(independent, 0, 0), (shared, 2**64 - 1, 511), (independent, 3, 100_000),
-             (shared, 3, 100_000), (independent, 2**64 - 1, 511)]
+             (shared, 3, 100_000), (independent, 2**64 - 1, 62)]
     for dists, seed, start_year in draws + draws[::-1]:
         streams = 4 if dists is independent else 3
-        out = buffer.reshape(-1)[:5 * streams * 365].reshape(5, streams, 365)
+        per_year = res_models.words_per_year(streams)
+        out = buffer.reshape(-1)[:5 * per_year].reshape(5, per_year)
         block = res_models.draw_uniforms(dists, _mixed_fleet(), seed, 5, start_year,
                                          out=out)
-        assert block.values is out
+        assert block.coarse is out
         fresh = res_models.draw_uniforms(dists, _mixed_fleet(), seed, 5, start_year)
-        assert not np.shares_memory(fresh.values, buffer)
-        np.testing.assert_array_equal(block.values, fresh.values)
-        u = _reference_uniforms(seed, start_year, streams, 5 * 365)
+        assert not np.shares_memory(fresh.coarse, buffer)
+        np.testing.assert_array_equal(block.coarse, fresh.coarse)
         np.testing.assert_array_equal(
-            (block.values.transpose(1, 0, 2).reshape(streams, -1) >> np.uint64(11))
-            * 2.0**-53, u)
+            block.coarse, _reference_words(seed, start_year, streams, 5)[0])
 
 
 @pytest.mark.parametrize("out", [
-    np.empty((2, 3, 365), dtype=np.uint64), np.empty((3, 4, 365), dtype=np.uint64),
-    np.empty((3, 3, 365), dtype=np.int64), np.empty((3, 3, 730), dtype=np.uint64)[..., ::2],
+    np.empty((2, 276), dtype=np.uint64), np.empty((3, 368), dtype=np.uint64),
+    np.empty((3, 276), dtype=np.int64), np.empty((3, 552), dtype=np.uint64)[:, ::2],
 ])
 def test_draws_reject_a_buffer_of_another_shape_type_or_layout(out):
-    # Three years of the three streams of shared irradiance.
+    # Three years of the three streams of shared irradiance: 276 words each.
     with pytest.raises(ValueError, match="uint64 array of shape"):
         res_models.draw_uniforms(_two_region_dists(), _mixed_fleet(), 1, 3, out=out)
+
+
+def test_sample_daily_resources_rejects_zero_days():
+    with pytest.raises(ValueError, match="n_days must be >= 1"):
+        sample_daily_resources(_two_region_dists(), _mixed_fleet(), seed=1, n_days=0)
+
+
+# ---------------------------------------------------------------------------
+# Fidelity of the engine's own draws
+# ---------------------------------------------------------------------------
+
+def _chi_square_holds(values: np.ndarray, bins: int) -> bool:
+    """Whether the counts of ``values`` in [0, bins) pass a chi-square test
+    of uniformity at the 0.1% level (Wilson-Hilferty quantile)."""
+    counts = np.bincount(values.astype(np.intp).ravel(), minlength=bins)
+    expected = values.size / bins
+    statistic = ((counts - expected) ** 2).sum() / expected
+    df = bins - 1
+    critical = df * (1.0 - 2.0 / (9 * df) + 3.0902 * math.sqrt(2.0 / (9 * df))) ** 3
+    return statistic < critical
+
+
+def test_daily_resources_follow_the_weibull_and_beta_laws():
+    # 10^5 days of each wind region and of the shared irradiance, as the
+    # engine and the traces draw them, across a group boundary.
+    dists = _two_region_dists()
+    got = sample_daily_resources(dists, _mixed_fleet(), seed=2027, n_days=100_000,
+                                 start_year=40)
+    critical = KS_CRITICAL_5PCT / math.sqrt(100_000)
+    for params in (REGION1, REGION2):
+        v = got.streams[("wind", params.region_id)]
+        assert ks_statistic(v, weibull_cdf(params.scale_c, params.shape_k, v)) < critical
+    x = got.streams[("irradiance", SHARED_IRRADIANCE_KEY)] / FITTED_BETA.scale_gmax
+    assert ks_statistic(x, res_models.betainc(FITTED_BETA.alpha, FITTED_BETA.beta, x)) < critical
+
+
+def test_u_cells_and_the_low_bits_of_the_uniforms_are_uniform_and_unshared():
+    # 512 years of the four streams of independent irradiance: the u-cells
+    # the passes take (8 192 bins), and the top byte of the 37 low bits of
+    # every day's uniform, (u 2^53) mod 2^37 >> 29 (256 bins).  Each is
+    # uniform per stream, and so is its difference between two streams on
+    # one day and between two days of one stream: no two read one lane or
+    # one fine word.
+    seed, first_year, years = 2**63 + 5, 40, 512
+    block = res_models.draw_uniforms(_two_region_dists(shared=False), _mixed_fleet(),
+                                     seed, years, start_year=first_year)
+    cells = np.stack([res_models.u_cells(block.coarse, row).reshape(-1) for row in range(4)])
+    days = np.arange(years * DAYS_PER_YEAR)
+    words = res_models.day_words(res_models.day_lanes(block.coarse, range(4), days), seed,
+                                 4, range(4), first_year + days // 365, days % 365)
+    low = ((words.T >> np.uint64(11)) & np.uint64(2**37 - 1)) >> np.uint64(29)
+    for values, bins in ((cells, _BETA_CELLS), (low, 256)):
+        values = values.astype(np.int64)
+        for s in range(4):
+            assert _chi_square_holds(values[s], bins)
+            assert _chi_square_holds((values[s, 1:] - values[s, :-1]) % bins, bins)
+            for t in range(s + 1, 4):
+                assert _chi_square_holds((values[s] - values[t]) % bins, bins)
 
 
 # ---------------------------------------------------------------------------
@@ -935,7 +1084,7 @@ def test_wind_draws_and_power_stay_inside_their_cell_bounds(params):
         np.array([0, 2**64 - 1], dtype=np.uint64)])
     speed = res_models.resource_values(dists, ("wind", "r"), words)
     assert speed.max() == sample_wind_speed(params, MIN_UNIFORM)
-    cell = res_models.u_cells(words).view(np.intp)
+    cell = (words >> np.uint64(51)).view(np.intp)  # a word's u-cell
     v_low, v_high = res_models._speed_brackets(params)
     assert np.all((v_low[cell] <= speed) & (speed <= v_high[cell]))
     for spec in BOUNDED_WTG:

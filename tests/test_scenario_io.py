@@ -657,6 +657,11 @@ GOLDEN_REPORTS = Path(__file__).parent / "data" / "reports"
 def _twelve_load_case3(case3_doc):
     """case3 with eight more load points after its four in priority, more
     than any bundled network has."""
+    return _parse_mutated(twelve_load_doc(case3_doc))
+
+
+def twelve_load_doc(case3_doc):
+    """The scenario document of ``_twelve_load_case3``."""
     doc = copy.deepcopy(case3_doc)
     doc["meta"]["name"] = "case3_twelve"
     for j, level in enumerate([300.0, 120.0, 450.0, 80.0, 250.0, 60.0, 200.0, 150.0]):
@@ -666,7 +671,7 @@ def _twelve_load_case3(case3_doc):
         doc["network"]["aggregate"].append({"load_point": lp_id, "sum_lambda_per_yr": 0.2,
                                             "sum_lambda_r_h_per_yr": 2.0 + 0.1 * j})
         doc["priority"].append(lp_id)
-    return _parse_mutated(doc)
+    return doc
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
