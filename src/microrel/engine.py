@@ -398,7 +398,7 @@ class _Workspace(NamedTuple):
     streams; every pass of up to _YEARS_PER_PASS years slices them."""
 
     coarse: np.ndarray  # (years, 4C) coarse words
-    cells: np.ndarray  # (years, days): one stream's u-cells
+    cells: np.ndarray  # (years, days) intp: one stream's u-cells
     lower: np.ndarray  # (years * days,) int32: the day's fixed-point bounds,
     upper: np.ndarray  # summed over the streams
     part: np.ndarray  # one stream's take, before it is added
@@ -420,14 +420,14 @@ _workspaces = _Workspaces()
 def _workspace(n_streams: int) -> _Workspace:
     """This thread's pass buffers for ``n_streams`` drawn streams, made on
     first use and kept: every later pass, block and run reuses them, so a
-    warm pass allocates nothing and touches no fresh page."""
+    warm pass allocates no per-day array."""
     cache = _workspaces.by_streams
     if n_streams not in cache:
         days = (_YEARS_PER_PASS, DAYS_PER_YEAR)
         n_days = _YEARS_PER_PASS * DAYS_PER_YEAR
         cache[n_streams] = _Workspace(
             coarse=np.empty((_YEARS_PER_PASS, words_per_year(n_streams)), dtype=np.uint64),
-            cells=np.empty(days, dtype=np.uint64),
+            cells=np.empty(days, dtype=np.intp),
             lower=np.empty(n_days, dtype=np.int32),
             upper=np.empty(n_days, dtype=np.int32),
             part=np.empty(n_days, dtype=np.int32),
@@ -444,8 +444,8 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
     The block runs in passes, each the years of one sampler group
     (_YEARS_PER_PASS) that the block holds, in buffers that every pass of
     the thread reuses (``_workspace``).  A pass reads its coarse words with
-    one seek and takes each stream's u-cells from their 16-bit lanes
-    (``u_cells``).  Each stream's fixed-point bounds (``ctx.bounds``)
+    one seek and takes each stream's u-cells with one shift of its run of
+    16-bit lanes (``u_cells``).  Each stream's fixed-point bounds (``ctx.bounds``)
     enter it with one lower and one upper take, int32 multiples of a power
     of two q; summed over the streams, exactly, they bound the day's
     fleet-order total T: lower * q <= T <= upper * q.  A served threshold
@@ -453,9 +453,9 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
     at 2^31 - 1: a day whose lower sum reaches t has T >= tau, and one
     whose upper sum is below t has T < tau.  A day counts against every
     threshold by its lower sum; it is open when its upper sum reaches a
-    threshold its lower one does not, and the pass keeps its full 64-bit
-    words, reading its fine words with one seek (``day_words``).  After
-    the passes the open days of the block are evaluated exactly in one go:
+    threshold its lower one does not, and the pass keeps its lanes
+    (``day_lanes``).  After the passes the open days of the block take
+    their fine words (``day_words``) and are evaluated exactly in one go:
     one ``resource_values`` call per stream, then each unit's
     ``unit_power_series`` added in fleet order.  These are the values a
     whole-block evaluation gives, since each draw depends only on its own
@@ -482,8 +482,7 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
             lower.fill(0)
             upper.fill(0)
         for s, row in enumerate(bounds.rows):
-            cell = u_cells(coarse, row, out=space.cells[:years])
-            cell = cell.reshape(-1).view(np.intp)  # every cell is below 2^13
+            cell = u_cells(coarse, row, out=space.cells[:years]).reshape(-1)
             # Every cell is in range, so no mode changes an index; per
             # take of a pass, "wrap" took 15 us, "clip" 20, "raise" 27.
             for table, total in ((bounds.lower[s], lower), (bounds.upper[s], upper)):

@@ -1014,9 +1014,10 @@ class UniformBlock(NamedTuple):
     ``coarse[y]`` holds the 4C = ``words_per_year(S)`` coarse words of
     year y of the block, for its S = len(labels) streams.  Lane i = 365 s
     + d, bits 16 (i mod 4) to 16 (i mod 4) + 15 of word i // 4, belongs to
-    day d of stream ``labels[s]``.  ``u_cells`` takes a stream's u-cells
-    from them, ``day_lanes`` the lanes of chosen days, and ``day_words``
-    adds those days' fine words.
+    day d of stream ``labels[s]``, so a stream's lanes are one run of the
+    words read as little-endian 16-bit integers (``_lanes``).  ``u_cells``
+    takes its u-cells, ``day_lanes`` the lanes of chosen days, and
+    ``day_words`` adds those days' fine words.
     """
 
     labels: list[tuple[str, str]]
@@ -1062,39 +1063,37 @@ def draw_uniforms(dists: ResourceDistributions,
     return UniformBlock(labels, out)
 
 
+def _lanes(coarse: np.ndarray) -> np.ndarray:
+    """The lanes of ``coarse``, lane i of year y at [y, i]: the words as little-endian
+    values, a free view on a little-endian host and the same lanes on any host."""
+    return coarse.astype("<u8", copy=False).view("<u2")
+
+
 def u_cells(coarse: np.ndarray, row: int, out: np.ndarray | None = None) -> np.ndarray:
     """The u-cells of stream ``row``, the index into the power bounds
     tables, on every day of ``coarse``.
 
     ``coarse`` holds whole years of a ``UniformBlock``'s coarse words, and
-    a day's u-cell is its lane >> 3.  The result, (years, 365) uint64, is
-    written to ``out`` when given.  The stream's lanes of one bit position
-    are every fourth day, in consecutive words, so each position takes one
-    strided shift.
+    a day's u-cell is its lane >> 3: one shift of the stream's contiguous
+    run of lanes in each year.  The result, (years, 365) intp, is written to
+    ``out`` when given.
     """
     if out is None:
-        out = np.empty((coarse.shape[0], DAYS_PER_YEAR), dtype=np.uint64)
-    for position in range(_LANES_PER_WORD):
-        day = (position - row) % _LANES_PER_WORD  # lane 365 row + day is here
-        days = out[:, day::_LANES_PER_WORD]
-        word = (DAYS_PER_YEAR * row + day) // _LANES_PER_WORD
-        np.right_shift(coarse[:, word:word + days.shape[1]],
-                       _LANE_BITS * (position + 1) - _CELL_BITS, out=days)
-    out &= _BETA_CELLS - 1
+        out = np.empty((coarse.shape[0], DAYS_PER_YEAR), dtype=np.intp)
+    first = DAYS_PER_YEAR * row
+    np.right_shift(_lanes(coarse)[:, first:first + DAYS_PER_YEAR],
+                   _LANE_BITS - _CELL_BITS, out=out)
     return out
 
 
 def day_lanes(coarse: np.ndarray, rows: Sequence[int], days: np.ndarray) -> np.ndarray:
     """The lanes of streams ``rows`` on ``days`` of ``coarse``, each in the
     top 16 bits of a 64-bit word: (days, rows) uint64, the coarse half of
-    ``day_words``.  ``days`` are indices y * 365 + d into coarse's years."""
+    ``day_words``.  ``days`` are indices y * 365 + d into coarse's years,
+    and day y * 365 + d of stream s is lane 365 s + d of year y."""
     year, day = np.divmod(days, DAYS_PER_YEAR)
-    word, position = np.divmod(DAYS_PER_YEAR * np.asarray(rows, dtype=np.intp)
-                               + day[:, None], _LANES_PER_WORD)
-    lanes = coarse[year[:, None], word]
-    lanes >>= (_LANE_BITS * position).astype(np.uint64)
-    lanes <<= _LANE_SHIFT  # the lane, and none of the bits above it
-    return lanes
+    lane = DAYS_PER_YEAR * np.asarray(rows, dtype=np.intp) + day[:, None]
+    return _lanes(coarse)[year[:, None], lane].astype(np.uint64) << np.uint64(_LANE_SHIFT)
 
 
 def day_words(lanes: np.ndarray, seed: int, n_streams: int, rows: Sequence[int],

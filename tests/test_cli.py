@@ -486,6 +486,21 @@ def test_record_rule_violation_exits_3_with_one_line(tmp_path, capsys, edit, pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, value, message", [
+    ("network", 5, "network: expected a mapping, got int"),
+    ("fleet", {"wind_turbines": 5}, "fleet.wind_turbines: expected a list, got int"),
+])
+def test_section_of_the_wrong_kind_exits_3_with_one_line(tmp_path, capsys, section,
+                                                         value, message):
+    doc = yaml.safe_load(bundled_scenario_path("case3").read_text())
+    doc[section] = value
+    scenario = tmp_path / "broken.yaml"
+    scenario.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["validate", str(scenario)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"configuration error [schema] {message}\n"
+
+
 def test_sample_zero_days_exits_2_with_one_line(case_paths, capsys):
     assert main(["sample", case_paths["case3"], "--days", "0"]) == EXIT_USAGE
     captured = capsys.readouterr()

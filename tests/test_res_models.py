@@ -800,6 +800,24 @@ def test_raw_words_give_the_uniforms_and_cells_of_generator_random(seed, start_y
                                       block.coarse[:, lane_word] >> np.uint64(51))
 
 
+def test_lanes_do_not_depend_on_the_byte_order_of_the_words():
+    # The same coarse words stored big-endian: equal values, swapped
+    # memory, as on a big-endian host.  Every stream's u-cells and the
+    # lanes of days across years and the group edge at year 64 are those
+    # of the native block.
+    native = res_models.draw_uniforms(_two_region_dists(shared=False), _mixed_fleet(),
+                                      11, 4, start_year=62).coarse
+    swapped = native.astype(">u8")
+    np.testing.assert_array_equal(swapped, native)
+    assert swapped.tobytes() != native.tobytes()
+    for row in range(4):
+        np.testing.assert_array_equal(res_models.u_cells(swapped, row),
+                                      res_models.u_cells(native, row))
+    days = np.array([0, 1, 364, 365, 729, 730, 731, 1000, 4 * 365 - 1])
+    np.testing.assert_array_equal(res_models.day_lanes(swapped, range(4), days),
+                                  res_models.day_lanes(native, range(4), days))
+
+
 def test_draws_into_a_buffer_equal_fresh_draws_whatever_came_before():
     # The one generator a thread seeks carries nothing from a draw to the
     # next: each draw below follows one of another seed, years or fleet.
