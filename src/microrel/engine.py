@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import BinaryIO, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -42,9 +41,12 @@ from .res_models import (
     day_lanes,
     day_words,
     draw_uniforms,
+    irradiance_bounds,
+    pv_power_range,
     resource_values,
     sample_daily_resources,  # noqa: F401  (wrapped by perfbench/tracing.py)
     stream_bounds,
+    stream_label,
     u_cells,
     unit_power_series,
     words_per_year,
@@ -407,25 +409,20 @@ class _Workspace(NamedTuple):
     is_open: np.ndarray
 
 
-class _Workspaces(threading.local):
-    """Each thread's pass buffers, by the number of streams drawn."""
-
-    def __init__(self):
-        self.by_streams: dict[int, _Workspace] = {}
-
-
-_workspaces = _Workspaces()
+# The process's pass buffers, by the number of streams drawn.  Blocks run
+# in processes, never in threads: two threads running blocks measured slower
+# than one.
+_workspaces: dict[int, _Workspace] = {}
 
 
 def _workspace(n_streams: int) -> _Workspace:
-    """This thread's pass buffers for ``n_streams`` drawn streams, made on
-    first use and kept: every later pass, block and run reuses them, so a
-    warm pass allocates no per-day array."""
-    cache = _workspaces.by_streams
-    if n_streams not in cache:
+    """The pass buffers for ``n_streams`` drawn streams, made on first use
+    and kept: every later pass, block and run reuses them, so a warm pass
+    allocates no per-day array."""
+    if n_streams not in _workspaces:
         days = (_YEARS_PER_PASS, DAYS_PER_YEAR)
         n_days = _YEARS_PER_PASS * DAYS_PER_YEAR
-        cache[n_streams] = _Workspace(
+        _workspaces[n_streams] = _Workspace(
             coarse=np.empty((_YEARS_PER_PASS, words_per_year(n_streams)), dtype=np.uint64),
             cells=np.empty(days, dtype=np.intp),
             lower=np.empty(n_days, dtype=np.int32),
@@ -435,7 +432,7 @@ def _workspace(n_streams: int) -> _Workspace:
             flip=np.empty(days, dtype=bool),
             is_open=np.empty(days, dtype=bool),
         )
-    return cache[n_streams]
+    return _workspaces[n_streams]
 
 
 def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarray:
@@ -443,7 +440,7 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
 
     The block runs in passes, each the years of one sampler group
     (_YEARS_PER_PASS) that the block holds, in buffers that every pass of
-    the thread reuses (``_workspace``).  A pass reads its coarse words with
+    the process reuses (``_workspace``).  A pass reads its coarse words with
     one seek and takes each stream's u-cells with one shift of its run of
     16-bit lanes (``u_cells``).  Each stream's fixed-point bounds (``ctx.bounds``)
     enter it with one lower and one upper take, int32 multiples of a power
@@ -455,11 +452,9 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
     threshold by its lower sum; it is open when its upper sum reaches a
     threshold its lower one does not, and the pass keeps its lanes
     (``day_lanes``).  After the passes the open days of the block take
-    their fine words (``day_words``) and are evaluated exactly in one go:
-    one ``resource_values`` call per stream, then each unit's
-    ``unit_power_series`` added in fleet order.  These are the values a
-    whole-block evaluation gives, since each draw depends only on its own
-    word, and their totals settle the counts they can change.
+    their fine words (``day_words``) in one go, and ``_open_totals`` gives
+    each a total that reaches exactly the thresholds its exact fleet-order
+    total reaches; those settle the counts they can change.
     """
     dists, bounds, taus, limits = ctx.distributions, ctx.bounds, ctx.taus, ctx.limits
     space = _workspace(bounds.n_rows)
@@ -509,19 +504,66 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
     year, day = np.divmod(days, DAYS_PER_YEAR)
     words = day_words(np.concatenate(open_lanes), ctx.seed, bounds.n_rows, bounds.rows,
                       start_year + year, day)
-    streams = {label: resource_values(dists, label, words[:, i])
-               for i, label in enumerate(bounds.labels)}
-    resources = DailyResources(streams, days.size, dists.shared_irradiance)
-    totals = np.zeros(days.size)
-    for unit in ctx.fleet:
-        totals += unit_power_series(unit, resources)
-    lows = np.concatenate(open_lows)
-    for row, (tau, limit) in enumerate(zip(taus, limits)):
-        if tau.size > 1:
-            tau, limit = tau.take(day), limit.take(day)
-        late = (totals >= tau) & (lows < limit)
-        reached[:, row] += np.bincount(year[late], minlength=n_years)
+    if taus.shape[1] > 1:  # one column per day of the year
+        taus, limits = taus[:, day], limits[:, day]
+    totals = _open_totals(ctx, words, taus)
+    late = (totals >= taus) & (np.concatenate(open_lows) < limits)
+    for row in range(len(taus)):
+        reached[:, row] += np.bincount(year[late[row]], minlength=n_years)
     return reached @ ctx.steps
+
+
+def _fleet_totals(fleet: Sequence[DgUnit], resources: DailyResources) -> np.ndarray:
+    """Each day's exact total: every unit's ``unit_power_series`` added in
+    fleet order."""
+    totals = np.zeros(resources.n_days)
+    for unit in fleet:
+        totals += unit_power_series(unit, resources)
+    return totals
+
+
+def _open_totals(ctx: _SimContext, words: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """A total for each open day that reaches the same ``taus`` (rows x
+    days, or one column) as its exact fleet-order total.
+
+    The wind streams' values are exact (``resource_values``).  A fleet with
+    no irradiance stream adds its units' exact series and is done.
+    Otherwise each irradiance draw is bounded without inverting the beta
+    CDF (``irradiance_bounds``), each PV array's power with it
+    (``pv_power_range``), and the units' least powers are added in fleet
+    order, as are their greatest powers.  Rounded addition is monotone in
+    each operand, so these two sums bracket the exact total, and the lower
+    one answers every threshold it does not straddle.  Only the days whose
+    bracket straddles a threshold, lower sum below it and upper sum at or
+    above it, take the exact chain: the beta inverse CDF of their
+    irradiance uniforms and every unit's series.  Each draw depends only on
+    its own word, so these are the values of a whole-block evaluation.
+    """
+    dists, labels = ctx.distributions, ctx.bounds.labels
+    streams = {label: resource_values(dists, label, words[:, i])
+               for i, label in enumerate(labels) if label[0] == "wind"}
+    drawn = {label: irradiance_bounds(dists.irradiance, words[:, i])
+             for i, label in enumerate(labels) if label[0] == "irradiance"}
+    resources = DailyResources(streams, words.shape[0], dists.shared_irradiance)
+    if not drawn:
+        return _fleet_totals(ctx.fleet, resources)
+    low, high = np.zeros(words.shape[0]), np.zeros(words.shape[0])
+    for unit in ctx.fleet:
+        label = stream_label(unit, dists.shared_irradiance)
+        if label in drawn:
+            unit_low, unit_high = pv_power_range(unit.device, *drawn[label])
+        else:
+            unit_low = unit_high = unit_power_series(unit, resources)
+        low += unit_low
+        high += unit_high
+    straddled = np.flatnonzero(((low < taus) & (high >= taus)).any(axis=0))
+    if straddled.size:
+        exact = {label: values[straddled] for label, values in streams.items()}
+        exact.update((label, resource_values(dists, label, words[straddled, i]))
+                     for i, label in enumerate(labels) if label in drawn)
+        low[straddled] = _fleet_totals(
+            ctx.fleet, DailyResources(exact, straddled.size, dists.shared_irradiance))
+    return low
 
 
 def simulate_year(scenario: Scenario, year_index: int) -> dict[str, int]:

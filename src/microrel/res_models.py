@@ -6,15 +6,14 @@ inverse transformation method: a uniform variate is pushed through the inverse
 cumulative distribution function.  Piecewise power curves then convert the
 resource value to kW.
 
-All functions are pure: they depend only on their explicit arguments and are
-safe to call from any number of concurrent workers.  The draws seek one
-Philox generator per thread instead of building one per call.
+Every result depends only on the explicit arguments.  The draws seek one
+Philox generator that the process keeps instead of building one per call, so
+concurrent workers must be processes, not threads.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence, Union
@@ -34,9 +33,11 @@ __all__ = [
     "sample_wind_speed",
     "wind_power",
     "beta_inverse_cdf",
+    "beta_draw_bounds",
     "sample_irradiance",
     "pv_power",
     "u_cells",
+    "pv_power_range",
     "pv_power_bounds",
     "wind_power_bounds",
     "power_bounds",
@@ -49,6 +50,7 @@ __all__ = [
     "day_lanes",
     "day_words",
     "resource_values",
+    "irradiance_bounds",
     "sample_daily_resources",
     "emit_trace",
     "trace_to_delimited",
@@ -567,6 +569,70 @@ def _beta_bracket_table(alpha: float, beta: float) -> _BetaTable:
                       np.where(quadratic, curve, 0.0))
 
 
+# A tangent of the inverse CDF serves as a bound only where the terms of
+# its slope's exponent add to at most this (``beta_draw_bounds``).
+_TANGENT_TERMS_MAX = 2.0**14
+
+
+class _BetaSlopes(NamedTuple):
+    """What ``beta_draw_bounds`` adds to the knot table of one shape.
+
+    Row k of ``tangent`` holds the point x, c and slope 1/f of the inverse
+    CDF's tangent at knot k, or at its neighbour for an end knot where the
+    slope is infinite (slope 0 where no tangent is used).  ``secant`` holds
+    each knot cell's chord slope (0 where not used), and ``bend`` whether
+    the inverse CDF is convex (1) or concave (-1) over each cell, or
+    neither is known (0).
+    """
+
+    tangent: np.ndarray
+    secant: np.ndarray
+    bend: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _beta_slopes(alpha: float, beta: float) -> _BetaSlopes:
+    """The slopes and bends of the inverse CDF Q over the knot cells of
+    ``_beta_bracket_table``, from which ``_line_bounds`` takes a cell's
+    bounds.
+
+    Q has Q'' = -f'/f^3, and f'/f = g(x) / (x (1 - x)) with g(x) =
+    (alpha - 1)(1 - x) - (beta - 1) x, linear in x.  So on a cell where g
+    is at most 0 at both knots Q is convex: it lies above both tangents and
+    below the chord.  Where g is at least 0 at both knots Q is concave, and
+    the roles swap.  g is computed within 2^-51 (|alpha - 1| + |beta - 1|),
+    so each sign is trusted only beyond twice that.  A tangent's slope is
+    1/f at its knot, computed once here.  Either tangent alone bounds Q
+    over the cell, so an end cell whose outer slope is infinite or unsound
+    takes its inner tangent for both.  A cell whose signs differ (the
+    mode's), or with another unsound slope (``beta_draw_bounds``) or an
+    infinite secant, keeps its two knots as bounds.
+    """
+    table = _beta_bracket_table(alpha, beta)
+    knots = table.knots
+    ln_beta = _betainc_shape(alpha, beta).ln_beta
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        secant = np.diff(knots) / np.diff(table.cdf)
+        log_x = (alpha - 1.0) * np.log(knots)
+        log_y = (beta - 1.0) * np.log1p(-knots)
+        tangent = np.exp(ln_beta - log_x - log_y)
+    sound = np.isfinite(tangent) & (
+        np.abs(log_x) + np.abs(log_y) + abs(ln_beta) <= _TANGENT_TERMS_MAX)
+    tangents = np.stack((knots, table.cdf, np.where(sound, tangent, 0.0)), axis=1)
+    # At x = 0 the tangent is vertical for alpha > 1, and at x = 1 for
+    # beta > 1.
+    for end, inner in ((0, 1), (-1, -2)):
+        if not sound[end] and sound[inner]:
+            tangents[end], sound[end] = tangents[inner], True
+    g = (alpha - 1.0) * (1.0 - knots) - (beta - 1.0) * knots
+    tiny = 2.0**-50 * (abs(alpha - 1.0) + abs(beta - 1.0))
+    usable = np.isfinite(secant) & sound[:-1] & sound[1:]
+    convex = usable & (g[:-1] <= -tiny) & (g[1:] <= -tiny)
+    concave = usable & (g[:-1] >= tiny) & (g[1:] >= tiny) & ~convex
+    return _BetaSlopes(tangents, np.where(usable, secant, 0.0),
+                       convex.astype(np.int8) - concave)
+
+
 def _beta_cells(table: _BetaTable, u: np.ndarray) -> np.ndarray:
     """Cell index j per query u in [0, 1] with cdf[j] <= u <= cdf[j + 1]:
     the last knot whose CDF is at most u, the last cell for u = 1.
@@ -672,6 +738,82 @@ def beta_inverse_cdf(params: BetaParams, u):
     return _scalar_or_array(x.reshape(arr.shape), scalar)
 
 
+# betainc's documented error, in ulps of 1 per unit of 1 + sqrt(a + b).
+_BETAINC_ULPS = 2.5
+
+
+def _draw_slack(alpha: float, beta: float) -> float:
+    """How far ``beta_draw_bounds`` widens u: 2 (_BETA_TOL + 2e), e the
+    documented error of betainc at (alpha, beta)."""
+    error = _BETAINC_ULPS * _ULP * (1.0 + math.sqrt(alpha + beta))
+    return 2.0 * (_BETA_TOL + 2.0 * error)
+
+
+def _line_bounds(params: BetaParams, v: np.ndarray, lower: bool) -> np.ndarray:
+    """The inverse CDF Q at each v in [0, 1] bounded by lines of v's knot
+    cell: from below (``lower``) by the greater tangent of a convex cell,
+    the chord of a concave one or else the lower knot; from above by the
+    lesser tangent of a concave cell, the chord of a convex one or else
+    the upper knot."""
+    table = _beta_bracket_table(params.alpha, params.beta)
+    slopes = _beta_slopes(params.alpha, params.beta)
+    cell = _beta_cells(table, v)
+    x0, x1 = table.knots.take(cell), table.knots.take(cell + 1)
+    chord = (v - table.cdf.take(cell)) * slopes.secant.take(cell) + x0
+    tangents = []
+    for knot in (cell, cell + 1):
+        x, c, s = slopes.tangent.take(knot, axis=0).T
+        tangents.append((v - c) * s + x)
+    bend = slopes.bend.take(cell)
+    convex, concave = bend > 0, bend < 0
+    if lower:
+        return np.where(convex, np.maximum(*tangents), np.where(concave, chord, x0))
+    return np.where(concave, np.minimum(*tangents), np.where(convex, chord, x1))
+
+
+def beta_draw_bounds(params: BetaParams, u_low, u_high) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest draw ``beta_inverse_cdf`` can give for any u
+    in [u_low, u_high], elementwise (1-D arrays), without evaluating betainc.
+
+    Let Q be the exact inverse CDF and e betainc's documented error at
+    (alpha, beta).  A draw x of u either meets |betainc(x) - u| <= tol, so
+    its exact CDF is within tol + e of u and Q(u - tol - e) <= x <= Q(u +
+    tol + e); or it is one of two adjacent doubles whose computed CDFs
+    straddle u, so within one double of [Q(u - e), Q(u + e)].  Q is
+    nondecreasing, so the draws of [u_low, u_high] lie within one double of
+    [Q(u_low - tol - e), Q(u_high + tol + e)].
+
+    The bounds are taken at v = u_low - d and v = u_high + d, d = 2 (tol +
+    2e), from the lines x + (v - c) s of v's knot cell
+    (``_line_bounds``): chords, tangents or knots, each a bound on Q
+    over the cell.  Each line's computed value, before its last addition
+    rounds, is the exact line's at some w near v.  The knots carry
+    betainc's CDF, within e of the exact one, which moves w by at most e.
+    A tangent's slope 1/f is an exp of terms adding to at most
+    _TANGENT_TERMS_MAX, each within a few ulps, so its relative error is
+    below 2^-35; with the roundings of v - c, of the secant and of the
+    product, a relative error in (v - c) s moves w by that error times
+    |v - c| <= 1, so by less than 2^-34 in all.  A w past the cell stays
+    bounded: past it, a convex cell's tangents stay below Q (its slope
+    keeps growing away from the mode) and a concave cell's above, and the
+    knots bound the rest.  So the lower line at v is below Q(v + 2e +
+    2^-34) and the upper above Q(v - 2e - 2^-34), and d exceeds the tol +
+    3e + 2^-34 that this and the draw's own error need.  The result
+    is moved one double outward: a double at most one double past a real
+    bound is at most one double past any rounding of a number beyond it,
+    which covers the last rounding and the adjacent-doubles case at once.
+    Where v is below 0 or above 1 the bound is 0 or 1, the least and
+    greatest draw, and so are the bounds' limits.
+    """
+    slack = _draw_slack(params.alpha, params.beta)
+    v_low = np.maximum(np.subtract(u_low, slack), 0.0)
+    v_high = np.minimum(np.add(u_high, slack), 1.0)
+    low = np.where(v_low > 0.0, _line_bounds(params, v_low, True), 0.0)
+    high = np.where(v_high < 1.0, _line_bounds(params, v_high, False), 1.0)
+    return (np.nextafter(np.maximum(low, 0.0), 0.0),
+            np.nextafter(np.minimum(high, 1.0), 1.0))
+
+
 def sample_irradiance(params: BetaParams, u):
     """Daily irradiance (W/m2): the scaled beta inverse CDF of ``u``."""
     return params.scale_gmax * beta_inverse_cdf(params, u)
@@ -696,51 +838,40 @@ def pv_power(spec: PvArraySpec, g):
     return _scalar_or_array(power, scalar)
 
 
-# How far, relative to the bracket's upper end, a beta draw can sit outside
-# its bracket, and a PV power outside the powers at the widened ends.
+# The relative widening of the power bounds and speed brackets for
+# rounding; each use says what it covers.
 _CELL_MARGIN = 2.0**-40
 
 
 def _draw_brackets(params: BetaParams) -> tuple[np.ndarray, np.ndarray]:
-    """The least and greatest beta draw of each u-cell, widened for rounding.
-
-    ``beta_inverse_cdf`` gives a query u the knot cell j of
-    ``_beta_cells``, with cdf[j] <= u <= cdf[j+1], and returns x in
-    [knots[j], knots[j+1]] up to rounding.  Its start point's quadratic is
-    monotone across the cell and meets both knots, and Newton steps and
-    bisection stay inside a bracket made of the knots and points already
-    taken.  _beta_cells is nondecreasing in u, so the knot cells of the u
-    in u-cell c, [c, c + 1] / N, run from the cell ``first`` of its lower
-    u-edge to the cell ``last`` of its upper one, and span knots[first] to
-    knots[last + 1].  Computing the start point costs a few roundings of
-    terms no larger than twice its cell's upper knot, so it can leave the
-    cell by ~2^-49 of that knot at most; the bracket is widened by
-    _CELL_MARGIN of its upper end, 512 times more.  Entry _BETA_CELLS
-    (u = 1) repeats the last cell.
-    """
-    table = _beta_bracket_table(params.alpha, params.beta)
-    cells = _beta_cells(table, np.arange(_BETA_CELLS + 1) / _BETA_CELLS)
-    first, last = cells[:-1], cells[1:]
-    x_low, x_high = table.knots[first], table.knots[last + 1]
-    x_low = np.maximum(x_low - _CELL_MARGIN * x_high, 0.0)
-    x_high = x_high + _CELL_MARGIN * x_high
+    """The least and greatest beta draw of each u-cell [c, c + 1] / N
+    (``beta_draw_bounds``).  Entry _BETA_CELLS (u = 1) repeats the last
+    cell."""
+    edges = np.arange(_BETA_CELLS + 1) / _BETA_CELLS
+    x_low, x_high = beta_draw_bounds(params, edges[:-1], edges[1:])
     return np.append(x_low, x_low[-1]), np.append(x_high, x_high[-1])
+
+
+def pv_power_range(spec: PvArraySpec, g_low: np.ndarray,
+                   g_high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest PV power of an irradiance in [g_low, g_high].
+
+    pv_power is monotone on each branch; where the branches meet, at r_c
+    and g_std, the rounded curve steps back by a few ulps.  The powers at
+    the ends are therefore widened by a relative _CELL_MARGIN, which covers
+    those steps many times over.
+    """
+    return (pv_power(spec, g_low) * (1.0 - _CELL_MARGIN),
+            pv_power(spec, g_high) * (1.0 + _CELL_MARGIN))
 
 
 @lru_cache(maxsize=16)
 def pv_power_bounds(spec: PvArraySpec,
                     params: BetaParams) -> tuple[np.ndarray, np.ndarray]:
-    """The least and greatest PV power of a draw in each u-cell.
-
-    Scaling by scale_gmax is monotone in floating point, and so is
-    pv_power on each branch; where the branches meet, at r_c and g_std,
-    the rounded curve steps back by a few ulps.  The powers at the ends of
-    ``_draw_brackets`` are therefore widened by a relative _CELL_MARGIN,
-    which covers those steps many times over.
-    """
+    """The least and greatest PV power of a draw in each u-cell: the
+    ``pv_power_range`` of its scaled ``_draw_brackets``."""
     x_low, x_high = _draw_brackets(params)
-    return (pv_power(spec, params.scale_gmax * x_low) * (1.0 - _CELL_MARGIN),
-            pv_power(spec, params.scale_gmax * x_high) * (1.0 + _CELL_MARGIN))
+    return pv_power_range(spec, params.scale_gmax * x_low, params.scale_gmax * x_high)
 
 
 def _speed_brackets(params: WeibullParams) -> tuple[np.ndarray, np.ndarray]:
@@ -863,11 +994,13 @@ def stream_bounds(dists: ResourceDistributions,
     least exponent for which the streams' greatest upper entries add to at
     most 2^30, so no int32 sum of a day's entries can overflow.
 
-    A fleet with PV arrays gets the beta inverse CDF's bracket table built
-    too, which its irradiance draws read, even if its PV bounds are cached.
+    A fleet with PV arrays gets the beta inverse CDF's bracket table and
+    slopes built too, which its open days read, even if its PV bounds are
+    cached.
     """
     if any(isinstance(unit.device, PvArraySpec) for unit in fleet):
-        _beta_bracket_table(dists.irradiance.alpha, dists.irradiance.beta)
+        for table in (_beta_bracket_table, _beta_slopes):
+            table(dists.irradiance.alpha, dists.irradiance.beta)
     units: dict[tuple[str, str], list] = {
         label: [] for label in _stream_labels(dists, fleet)}
     for unit in fleet:
@@ -971,41 +1104,36 @@ def words_per_year(n_streams: int) -> int:
     return _WORDS_PER_STEP * -(-n_streams * DAYS_PER_YEAR // lanes_per_step)
 
 
-class _Substreams(threading.local):
-    """Each thread's Philox generator, made at its first draw (importing
-    numpy.random is not free), and the state dict ``_seek`` sets."""
-
-    generator: np.random.Philox | None = None
-    state: dict | None = None
-
-
-_substreams = _Substreams()
+# The process's Philox generator, made at its first draw (importing
+# numpy.random is not free), and the state dict ``_seek`` sets, of Python
+# ints, which the setter reads faster than numpy elements.
+_generator: np.random.Philox | None = None
+_generator_state: dict = {
+    "bit_generator": "Philox",
+    "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+    "buffer": (0, 0, 0, 0),
+    "buffer_pos": _WORDS_PER_STEP,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
 
 
 def _seek(seed: int, group: int, first: int) -> np.random.Philox:
-    """This thread's Philox, whose next output is word ``first`` of group
+    """The process's Philox, whose next output is word ``first`` of group
     ``group``, a multiple of four.
 
     Setting its whole state, key (seed, group) and counter first / 4 with
     an empty buffer, makes it a new Philox keyed (seed, group) from word
     ``first`` on: no draw depends on an earlier one.
     """
-    if _substreams.generator is None:
-        _substreams.generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        # Python ints, which the setter reads faster than numpy elements.
-        _substreams.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": _WORDS_PER_STEP,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-    state = _substreams.state
+    global _generator
+    if _generator is None:
+        _generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    state = _generator_state
     state["state"]["key"][:] = seed, group
     state["state"]["counter"][0] = first // _WORDS_PER_STEP
-    _substreams.generator.state = state
-    return _substreams.generator
+    _generator.state = state
+    return _generator
 
 
 class UniformBlock(NamedTuple):
@@ -1035,7 +1163,7 @@ def draw_uniforms(dists: ResourceDistributions,
 
     Year y is words 4Cj to 4C(j + 1) - 1 of group g, for g, j = divmod(y,
     YEARS_PER_GROUP), so a year's words do not depend on the block it is
-    drawn in.  The years of one group take one seek of the thread's
+    drawn in.  The years of one group take one seek of the process's
     Philox, and random_raw calls of whole years, of at most 2^13 words
     unless a year has more.  The words are written to ``out`` when given, a
     C-ordered uint64 array of shape (n_years, 4C), and ``coarse`` is then
@@ -1125,6 +1253,10 @@ def day_words(lanes: np.ndarray, seed: int, n_streams: int, rows: Sequence[int],
     return fine
 
 
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    return np.multiply(words >> _UNIFORM_SHIFT, 2.0**-53)  # both steps are exact
+
+
 def resource_values(dists: ResourceDistributions, label: tuple[str, str],
                     words: np.ndarray) -> np.ndarray:
     """Resource values of stream ``label`` for raw ``words``: Weibull speeds
@@ -1132,11 +1264,20 @@ def resource_values(dists: ResourceDistributions, label: tuple[str, str],
 
     Each value depends only on its own word.
     """
-    u = np.multiply(words >> _UNIFORM_SHIFT, 2.0**-53)  # both steps are exact
+    u = _uniforms(words)
     kind, key = label
     if kind == "irradiance":
         return sample_irradiance(dists.irradiance, u)
     return sample_wind_speed(dists.wind_regions[key], np.maximum(u, MIN_UNIFORM))
+
+
+def irradiance_bounds(params: BetaParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest irradiance ``resource_values`` can give an
+    irradiance stream's ``words``: the scaled ``beta_draw_bounds`` of each
+    word's uniform, which scaling keeps in order."""
+    u = _uniforms(words)
+    x_low, x_high = beta_draw_bounds(params, u, u)
+    return params.scale_gmax * x_low, params.scale_gmax * x_high
 
 
 def sample_daily_resources(dists: ResourceDistributions,

@@ -699,6 +699,48 @@ def test_pv_study_builds_the_beta_tables_before_the_pool_starts(case_paths,
     assert forked.read_bytes() == inline.read_bytes()
 
 
+# Imports numpy's table of the CPU features it dispatches to.
+_CPU_FEATURES = """
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+"""
+# Runs cli.main on sys.argv[1:] and prints its exit code and whether numpy
+# dispatches to its AVX-512 (Skylake) kernels.
+_CPU_STUDY = _CPU_FEATURES + """
+import json, sys
+from microrel import cli
+print(json.dumps([cli.main(sys.argv[1:]), __cpu_features__["AVX512_SKX"]]))
+"""
+
+
+def _numpy_has_avx512() -> bool:
+    scope = {}
+    exec(_CPU_FEATURES, scope)
+    return bool(scope["__cpu_features__"].get("AVX512F"))
+
+
+@pytest.mark.skipif(not _numpy_has_avx512(),
+                    reason="numpy has no AVX-512 kernels to switch off")
+@pytest.mark.parametrize("command, case", [("run", "case3"), ("run", "case4"),
+                                           ("sweep", "sweep")])
+def test_reports_without_numpys_avx512_kernels_match_the_goldens(
+        case_paths, tmp_path, command, case):
+    # numpy's float64 exp, log and power round differently on some inputs
+    # under its AVX-512 kernels than under the others, which a host without
+    # AVX-512 uses: a second host on one machine.  A report can change only
+    # if a day's exact total moves across a threshold.
+    out = tmp_path / f"{case}.csv"
+    env = dict(_python_env(), NPY_DISABLE_CPU_FEATURES="X86_V4,AVX512_ICL,AVX512_SPR")
+    proc = subprocess.run([sys.executable, "-c", _CPU_STUDY, command, case_paths[case],
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK, False]
+    assert out.read_bytes() == (GOLDEN_REPORTS / f"{case}.csv").read_bytes()
+
+
 def test_wind_study_builds_its_power_bounds_before_the_pool_starts(case_paths,
                                                                    tmp_path):
     # case2's four turbines are two distinct specs; no beta table.

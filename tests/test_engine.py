@@ -40,9 +40,12 @@ from microrel.res_models import (
     ResourceDistributions,
     WeibullParams,
     WindTurbineSpec,
+    pv_power,
+    wind_power,
 )
 from microrel.scenario_io import build_report, bundled_scenarios, emit_report
-from oracles import dispatch_by_enumeration, reference_block_counts
+from oracles import (dispatch_by_enumeration, reference_block_counts,
+                     reference_daily_resources)
 
 PRIORITY_LOADS = [("LP9", 500.0), ("LP3", 3000.0), ("LP4", 1000.0), ("LP2", 1000.0)]
 
@@ -414,10 +417,33 @@ def test_block_counts_bit_identical_to_whole_block_reference(
                 err_msg=f"{n_years} years from {start_year}")
 
 
-def test_each_unit_power_series_is_computed_once_per_block_in_fleet_order(cases,
-                                                                         monkeypatch):
-    # The open days' totals add every unit's series in fleet order, one
-    # call per unit per block, each on all of the block's open days.
+def _level_at_an_open_days_total(case3):
+    """case3's context with one load, whose level is the exact fleet-order
+    total of a day with PV output in its first P years; and that day and
+    its irradiance.  The day's bounds straddle the threshold, which is that
+    total: its pass leaves it open, and its bracket holds its total."""
+    ctx = engine._context_for(case3)
+    n_days = P * 365
+    values = reference_daily_resources(ctx.distributions, ctx.fleet, ctx.seed, n_days)
+    totals = np.zeros(n_days)
+    for unit in ctx.fleet:
+        curve = wind_power if isinstance(unit.device, WindTurbineSpec) else pv_power
+        totals += curve(unit.device, values[unit.name])
+    candidates = np.flatnonzero(values["PV1"] > 0.0)
+    day = candidates[np.argsort(totals[candidates])[candidates.size // 2]]
+    ctx = dataclasses.replace(ctx, levels=(float(totals[day]),), lp_ids=("L0",),
+                              load_factors=(1.0,) * 365)
+    assert ctx.taus.ravel().tolist() == [totals[day]]
+    return ctx, day, values["PV1"][day]
+
+
+def test_unit_power_series_run_in_fleet_order_on_open_then_straddled_days(
+        cases, monkeypatch):
+    # A fleet without PV adds every unit's series once per block, in fleet
+    # order, on all of the block's open days.  With PV the arrays' power is
+    # bounded, so only the turbines' series run on all open days; every
+    # unit's series then runs, in fleet order, on the days whose bounds
+    # straddle a threshold.
     calls = []
     original = engine.unit_power_series
 
@@ -426,11 +452,42 @@ def test_each_unit_power_series_is_computed_once_per_block_in_fleet_order(cases,
         return original(unit, resources)
 
     monkeypatch.setattr(engine, "unit_power_series", counted)
-    for scenario, n_years in ((cases["case2"], 2 * P), (_two_specs_per_region(cases["case3"]), P)):
-        calls.clear()
-        engine._simulate_block(engine._context_for(scenario), 0, n_years)
-        assert [name for name, _ in calls] == [unit.name for unit in scenario.fleet]
-        assert len({n_days for _, n_days in calls}) == 1 and calls[0][1] > 0
+    engine._simulate_block(engine._context_for(cases["case2"]), 0, 2 * P)
+    assert [name for name, _ in calls] == [unit.name for unit in cases["case2"].fleet]
+    assert len({n_days for _, n_days in calls}) == 1 and calls[0][1] > 0
+
+    ctx, _, _ = _level_at_an_open_days_total(cases["case3"])
+    names = [unit.name for unit in ctx.fleet]
+    calls.clear()
+    engine._simulate_block(ctx, 0, P)
+    assert [name for name, _ in calls] == ["WTG1", "WTG2"] + names
+    open_days, straddled = calls[0][1], calls[2][1]
+    assert calls[1][1] == open_days > straddled >= 1
+    assert all(n_days == straddled for _, n_days in calls[2:])
+
+
+def test_a_level_at_an_open_days_exact_total_takes_the_beta_inverse(cases, monkeypatch):
+    # The day's total lies exactly on the threshold, inside its bounds, so
+    # only its exact irradiance can settle it: the block inverts the beta
+    # CDF for it, counts it as served, and matches the reference.
+    ctx, day, irradiance = _level_at_an_open_days_total(cases["case3"])
+    inverted = []
+    original = res_models.beta_inverse_cdf
+
+    def spied(params, u):
+        x = original(params, u)
+        inverted.append(params.scale_gmax * x)
+        return x
+
+    monkeypatch.setattr(res_models, "beta_inverse_cdf", spied)
+    counts = engine._simulate_block(ctx, 0, P)
+    assert len(inverted) == 1 and irradiance in inverted[0]
+    assert inverted[0].size < 10
+    np.testing.assert_array_equal(counts, reference_block_counts(ctx, 0, P))
+    monkeypatch.setattr(res_models, "beta_inverse_cdf", original)
+    year = day // 365
+    less = dataclasses.replace(ctx, levels=(float(np.nextafter(ctx.levels[0], np.inf)),))
+    assert counts[year, 0] == engine._simulate_block(less, year, 1)[0, 0] + 1
 
 
 def _adversarial_context(case3, name, dispatch):
@@ -599,12 +656,12 @@ def test_interleaved_blocks_share_nothing_through_the_pass_buffers(cases):
         for block in order:
             counts = engine._simulate_block(*block)
             np.testing.assert_array_equal(counts, expected[blocks.index(block)])
-            for space in engine._workspaces.by_streams.values():
+            for space in engine._workspaces.values():
                 assert not any(np.shares_memory(counts, buffer) for buffer in space)
-    assert {2, 3, 4} <= set(engine._workspaces.by_streams)
+    assert {2, 3, 4} <= set(engine._workspaces)
     for ctx in contexts:
         bounds = res_models.stream_bounds(ctx.distributions, ctx.fleet)
-        for space in engine._workspaces.by_streams.values():
+        for space in engine._workspaces.values():
             assert not any(np.shares_memory(table, buffer) for buffer in space
                            for table in (bounds.lower, bounds.upper))
 

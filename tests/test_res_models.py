@@ -20,6 +20,7 @@ from microrel.res_models import (
     ResourceDistributions,
     WeibullParams,
     WindTurbineSpec,
+    beta_draw_bounds,
     beta_inverse_cdf,
     emit_trace,
     pv_power,
@@ -466,6 +467,17 @@ def test_pv_array_spec_validation():
         PvArraySpec(p_sn=100.0, g_std=100.0, r_c=150.0)
     with pytest.raises(ValueError):
         PvArraySpec(p_sn=0.0)
+
+
+def test_units_and_distributions_reject_what_the_parser_never_builds():
+    # The parser rejects an empty name and builds only these types, so
+    # these checks guard direct use of the records.
+    with pytest.raises(ValueError, match="DG unit needs a non-empty name"):
+        DgUnit("", "LP1", PV_STD)
+    with pytest.raises(TypeError, match="unsupported device type"):
+        DgUnit("PV1", "LP1", FITTED_BETA)
+    with pytest.raises(TypeError, match="region 'region1': expected WeibullParams"):
+        ResourceDistributions({"region1": FITTED_BETA}, FITTED_BETA)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,6 +1041,59 @@ def test_every_beta_draw_reaches_betainc_and_few_are_refined(monkeypatch):
     assert seen[0] == n
     # The quadratic start points meet tol almost everywhere.
     assert sum(seen) <= 1.05 * n
+
+
+# ---------------------------------------------------------------------------
+# Bounds on beta draws without the inverse
+# ---------------------------------------------------------------------------
+
+BOUND_SHAPES = [(FITTED_BETA.alpha, FITTED_BETA.beta), (0.5, 0.5), (0.3, 2.0),
+                (2.0, 0.4), (5.0, 7.0), (50.0, 80.0), (300.0, 200.0), (1.0, 1.0),
+                (1.0, 3.0)]
+
+
+def _bounded_draws(alpha, beta):
+    """200 000 random u, 2 000 in each tail, every knot's CDF and 1e-13
+    either side of it, 0 and 1; and their draws."""
+    rng = np.random.default_rng(37)
+    cdf = _beta_bracket_table(alpha, beta).cdf
+    tail = 1e-5 * rng.random(2000)
+    u = np.clip(np.concatenate((rng.random(200_000), tail, 1.0 - tail,
+                                cdf, cdf - 1e-13, cdf + 1e-13, [0.0, 1.0])), 0.0, 1.0)
+    return u, beta_inverse_cdf(BetaParams(alpha, beta), u)
+
+
+@pytest.mark.parametrize("alpha, beta", BOUND_SHAPES)
+def test_every_beta_draw_lies_inside_its_point_bounds(alpha, beta):
+    u, x = _bounded_draws(alpha, beta)
+    low, high = beta_draw_bounds(BetaParams(alpha, beta), u, u)
+    assert np.all((low <= x) & (x <= high))
+    # And tight: most widths are those of the slack, ~4e-10 of u.
+    assert np.median(high - low) < 1e-8
+
+
+def test_without_the_u_slack_some_draws_leave_their_point_bounds(monkeypatch):
+    # The draws meet |I_x - u| <= 1e-10, not I_x = u, so bounds taken at u
+    # itself miss some of them.
+    monkeypatch.setattr(res_models, "_draw_slack", lambda alpha, beta: 0.0)
+    u, x = _bounded_draws(FITTED_BETA.alpha, FITTED_BETA.beta)
+    low, high = beta_draw_bounds(FITTED_BETA, u, u)
+    assert not np.all((low <= x) & (x <= high))
+
+
+@pytest.mark.parametrize("alpha, beta", BOUND_SHAPES)
+def test_every_beta_draw_lies_inside_the_bounds_of_its_u_cell_and_lane(alpha, beta):
+    # The 13-bit u-cells of the PV tables and the 16-bit lanes, with each
+    # interval's edges and the doubles below them.
+    params = BetaParams(alpha, beta)
+    edges = np.arange(2**16 + 1) / 2**16
+    u = np.concatenate((_bounded_draws(alpha, beta)[0], edges, np.nextafter(edges[1:], 0.0)))
+    x = beta_inverse_cdf(params, u)
+    for bits in (_BETA_CELLS.bit_length() - 1, 16):
+        n = 2**bits
+        low, high = beta_draw_bounds(params, edges[:-1:2**16 // n], edges[2**16 // n::2**16 // n])
+        interval = np.minimum(u * n, n - 1).astype(np.intp)
+        assert np.all((low[interval] <= x) & (x <= high[interval]))
 
 
 # ---------------------------------------------------------------------------
