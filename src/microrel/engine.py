@@ -513,30 +513,21 @@ def _simulate_block(ctx: _SimContext, start_year: int, n_years: int) -> np.ndarr
     return reached @ ctx.steps
 
 
-def _fleet_totals(fleet: Sequence[DgUnit], resources: DailyResources) -> np.ndarray:
-    """Each day's exact total: every unit's ``unit_power_series`` added in
-    fleet order."""
-    totals = np.zeros(resources.n_days)
-    for unit in fleet:
-        totals += unit_power_series(unit, resources)
-    return totals
-
-
 def _open_totals(ctx: _SimContext, words: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """A total for each open day that reaches the same ``taus`` (rows x
     days, or one column) as its exact fleet-order total.
 
-    The wind streams' values are exact (``resource_values``).  A fleet with
-    no irradiance stream adds its units' exact series and is done.
-    Otherwise each irradiance draw is bounded without inverting the beta
-    CDF (``irradiance_bounds``), each PV array's power with it
-    (``pv_power_range``), and the units' least powers are added in fleet
-    order, as are their greatest powers.  Rounded addition is monotone in
-    each operand, so these two sums bracket the exact total, and the lower
-    one answers every threshold it does not straddle.  Only the days whose
-    bracket straddles a threshold, lower sum below it and upper sum at or
-    above it, take the exact chain: the beta inverse CDF of their
-    irradiance uniforms and every unit's series.  Each draw depends only on
+    Every unit adds to a lower and an upper sum, in fleet order: a turbine
+    its exact series from its stream's exact speeds (``resource_values``)
+    to both, a PV array the least and greatest power (``pv_power_range``)
+    of its irradiance draws' bounds, taken without inverting the beta CDF
+    (``irradiance_bounds``).  Rounded addition is monotone in each operand,
+    so the two sums bracket the exact total, and the lower one answers
+    every threshold it does not straddle; a fleet without PV has equal
+    sums and straddles none.  Only the days whose bracket straddles a
+    threshold, lower sum below it and upper sum at or above it, take the
+    exact chain: the beta inverse CDF of their irradiance uniforms, then
+    every unit's series added in fleet order.  Each draw depends only on
     its own word, so these are the values of a whole-block evaluation.
     """
     dists, labels = ctx.distributions, ctx.bounds.labels
@@ -545,8 +536,6 @@ def _open_totals(ctx: _SimContext, words: np.ndarray, taus: np.ndarray) -> np.nd
     drawn = {label: irradiance_bounds(dists.irradiance, words[:, i])
              for i, label in enumerate(labels) if label[0] == "irradiance"}
     resources = DailyResources(streams, words.shape[0], dists.shared_irradiance)
-    if not drawn:
-        return _fleet_totals(ctx.fleet, resources)
     low, high = np.zeros(words.shape[0]), np.zeros(words.shape[0])
     for unit in ctx.fleet:
         label = stream_label(unit, dists.shared_irradiance)
@@ -561,8 +550,11 @@ def _open_totals(ctx: _SimContext, words: np.ndarray, taus: np.ndarray) -> np.nd
         exact = {label: values[straddled] for label, values in streams.items()}
         exact.update((label, resource_values(dists, label, words[straddled, i]))
                      for i, label in enumerate(labels) if label in drawn)
-        low[straddled] = _fleet_totals(
-            ctx.fleet, DailyResources(exact, straddled.size, dists.shared_irradiance))
+        resources = DailyResources(exact, straddled.size, dists.shared_irradiance)
+        totals = np.zeros(straddled.size)
+        for unit in ctx.fleet:
+            totals += unit_power_series(unit, resources)
+        low[straddled] = totals
     return low
 
 

@@ -514,18 +514,34 @@ _BETA_CELLS = 2**13
 _BETA_COARSE_KNOTS = 1025
 
 
+# A tangent of the inverse CDF serves as a bound only where the terms of
+# its slope's exponent add to at most this (``beta_draw_bounds``).
+_TANGENT_TERMS_MAX = 2.0**14
+
+
 class _BetaTable(NamedTuple):
-    """Knots at approximate u-quantiles with the exact CDF at every knot.
+    """The knot table of one beta shape: knots at approximate u-quantiles,
+    the exact CDF at each, and the lines of the inverse CDF Q over each
+    knot cell.
 
     ``knots``/``cdf`` hold _BETA_CELLS + 1 entries.  For cell j the start
     point x_j + du * (slope_j + du * curve_j), du = u - cdf_j, meets both
-    knots of the cell and the inverse CDF's slope at its lower knot.
+    knots of the cell and Q's slope at its lower knot
+    (``beta_inverse_cdf``).  The rest bound Q (``_line_bounds``): row k of
+    ``tangent`` holds the point x, c and slope 1/f of Q's tangent at knot
+    k, or at its neighbour for an end knot where the slope is infinite
+    (slope 0 where no tangent is used).  ``secant`` holds each cell's chord
+    slope (0 where not finite), and ``bend`` whether Q is convex (1) or
+    concave (-1) over the cell, or neither is known (0).
     """
 
     knots: np.ndarray
     cdf: np.ndarray
     slope: np.ndarray
     curve: np.ndarray
+    tangent: np.ndarray
+    secant: np.ndarray
+    bend: np.ndarray
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -534,12 +550,25 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _beta_bracket_table(alpha: float, beta: float) -> _BetaTable:
-    """The u-indexed knot table used to bracket inverse-CDF queries.
+    """The knot table that brackets inverse-CDF queries and bounds Q.
 
     Costs _BETA_COARSE_KNOTS + _BETA_CELLS + 1 CDF evaluations (twice the
     last for a narrow shape).  Only the knot placement is approximate: the
     CDF is evaluated exactly at every knot, so a cell whose CDF values
-    enclose u is a valid bracket.
+    enclose u is a valid bracket.  Q's slope 1/f is computed once at every
+    knot, and each cell's secant once; the start points and the bounds
+    read both.
+
+    Q has Q'' = -f'/f^3, and f'/f = g(x) / (x (1 - x)) with g(x) =
+    (alpha - 1)(1 - x) - (beta - 1) x, linear in x.  So on a cell where g
+    is at most 0 at both knots Q is convex: it lies above both tangents and
+    below the chord.  Where g is at least 0 at both knots Q is concave, and
+    the roles swap.  g is computed within 2^-51 (|alpha - 1| + |beta - 1|),
+    so each sign is trusted only beyond twice that.  Either tangent alone
+    bounds Q over the cell, so an end cell whose outer slope is infinite or
+    unsound takes its inner tangent for both.  A cell whose signs differ
+    (the mode's), or with another unsound slope (``beta_draw_bounds``) or
+    an infinite secant, keeps its two knots as bounds.
     """
     t = np.linspace(0.0, 1.0, _BETA_COARSE_KNOTS)
     coarse_cdf = betainc(alpha, beta, _smoothstep(t))
@@ -554,83 +583,35 @@ def _beta_bracket_table(alpha: float, beta: float) -> _BetaTable:
 
     dx = np.diff(knots)
     dc = np.diff(cdf)
-    lower = knots[:-1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        secant = dx / dc
-        tangent = np.exp(_betainc_shape(alpha, beta).ln_beta
-                         - (alpha - 1.0) * np.log(lower)
-                         - (beta - 1.0) * np.log1p(-lower))
-        curve = (dx - dc * tangent) / (dc * dc)
-    secant = np.where(np.isfinite(secant), secant, 0.0)
-    # Keep the quadratic only where it is finite and monotone across the
-    # cell; elsewhere start from the secant.
-    quadratic = np.isfinite(curve) & (tangent >= 0.0) & (2.0 * secant >= tangent)
-    return _BetaTable(knots, cdf, np.where(quadratic, tangent, secant),
-                      np.where(quadratic, curve, 0.0))
-
-
-# A tangent of the inverse CDF serves as a bound only where the terms of
-# its slope's exponent add to at most this (``beta_draw_bounds``).
-_TANGENT_TERMS_MAX = 2.0**14
-
-
-class _BetaSlopes(NamedTuple):
-    """What ``beta_draw_bounds`` adds to the knot table of one shape.
-
-    Row k of ``tangent`` holds the point x, c and slope 1/f of the inverse
-    CDF's tangent at knot k, or at its neighbour for an end knot where the
-    slope is infinite (slope 0 where no tangent is used).  ``secant`` holds
-    each knot cell's chord slope (0 where not used), and ``bend`` whether
-    the inverse CDF is convex (1) or concave (-1) over each cell, or
-    neither is known (0).
-    """
-
-    tangent: np.ndarray
-    secant: np.ndarray
-    bend: np.ndarray
-
-
-@lru_cache(maxsize=16)
-def _beta_slopes(alpha: float, beta: float) -> _BetaSlopes:
-    """The slopes and bends of the inverse CDF Q over the knot cells of
-    ``_beta_bracket_table``, from which ``_line_bounds`` takes a cell's
-    bounds.
-
-    Q has Q'' = -f'/f^3, and f'/f = g(x) / (x (1 - x)) with g(x) =
-    (alpha - 1)(1 - x) - (beta - 1) x, linear in x.  So on a cell where g
-    is at most 0 at both knots Q is convex: it lies above both tangents and
-    below the chord.  Where g is at least 0 at both knots Q is concave, and
-    the roles swap.  g is computed within 2^-51 (|alpha - 1| + |beta - 1|),
-    so each sign is trusted only beyond twice that.  A tangent's slope is
-    1/f at its knot, computed once here.  Either tangent alone bounds Q
-    over the cell, so an end cell whose outer slope is infinite or unsound
-    takes its inner tangent for both.  A cell whose signs differ (the
-    mode's), or with another unsound slope (``beta_draw_bounds``) or an
-    infinite secant, keeps its two knots as bounds.
-    """
-    table = _beta_bracket_table(alpha, beta)
-    knots = table.knots
     ln_beta = _betainc_shape(alpha, beta).ln_beta
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        secant = np.diff(knots) / np.diff(table.cdf)
+        secant = dx / dc
         log_x = (alpha - 1.0) * np.log(knots)
         log_y = (beta - 1.0) * np.log1p(-knots)
-        tangent = np.exp(ln_beta - log_x - log_y)
-    sound = np.isfinite(tangent) & (
+        inv_f = np.exp(ln_beta - log_x - log_y)
+        curve = (dx - dc * inv_f[:-1]) / (dc * dc)
+    finite = np.isfinite(secant)
+    secant = np.where(finite, secant, 0.0)
+    # Keep the quadratic only where it is finite and monotone across the
+    # cell; elsewhere start from the secant.
+    quadratic = np.isfinite(curve) & (inv_f[:-1] >= 0.0) & (2.0 * secant >= inv_f[:-1])
+
+    sound = np.isfinite(inv_f) & (
         np.abs(log_x) + np.abs(log_y) + abs(ln_beta) <= _TANGENT_TERMS_MAX)
-    tangents = np.stack((knots, table.cdf, np.where(sound, tangent, 0.0)), axis=1)
+    tangent = np.stack((knots, cdf, np.where(sound, inv_f, 0.0)), axis=1)
     # At x = 0 the tangent is vertical for alpha > 1, and at x = 1 for
     # beta > 1.
     for end, inner in ((0, 1), (-1, -2)):
         if not sound[end] and sound[inner]:
-            tangents[end], sound[end] = tangents[inner], True
+            tangent[end], sound[end] = tangent[inner], True
     g = (alpha - 1.0) * (1.0 - knots) - (beta - 1.0) * knots
     tiny = 2.0**-50 * (abs(alpha - 1.0) + abs(beta - 1.0))
-    usable = np.isfinite(secant) & sound[:-1] & sound[1:]
+    usable = finite & sound[:-1] & sound[1:]
     convex = usable & (g[:-1] <= -tiny) & (g[1:] <= -tiny)
     concave = usable & (g[:-1] >= tiny) & (g[1:] >= tiny) & ~convex
-    return _BetaSlopes(tangents, np.where(usable, secant, 0.0),
-                       convex.astype(np.int8) - concave)
+    return _BetaTable(knots, cdf, np.where(quadratic, inv_f[:-1], secant),
+                      np.where(quadratic, curve, 0.0), tangent, secant,
+                      convex.astype(np.int8) - concave)
 
 
 def _beta_cells(table: _BetaTable, u: np.ndarray) -> np.ndarray:
@@ -645,9 +626,16 @@ def _beta_cells(table: _BetaTable, u: np.ndarray) -> np.ndarray:
 
 
 # The residual bound of the beta inverse CDF, and the CDF evaluations it may
-# spend on a query, the first one included.
+# spend on a query, the first one included.  The cap lets bisection alone
+# reach ``_beta_refine``'s collapse rule from any bracket in [0, 1]: each
+# halving moves one end to the rounded midpoint, a double strictly inside
+# the bracket, which keeps about half of its length, and doubles lie at
+# least 2^-1074 apart, so some 1 075 halvings leave two adjacent doubles.
+# A small shape can need hundreds: at (0.1, 0.1) the draw of u = 1.4e-11
+# lies near 1e-97, some 200 halvings below its start point, and each
+# Newton step there would leave the bracket.
 _BETA_TOL = 1e-10
-_BETA_MAX_ITER = 200
+_BETA_MAX_ITER = 1100
 
 
 def _beta_refine(params: BetaParams, table: _BetaTable, cell: np.ndarray,
@@ -715,7 +703,8 @@ def beta_inverse_cdf(params: BetaParams, u):
 
     Raises:
         ValueError: if any ``u`` is outside [0, 1].
-        NumericsError: if a query takes more than 200 CDF evaluations.
+        NumericsError: if a query takes more than _BETA_MAX_ITER (1 100)
+            CDF evaluations.
     """
     arr, scalar = _as_array(u)
     if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=1.0) <= 1.0):
@@ -750,21 +739,20 @@ def _draw_slack(alpha: float, beta: float) -> float:
 
 
 def _line_bounds(params: BetaParams, v: np.ndarray, lower: bool) -> np.ndarray:
-    """The inverse CDF Q at each v in [0, 1] bounded by lines of v's knot
-    cell: from below (``lower``) by the greater tangent of a convex cell,
-    the chord of a concave one or else the lower knot; from above by the
-    lesser tangent of a concave cell, the chord of a convex one or else
-    the upper knot."""
+    """The inverse CDF Q at each v in [0, 1] bounded by the lines of v's
+    knot cell in ``_beta_bracket_table``: from below (``lower``) by the
+    greater tangent of a convex cell, the chord of a concave one or else
+    the lower knot; from above by the lesser tangent of a concave cell,
+    the chord of a convex one or else the upper knot."""
     table = _beta_bracket_table(params.alpha, params.beta)
-    slopes = _beta_slopes(params.alpha, params.beta)
     cell = _beta_cells(table, v)
     x0, x1 = table.knots.take(cell), table.knots.take(cell + 1)
-    chord = (v - table.cdf.take(cell)) * slopes.secant.take(cell) + x0
+    chord = (v - table.cdf.take(cell)) * table.secant.take(cell) + x0
     tangents = []
     for knot in (cell, cell + 1):
-        x, c, s = slopes.tangent.take(knot, axis=0).T
+        x, c, s = table.tangent.take(knot, axis=0).T
         tangents.append((v - c) * s + x)
-    bend = slopes.bend.take(cell)
+    bend = table.bend.take(cell)
     convex, concave = bend > 0, bend < 0
     if lower:
         return np.where(convex, np.maximum(*tangents), np.where(concave, chord, x0))
@@ -994,13 +982,11 @@ def stream_bounds(dists: ResourceDistributions,
     least exponent for which the streams' greatest upper entries add to at
     most 2^30, so no int32 sum of a day's entries can overflow.
 
-    A fleet with PV arrays gets the beta inverse CDF's bracket table and
-    slopes built too, which its open days read, even if its PV bounds are
-    cached.
+    A fleet with PV arrays gets its shape's knot table built too, which its
+    open days' bounds and draws read, even if its PV bounds are cached.
     """
     if any(isinstance(unit.device, PvArraySpec) for unit in fleet):
-        for table in (_beta_bracket_table, _beta_slopes):
-            table(dists.irradiance.alpha, dists.irradiance.beta)
+        _beta_bracket_table(dists.irradiance.alpha, dists.irradiance.beta)
     units: dict[tuple[str, str], list] = {
         label: [] for label in _stream_labels(dists, fleet)}
     for unit in fleet:

@@ -62,3 +62,35 @@ def test_readme_figures_of_open_days_and_beta_draws(cases, monkeypatch):
     assert (f"{_spaced(sum(sizes))} of the {_spaced(days)} irradiance days, "
             f"{100 * sum(sizes) / days:.3f}%, in {len(sizes)} calls, in a forced 5 000-year "
             "case3 run at seed 7 on one worker.") in readme
+
+
+def test_readme_figures_of_the_beta_inverse_cdf(cases, monkeypatch):
+    # README, "Evaluation method", states the CDF evaluations of a table
+    # build, and the share of start points refined and the evaluations of
+    # 100 000 draws at the bundled shape, each rounded as the text has it.
+    readme = " ".join((Path(__file__).parent.parent / "README.md").read_text().split())
+    params = cases["case3"].distributions.irradiance
+    evaluations, refined = [], []
+    betainc, refine = res_models.betainc, res_models._beta_refine
+
+    def counted(a, b, x):
+        evaluations.append(np.size(x))
+        return betainc(a, b, x)
+
+    def refining(params, table, cell, u, x, r):
+        refined.append(x.size)
+        return refine(params, table, cell, u, x, r)
+
+    monkeypatch.setattr(res_models, "betainc", counted)
+    monkeypatch.setattr(res_models, "_beta_refine", refining)
+    res_models._beta_bracket_table.__wrapped__(params.alpha, params.beta)
+    build = sum(evaluations)
+    res_models._beta_bracket_table(params.alpha, params.beta)
+    evaluations.clear()
+    n = 100_000
+    res_models.beta_inverse_cdf(params, np.random.default_rng(0).random(n))
+    assert (f"Building the table takes about {_spaced(round(build, -2))} exact CDF "
+            "evaluations, once per shape.") in readme
+    assert f"For the bundled shape about {100 * sum(refined) / n:.1f}% of them" in readme
+    assert (f"100 000 draws cost about {_spaced(round(sum(evaluations), -3))} "
+            "CDF evaluations.") in readme

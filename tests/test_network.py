@@ -9,6 +9,7 @@ from microrel.network import (
     EFFECT_REPAIR,
     EFFECT_SWITCH,
     ComponentReliability,
+    FailureEffect,
     FeederSection,
     LoadPoint,
     LoadPointAggregate,
@@ -388,6 +389,17 @@ def test_switchgear_validation():
         Switchgear("normally_open_tie", 1.0)  # needs a location
     with pytest.raises(ValueError):
         Switchgear("isolator", -1.0)
+
+
+def test_records_reject_an_empty_id_and_an_unknown_effect():
+    # The parser rejects empty strings itself, so only a direct constructor
+    # reaches these rules.
+    with pytest.raises(ValueError, match="load point id"):
+        LoadPoint("", 100.0, 10, 1)
+    with pytest.raises(ValueError, match="section id"):
+        FeederSection("", ComponentReliability(0.1, 5.0))
+    with pytest.raises(ValueError, match="unknown effect class"):
+        FailureEffect("LP1", "bogus", 1.0)
 
 
 def test_component_reliability_validation():

@@ -29,7 +29,6 @@ from microrel.res_models import (
     sample_wind_speed,
     trace_to_delimited,
     wind_power,
-    _BetaTable,
     _beta_bracket_table,
     _beta_cells,
     _seek,
@@ -211,6 +210,31 @@ def test_beta_inverse_cdf_returns_nearest_double_when_none_meets_tol(alpha, beta
     assert residual > 1e-10
     for neighbour in (np.nextafter(x, 0.0), np.nextafter(x, 1.0)):
         assert residual <= abs(res_models.betainc(alpha, beta, neighbour) - u)
+
+
+def test_beta_inverse_cdf_reaches_a_deep_tail_draw_of_a_small_shape():
+    # The draw lies some 200 halvings below its knot cell's start point,
+    # and every Newton step there would leave the bracket: 214 CDF
+    # evaluations, past the 200 that were once the cap.
+    u = 1.3900780557552645e-11
+    x = beta_inverse_cdf(BetaParams(0.1, 0.1), u)
+    assert 0.0 <= x < 1e-90
+    assert abs(res_models.betainc(0.1, 0.1, x) - u) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.1, 0.1), (0.1, 2.0), (0.05, 0.5), (0.2, 0.2)])
+def test_beta_inverse_cdf_returns_in_both_tails_of_small_shapes(alpha, beta):
+    # Each draw meets the bound, or no neighbouring double is closer.
+    tail = 10.0 ** np.random.default_rng(41).uniform(-16.0, -4.0, 4000)
+    u = np.concatenate((tail, 1.0 - tail))
+    x = beta_inverse_cdf(BetaParams(alpha, beta), u)
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    residual = np.abs(res_models.betainc(alpha, beta, x) - u)
+    far = residual > 1e-10
+    for end in (0.0, 1.0):
+        neighbour = np.nextafter(x[far], end)
+        assert np.all(residual[far]
+                      <= np.abs(res_models.betainc(alpha, beta, neighbour) - u[far]))
 
 
 def test_beta_inverse_cdf_iteration_cap(monkeypatch):
@@ -962,8 +986,7 @@ def test_beta_cells_search_when_no_neighbour_holds_u():
     # skewed shape; the search brackets every query all the same.
     knots = np.linspace(0.0, 1.0, _BETA_CELLS + 1)
     cdf = res_models.betainc(0.5, 5.0, knots)
-    zeros = np.zeros(_BETA_CELLS)
-    table = _BetaTable(knots, cdf, zeros, zeros)
+    table = _beta_bracket_table(0.5, 5.0)._replace(knots=knots, cdf=cdf)
     _assert_brackets_hold(table, np.random.default_rng(4).random(20_000))
 
 
@@ -1063,7 +1086,7 @@ def _bounded_draws(alpha, beta):
     return u, beta_inverse_cdf(BetaParams(alpha, beta), u)
 
 
-@pytest.mark.parametrize("alpha, beta", BOUND_SHAPES)
+@pytest.mark.parametrize("alpha, beta", BOUND_SHAPES + [(0.1, 0.1)])
 def test_every_beta_draw_lies_inside_its_point_bounds(alpha, beta):
     u, x = _bounded_draws(alpha, beta)
     low, high = beta_draw_bounds(BetaParams(alpha, beta), u, u)

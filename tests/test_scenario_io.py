@@ -577,6 +577,16 @@ def test_build_report_embeds_provenance(cases, case1_report):
     assert case1_report.version
 
 
+@pytest.mark.parametrize("field, factor, message", [
+    ("caidi", 1.01, r"CAIDI \* SAIFI"), ("aens", 1.01, r"AENS \* total customers")])
+def test_build_report_rejects_inconsistent_system_indices(cases, field, factor, message):
+    result = engine.run(cases["case1"])
+    system = dataclasses.replace(result.system,
+                                 **{field: getattr(result.system, field) * factor})
+    with pytest.raises(ValueError, match=message):
+        build_report(dataclasses.replace(result, system=system), cases["case1"])
+
+
 @pytest.mark.parametrize("block", ["meta", "load_points", "system"])
 def test_delimited_report_missing_a_block_is_rejected(case1_report, block):
     chunks = emit_report(case1_report, "delimited").split("\n\n")
