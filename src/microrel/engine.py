@@ -34,21 +34,21 @@ from .network import (
 from .res_models import (
     DAYS_PER_YEAR,
     YEARS_PER_GROUP,
-    DailyResources,
     DgUnit,
     ResourceDistributions,
     StreamBounds,
+    daily_resources,
     day_lanes,
     day_words,
     draw_uniforms,
-    irradiance_bounds,
-    pv_power_range,
-    resource_values,
+    power_range,
+    resource_range,
     sample_daily_resources,  # noqa: F401  (wrapped by perfbench/tracing.py)
     stream_bounds,
     stream_label,
     u_cells,
     unit_power_series,
+    word_uniforms,
     words_per_year,
 )
 
@@ -518,39 +518,36 @@ def _open_totals(ctx: _SimContext, words: np.ndarray, taus: np.ndarray) -> np.nd
     days, or one column) as its exact fleet-order total.
 
     Every unit adds to a lower and an upper sum, in fleet order: a turbine
-    its exact series from its stream's exact speeds (``resource_values``)
-    to both, a PV array the least and greatest power (``pv_power_range``)
-    of its irradiance draws' bounds, taken without inverting the beta CDF
-    (``irradiance_bounds``).  Rounded addition is monotone in each operand,
-    so the two sums bracket the exact total, and the lower one answers
-    every threshold it does not straddle; a fleet without PV has equal
-    sums and straddles none.  Only the days whose bracket straddles a
-    threshold, lower sum below it and upper sum at or above it, take the
-    exact chain: the beta inverse CDF of their irradiance uniforms, then
-    every unit's series added in fleet order.  Each draw depends only on
-    its own word, so these are the values of a whole-block evaluation.
+    its exact series from its stream's exact speeds to both, a PV array
+    the ``power_range`` of its irradiance draws' ``resource_range``, taken
+    from each day's full uniform without inverting the beta CDF.  Rounded
+    addition is monotone in each operand, so the two sums bracket the
+    exact total, and the lower one answers every threshold it does not
+    straddle; a fleet without PV has equal sums and straddles none.  Only
+    the days whose bracket straddles a threshold, lower sum below it and
+    upper sum at or above it, take the exact chain (``daily_resources``):
+    every stream's values, then every unit's series added in fleet order.
+    Each draw depends only on its own word, so these are the values of a
+    whole-block evaluation.
     """
     dists, labels = ctx.distributions, ctx.bounds.labels
-    streams = {label: resource_values(dists, label, words[:, i])
-               for i, label in enumerate(labels) if label[0] == "wind"}
-    drawn = {label: irradiance_bounds(dists.irradiance, words[:, i])
+    u = word_uniforms(words)
+    drawn = {label: resource_range(dists.irradiance, u[:, i], u[:, i])
              for i, label in enumerate(labels) if label[0] == "irradiance"}
-    resources = DailyResources(streams, words.shape[0], dists.shared_irradiance)
+    wind = [i for i, label in enumerate(labels) if label not in drawn]
+    resources = daily_resources(dists, [labels[i] for i in wind], words[:, wind])
     low, high = np.zeros(words.shape[0]), np.zeros(words.shape[0])
     for unit in ctx.fleet:
         label = stream_label(unit, dists.shared_irradiance)
         if label in drawn:
-            unit_low, unit_high = pv_power_range(unit.device, *drawn[label])
+            unit_low, unit_high = power_range(unit.device, *drawn[label])
         else:
             unit_low = unit_high = unit_power_series(unit, resources)
         low += unit_low
         high += unit_high
     straddled = np.flatnonzero(((low < taus) & (high >= taus)).any(axis=0))
     if straddled.size:
-        exact = {label: values[straddled] for label, values in streams.items()}
-        exact.update((label, resource_values(dists, label, words[straddled, i]))
-                     for i, label in enumerate(labels) if label in drawn)
-        resources = DailyResources(exact, straddled.size, dists.shared_irradiance)
+        resources = daily_resources(dists, labels, words[straddled])
         totals = np.zeros(straddled.size)
         for unit in ctx.fleet:
             totals += unit_power_series(unit, resources)

@@ -37,9 +37,8 @@ __all__ = [
     "sample_irradiance",
     "pv_power",
     "u_cells",
-    "pv_power_range",
-    "pv_power_bounds",
-    "wind_power_bounds",
+    "resource_range",
+    "power_range",
     "power_bounds",
     "StreamBounds",
     "stream_label",
@@ -49,8 +48,9 @@ __all__ = [
     "draw_uniforms",
     "day_lanes",
     "day_words",
+    "word_uniforms",
     "resource_values",
-    "irradiance_bounds",
+    "daily_resources",
     "sample_daily_resources",
     "emit_trace",
     "trace_to_delimited",
@@ -826,101 +826,86 @@ def pv_power(spec: PvArraySpec, g):
     return _scalar_or_array(power, scalar)
 
 
-# The relative widening of the power bounds and speed brackets for
-# rounding; each use says what it covers.
+# The relative widening of the resource and power ranges for rounding;
+# each use says what it covers.
 _CELL_MARGIN = 2.0**-40
 
 
-def _draw_brackets(params: BetaParams) -> tuple[np.ndarray, np.ndarray]:
-    """The least and greatest beta draw of each u-cell [c, c + 1] / N
-    (``beta_draw_bounds``).  Entry _BETA_CELLS (u = 1) repeats the last
-    cell."""
-    edges = np.arange(_BETA_CELLS + 1) / _BETA_CELLS
-    x_low, x_high = beta_draw_bounds(params, edges[:-1], edges[1:])
-    return np.append(x_low, x_low[-1]), np.append(x_high, x_high[-1])
+def resource_range(params: Union[WeibullParams, BetaParams], u_low,
+                   u_high) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest resource value ``resource_values`` can give
+    any uniform in [u_low, u_high], elementwise (1-D arrays in [0, 1]).
 
+    Weibull: the speed falls as u grows, so an interval's speeds lie
+    between those at its ends, u clamped to MIN_UNIFORM as the draws are,
+    and 0 at u = 1.  ``np.log`` and ``np.power`` are within a few ulps, and
+    a relative error e in -ln u becomes e / k in the speed; the end speeds
+    are widened by _CELL_MARGIN * max(1, 1/k), over a thousand times more
+    than the error of an end speed and a draw's together.
 
-def pv_power_range(spec: PvArraySpec, g_low: np.ndarray,
-                   g_high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The least and greatest PV power of an irradiance in [g_low, g_high].
-
-    pv_power is monotone on each branch; where the branches meet, at r_c
-    and g_std, the rounded curve steps back by a few ulps.  The powers at
-    the ends are therefore widened by a relative _CELL_MARGIN, which covers
-    those steps many times over.
+    Beta: the scaled ``beta_draw_bounds``, which scaling keeps in order.
     """
-    return (pv_power(spec, g_low) * (1.0 - _CELL_MARGIN),
-            pv_power(spec, g_high) * (1.0 + _CELL_MARGIN))
-
-
-@lru_cache(maxsize=16)
-def pv_power_bounds(spec: PvArraySpec,
-                    params: BetaParams) -> tuple[np.ndarray, np.ndarray]:
-    """The least and greatest PV power of a draw in each u-cell: the
-    ``pv_power_range`` of its scaled ``_draw_brackets``."""
-    x_low, x_high = _draw_brackets(params)
-    return pv_power_range(spec, params.scale_gmax * x_low, params.scale_gmax * x_high)
-
-
-def _speed_brackets(params: WeibullParams) -> tuple[np.ndarray, np.ndarray]:
-    """The least and greatest wind speed of each u-cell, widened for rounding.
-
-    The speed falls as u grows, so a cell's speeds lie between those at its
-    u-edges, the lower edge clamped to MIN_UNIFORM as ``resource_values``
-    clamps the draws.  ``np.log`` and ``np.power`` are within a few ulps,
-    and a relative error e in -ln u becomes e / k in the speed; the edge
-    speeds are widened by _CELL_MARGIN * max(1, 1/k), over a thousand times
-    more than the error of an edge speed and a draw's together.  Entry
-    _BETA_CELLS (u = 1) repeats the last cell.
-    """
-    edges = np.arange(_BETA_CELLS) / _BETA_CELLS
-    edges[0] = MIN_UNIFORM
-    speeds = np.append(sample_wind_speed(params, edges), 0.0)  # 0 at u = 1
+    if isinstance(params, BetaParams):
+        x_low, x_high = beta_draw_bounds(params, u_low, u_high)
+        return params.scale_gmax * x_low, params.scale_gmax * x_high
+    ends = np.maximum((u_high, u_low), MIN_UNIFORM)
+    speeds = np.zeros_like(ends)
+    inside = ends < 1.0
+    speeds[inside] = sample_wind_speed(params, ends[inside])
     margin = _CELL_MARGIN * max(1.0, 1.0 / params.shape_k)
-    v_low = np.maximum(speeds[1:] * (1.0 - margin), 0.0)
-    v_high = speeds[:-1] * (1.0 + margin)
-    return np.append(v_low, v_low[-1]), np.append(v_high, v_high[-1])
+    return speeds[0] * (1.0 - margin), speeds[1] * (1.0 + margin)
 
 
-@lru_cache(maxsize=16)
-def wind_power_bounds(spec: WindTurbineSpec,
-                      params: WeibullParams) -> tuple[np.ndarray, np.ndarray]:
-    """The least and greatest turbine power of a wind draw in each u-cell.
+def power_range(device: Union[WindTurbineSpec, PvArraySpec], r_low,
+                r_high) -> tuple[np.ndarray, np.ndarray]:
+    """The least and greatest power of the device for a resource value in
+    [r_low, r_high], elementwise.
 
-    The curve is not monotone, so over the speeds of ``_speed_brackets`` a
-    cell whose speeds reach cut-in or cut-out has a lower bound of 0, and
-    one whose speeds reach [v_rated, v_cut_out) an upper bound of p_rated;
-    elsewhere the curve is extreme at the bracket's ends.  The rounded
-    cubic a v^3 - b p_rated is monotone only up to a few ulps of its terms,
-    which are at most p_rated (1 + b): at v_rated it can come out an ulp
-    above p_rated, and just above cut-in it could come out below 0.  Both
-    bounds are widened by _CELL_MARGIN times that.
+    PV: pv_power is monotone on each branch; where the branches meet, at
+    r_c and g_std, the rounded curve steps back by a few ulps.  The powers
+    at the ends are therefore widened by a relative _CELL_MARGIN, which
+    covers those steps many times over.
+
+    Turbine: the curve is not monotone, so a range that reaches cut-in or
+    cut-out has a least power of 0, and one that reaches [v_rated,
+    v_cut_out) a greatest power of p_rated; elsewhere the curve is extreme
+    at the range's ends.  The rounded cubic a v^3 - b p_rated is monotone
+    only up to a few ulps of its terms, which are at most p_rated (1 + b):
+    at v_rated it can come out an ulp above p_rated, and just above cut-in
+    it could come out below 0.  Both bounds are widened by _CELL_MARGIN
+    times that.
     """
-    v_low, v_high = _speed_brackets(params)
-    low = np.where((v_low > spec.v_cut_in) & (v_high < spec.v_cut_out),
-                   wind_power(spec, v_low), 0.0)
-    high = np.where(v_high >= spec.v_rated, spec.p_rated, wind_power(spec, v_high))
-    high[v_low >= spec.v_cut_out] = 0.0
-    b = spec.v_cut_in**3 / (spec.v_rated**3 - spec.v_cut_in**3)
-    slack = _CELL_MARGIN * spec.p_rated * (1.0 + b)
+    if isinstance(device, PvArraySpec):
+        return (pv_power(device, r_low) * (1.0 - _CELL_MARGIN),
+                pv_power(device, r_high) * (1.0 + _CELL_MARGIN))
+    low = np.where((r_low > device.v_cut_in) & (r_high < device.v_cut_out),
+                   wind_power(device, r_low), 0.0)
+    high = np.where(r_high >= device.v_rated, device.p_rated, wind_power(device, r_high))
+    high = np.where(r_low >= device.v_cut_out, 0.0, high)
+    b = device.v_cut_in**3 / (device.v_rated**3 - device.v_cut_in**3)
+    slack = _CELL_MARGIN * device.p_rated * (1.0 + b)
     return low - slack, high + slack
 
 
-def _resource_params(device: Union[WindTurbineSpec, PvArraySpec],
-                     dists: ResourceDistributions) -> Union[WeibullParams, BetaParams]:
-    if isinstance(device, WindTurbineSpec):
-        return dists.wind_regions[device.region_id]
-    return dists.irradiance
-
-
+@lru_cache(maxsize=32)
 def power_bounds(device: Union[WindTurbineSpec, PvArraySpec],
                  params: Union[WeibullParams, BetaParams]
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The least and greatest power of the device in each u-cell of its
-    resource stream's uniforms, which follow ``params``."""
-    if isinstance(device, WindTurbineSpec):
-        return wind_power_bounds(device, params)
-    return pv_power_bounds(device, params)
+    """The least and greatest power of the device for a draw in each u-cell
+    [c, c + 1] / _BETA_CELLS of its resource stream's uniforms, which
+    follow ``params``: the ``power_range`` of the cell's
+    ``resource_range``.  Entry _BETA_CELLS (u = 1) repeats the last cell.
+    """
+    edges = np.arange(_BETA_CELLS + 1) / _BETA_CELLS
+    low, high = power_range(device, *resource_range(params, edges[:-1], edges[1:]))
+    return np.append(low, low[-1]), np.append(high, high[-1])
+
+
+def _stream_params(dists: ResourceDistributions,
+                   label: tuple[str, str]) -> Union[WeibullParams, BetaParams]:
+    """The fitted distribution that stream ``label`` draws from."""
+    kind, key = label
+    return dists.irradiance if kind == "irradiance" else dists.wind_regions[key]
 
 
 # The int32 stream sums of a day stay at most 2^_FIXED_POINT_BITS, so that
@@ -955,8 +940,12 @@ class StreamBounds(NamedTuple):
         lower * scale >= t * scale >= tau; and T < tau wherever its upper
         sum is below t, since T <= upper * scale < tau.  A capped t exceeds
         every upper sum, as does a tau above the fleet's greatest total.
+        tau is capped at (2^31 - 1) scale before the division, which cannot
+        then overflow; scale is a power of two, so the cap is exact and
+        gives the same t.
         """
-        return np.minimum(np.ceil(taus / self.scale), 2**31 - 1).astype(np.int32)
+        cap = (2**31 - 1) * self.scale
+        return np.ceil(np.minimum(taus, cap) / self.scale).astype(np.int32)
 
 
 def stream_label(unit: DgUnit, shared_irradiance: bool) -> tuple[str, str]:
@@ -990,8 +979,8 @@ def stream_bounds(dists: ResourceDistributions,
     units: dict[tuple[str, str], list] = {
         label: [] for label in _stream_labels(dists, fleet)}
     for unit in fleet:
-        units[stream_label(unit, dists.shared_irradiance)].append(
-            (unit.device, _resource_params(unit.device, dists)))
+        label = stream_label(unit, dists.shared_irradiance)
+        units[label].append((unit.device, _stream_params(dists, label)))
     return _stream_bounds(tuple((label, tuple(members))
                                 for label, members in units.items()))
 
@@ -1239,7 +1228,9 @@ def day_words(lanes: np.ndarray, seed: int, n_streams: int, rows: Sequence[int],
     return fine
 
 
-def _uniforms(words: np.ndarray) -> np.ndarray:
+def word_uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniforms (word >> 11) * 2^-53 that ``resource_values`` draws
+    from raw ``words``."""
     return np.multiply(words >> _UNIFORM_SHIFT, 2.0**-53)  # both steps are exact
 
 
@@ -1250,20 +1241,20 @@ def resource_values(dists: ResourceDistributions, label: tuple[str, str],
 
     Each value depends only on its own word.
     """
-    u = _uniforms(words)
-    kind, key = label
-    if kind == "irradiance":
-        return sample_irradiance(dists.irradiance, u)
-    return sample_wind_speed(dists.wind_regions[key], np.maximum(u, MIN_UNIFORM))
+    u = word_uniforms(words)
+    params = _stream_params(dists, label)
+    if isinstance(params, BetaParams):
+        return sample_irradiance(params, u)
+    return sample_wind_speed(params, np.maximum(u, MIN_UNIFORM))
 
 
-def irradiance_bounds(params: BetaParams, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The least and greatest irradiance ``resource_values`` can give an
-    irradiance stream's ``words``: the scaled ``beta_draw_bounds`` of each
-    word's uniform, which scaling keeps in order."""
-    u = _uniforms(words)
-    x_low, x_high = beta_draw_bounds(params, u, u)
-    return params.scale_gmax * x_low, params.scale_gmax * x_high
+def daily_resources(dists: ResourceDistributions, labels: Sequence[tuple[str, str]],
+                    words: np.ndarray) -> DailyResources:
+    """The ``resource_values`` of raw ``words`` (days x streams), column i
+    of stream ``labels[i]``."""
+    return DailyResources({label: resource_values(dists, label, words[:, i])
+                           for i, label in enumerate(labels)},
+                          words.shape[0], dists.shared_irradiance)
 
 
 def sample_daily_resources(dists: ResourceDistributions,
@@ -1287,9 +1278,7 @@ def sample_daily_resources(dists: ResourceDistributions,
     year, day = np.divmod(days, DAYS_PER_YEAR)
     words = day_words(day_lanes(block.coarse, rows, days), seed, len(rows), rows,
                       start_year + year, day)
-    streams = {label: resource_values(dists, label, words[:, row])
-               for row, label in enumerate(block.labels)}
-    return DailyResources(streams, n_days, dists.shared_irradiance)
+    return daily_resources(dists, block.labels, words)
 
 
 def unit_power_series(unit: DgUnit, resources: DailyResources) -> np.ndarray:

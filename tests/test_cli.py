@@ -593,8 +593,8 @@ print(json.dumps([code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]
 """
 
 # Runs cli.main on sys.argv[1:] with an os.fork that records, at each fork,
-# the sizes of the beta bracket table, served threshold, wind power bounds
-# and stream bounds caches the forked block worker inherits.
+# the sizes of the beta bracket table, served threshold, power bounds and
+# stream bounds caches the forked block worker inherits.
 _FORKING_STUDY = """
 import json, os, sys
 from microrel import cli, engine, res_models
@@ -605,7 +605,7 @@ fork = os.fork
 def recording_fork():
     forks.append([res_models._beta_bracket_table.cache_info().currsize,
                   engine._served_thresholds.cache_info().currsize,
-                  res_models.wind_power_bounds.cache_info().currsize,
+                  res_models.power_bounds.cache_info().currsize,
                   res_models._stream_bounds.cache_info().currsize])
     return fork()
 
@@ -688,12 +688,13 @@ def test_beta_shapes_too_large_to_evaluate_exit_3_with_one_line(tmp_path, capsys
 def test_pv_study_builds_the_beta_tables_before_the_pool_starts(case_paths,
                                                                 tmp_path):
     # The pool is the forked block workers: one at --workers 2, since case3
-    # stops at the 1000-year floor, two blocks in.
+    # stops at the 1000-year floor, two blocks in.  Its power bounds are
+    # those of two turbine specs and one PV spec.
     forked, inline = tmp_path / "forked.csv", tmp_path / "inline.csv"
     code, forks = _fresh_python(_FORKING_STUDY, "run", case_paths["case3"],
                                 "--workers", "2", "--out", str(forked))
     assert code == EXIT_OK
-    assert forks == [[1, 1, 2, 1]]
+    assert forks == [[1, 1, 3, 1]]
     assert main(["run", case_paths["case3"], "--workers", "1",
                  "--out", str(inline)]) == EXIT_OK
     assert forked.read_bytes() == inline.read_bytes()

@@ -642,6 +642,28 @@ def test_fixed_point_stream_bounds_bracket_the_fleet_order_total(cases, name):
     assert limits[-1] == 2**31 - 1
 
 
+def test_thresholds_near_the_largest_double_are_capped_before_they_are_scaled(cases):
+    # case3's served thresholds at every load level 1e306, random ones up to
+    # 4 (2^31 - 1) scale, and the cap's neighbours: a threshold is capped
+    # before it is divided by scale, so no division overflows (a
+    # RuntimeWarning is an error here), and every limit is the uncapped
+    # rule's.
+    ctx = engine._context_for(cases["case3"])
+    bounds = ctx.bounds
+    cap = (2**31 - 1) * bounds.scale
+    huge, _ = engine._served_thresholds((1.0e306,) * len(ctx.levels), ctx.load_factors,
+                                        ctx.blocking)
+    taus = np.concatenate((
+        huge.ravel(), np.random.default_rng(23).uniform(0.0, 4.0 * cap, 10**5),
+        [np.nextafter(cap, 0.0), cap, np.nextafter(cap, np.inf), np.finfo(float).max,
+         np.inf]))
+    limits = bounds.limits(taus)
+    with np.errstate(over="ignore"):
+        expected = np.minimum(np.ceil(taus / bounds.scale), 2**31 - 1)
+    np.testing.assert_array_equal(limits, expected)
+    assert limits[:huge.size].tolist() == [2**31 - 1] * huge.size
+
+
 def test_interleaved_blocks_share_nothing_through_the_pass_buffers(cases):
     # Fleets of two, three and four drawn streams (independent irradiance),
     # and case4, which draws three like case3, run one after another on the
@@ -1149,7 +1171,7 @@ def _assert_no_child_left():
 @pytest.fixture
 def forks(monkeypatch):
     """Wrap os.fork so that each fork records the sizes of the beta bracket
-    table, served threshold, wind power bounds and stream bounds caches the
+    table, served threshold, power bounds and stream bounds caches the
     forked worker inherits."""
     records = []
     fork = os.fork
@@ -1157,7 +1179,7 @@ def forks(monkeypatch):
     def recording_fork():
         records.append((res_models._beta_bracket_table.cache_info().currsize,
                         engine._served_thresholds.cache_info().currsize,
-                        res_models.wind_power_bounds.cache_info().currsize,
+                        res_models.power_bounds.cache_info().currsize,
                         res_models._stream_bounds.cache_info().currsize))
         return fork()
 
@@ -1206,19 +1228,21 @@ def test_without_fork_every_block_runs_inline(cases, monkeypatch):
     np.testing.assert_array_equal(result.running_ens, expected.running_ens)
 
 
-@pytest.mark.parametrize("case, prebuilt", [("case3", 1), ("case2", 0)])
+@pytest.mark.parametrize("case, prebuilt, specs", [
+    pytest.param("case3", 1, 3, id="case3-1"), pytest.param("case2", 0, 2, id="case2-0")])
 def test_beta_tables_are_built_before_the_pool_starts(cases, forks,
-                                                      case, prebuilt):
+                                                      case, prebuilt, specs):
     # Forked workers inherit the tables only if the caller has them when it
     # forks; a fleet without PV arrays needs no beta table, but every fleet
-    # needs its served thresholds, each distinct turbine its wind power
-    # bounds (two in both cases) and the fleet its stream bounds.
+    # needs its served thresholds, each distinct device spec its power
+    # bounds (case3: two turbines and one PV spec; case2: two turbines) and
+    # the fleet its stream bounds.
     res_models._beta_bracket_table.cache_clear()
     engine._served_thresholds.cache_clear()
-    res_models.wind_power_bounds.cache_clear()
+    res_models.power_bounds.cache_clear()
     res_models._stream_bounds.cache_clear()
     run(dataclasses.replace(cases[case], max_years=1537), workers=3)
-    assert forks == [(prebuilt, 1, 2, 1)] * 2
+    assert forks == [(prebuilt, 1, specs, 1)] * 2
 
 
 def _recorded_counts(monkeypatch):

@@ -1147,24 +1147,24 @@ def test_beta_draws_and_pv_power_stay_inside_their_cell_bounds(alpha, beta):
     knot = _beta_cells(table, u)
     margin = res_models._CELL_MARGIN * table.knots[knot + 1]
     assert np.all((table.knots[knot] - margin <= x) & (x <= table.knots[knot + 1] + margin))
-    # So within the bracket of its u-cell, which holds every such knot cell.
-    cell = (u * _BETA_CELLS).astype(np.intp)
-    x_low, x_high = res_models._draw_brackets(params)
-    assert np.all((x_low[cell] <= x) & (x <= x_high[cell]))
+    # So within the irradiance range of its u-cell, which holds every such
+    # knot cell; u = 1 is in the last cell.
+    cell = np.minimum(u * _BETA_CELLS, _BETA_CELLS - 1).astype(np.intp)
+    g_low, g_high = res_models.resource_range(params, lo, hi)
     g = sample_irradiance(params, u)
+    assert np.all((g_low[cell] <= g) & (g <= g_high[cell]))
     for spec in BOUNDED_PV:
-        low, high = res_models.pv_power_bounds(spec, params)
+        low, high = res_models.power_bounds(spec, params)
         power = pv_power(spec, g)
         assert np.all((low[cell] <= power) & (power <= high[cell]))
         # pv_power is monotone between its breakpoints, so over a cell's
-        # widened bracket it is extreme at the bracket's ends or on either
+        # widened range it is extreme at the range's ends or on either
         # side of r_c and g_std, where the rounded branches meet.
         for point in (spec.r_c, spec.g_std):
             for edge in (np.nextafter(point, 0.0), point, np.nextafter(point, np.inf)):
-                inside = ((x_low * params.scale_gmax <= edge)
-                          & (edge <= x_high * params.scale_gmax))
+                inside = (g_low <= edge) & (edge <= g_high)
                 power = pv_power(spec, edge)
-                assert np.all((low[inside] <= power) & (power <= high[inside]))
+                assert np.all((low[:-1][inside] <= power) & (power <= high[:-1][inside]))
 
 
 # Cut-in, rated and cut-out speeds inside the bulk of the bundled region1
@@ -1180,34 +1180,42 @@ WIND_SHAPES = [REGION1, REGION2, WeibullParams(scale_c=3.0, shape_k=0.7)]
 
 @pytest.mark.parametrize("params", WIND_SHAPES)
 def test_wind_draws_and_power_stay_inside_their_cell_bounds(params):
-    # Both edges of every u-cell and the words next to them, random words,
-    # and the word of 0, which gives MIN_UNIFORM, and the greatest word.
+    # The 13-bit u-cells of the power tables and the 16-bit lanes: both
+    # edges of every lane (so of every cell) and the words next to them,
+    # random words, and the word of 0, which gives MIN_UNIFORM, and the
+    # greatest word.
     dists = ResourceDistributions({"r": params}, FITTED_BETA)
-    edges = np.arange(_BETA_CELLS, dtype=np.uint64) << np.uint64(51)
+    edges = np.arange(2**16, dtype=np.uint64) << np.uint64(48)
     words = np.concatenate([
         edges, edges + np.uint64(2**11), edges[1:] - np.uint64(2**11),
         np.random.default_rng(36).integers(0, 2**64, 10**6, dtype=np.uint64),
         np.array([0, 2**64 - 1], dtype=np.uint64)])
     speed = res_models.resource_values(dists, ("wind", "r"), words)
     assert speed.max() == sample_wind_speed(params, MIN_UNIFORM)
-    cell = (words >> np.uint64(51)).view(np.intp)  # a word's u-cell
-    v_low, v_high = res_models._speed_brackets(params)
-    assert np.all((v_low[cell] <= speed) & (speed <= v_high[cell]))
-    for spec in BOUNDED_WTG:
-        low, high = res_models.wind_power_bounds(spec, params)
-        assert low.shape == high.shape == (_BETA_CELLS + 1,)
-        power = wind_power(spec, speed)
-        assert np.all((low[cell] <= power) & (power <= high[cell]))
-        # Between its breakpoints the rounded curve is monotone, so over a
-        # cell's speeds it is extreme at the bracket's ends or near cut-in,
-        # rated and cut-out speed, where the rounded cubic meets 0 and
-        # p_rated.
-        for point in (spec.v_cut_in, spec.v_rated, spec.v_cut_out):
-            for v in point + np.arange(-64, 65) * np.spacing(point):
-                inside = (v_low <= v) & (v <= v_high)
-                power = wind_power(spec, v)
-                assert np.all((low[inside] <= power) & (power <= high[inside]))
-        # And tight: their widths add up to the curve's total variation over
-        # all speeds, up from 0 to p_rated and down again at cut-out.
-        np.testing.assert_allclose((high - low)[:-1].sum(), 2.0 * spec.p_rated,
-                                   rtol=1e-6)
+    for bits in (_BETA_CELLS.bit_length() - 1, 16):
+        n = 2**bits
+        v_low, v_high = res_models.resource_range(params, np.arange(n) / n,
+                                                  np.arange(1, n + 1) / n)
+        interval = (words >> np.uint64(64 - bits)).view(np.intp)  # a word's cell or lane
+        assert np.all((v_low[interval] <= speed) & (speed <= v_high[interval]))
+        for spec in BOUNDED_WTG:
+            # The table of u-cells repeats the last cell for u = 1.
+            low, high = (res_models.power_bounds(spec, params) if n == _BETA_CELLS
+                         else res_models.power_range(spec, v_low, v_high))
+            assert low.shape == high.shape == (n + (n == _BETA_CELLS),)
+            power = wind_power(spec, speed)
+            assert np.all((low[interval] <= power) & (power <= high[interval]))
+            # Between its breakpoints the rounded curve is monotone, so over
+            # an interval's speeds it is extreme at the range's ends or near
+            # cut-in, rated and cut-out speed, where the rounded cubic meets
+            # 0 and p_rated.
+            for point in (spec.v_cut_in, spec.v_rated, spec.v_cut_out):
+                for v in point + np.arange(-64, 65) * np.spacing(point):
+                    inside = (v_low <= v) & (v <= v_high)
+                    power = wind_power(spec, v)
+                    assert np.all((low[:n][inside] <= power) & (power <= high[:n][inside]))
+            # And tight: their widths add up to the curve's total variation
+            # over all speeds, up from 0 to p_rated and down again at
+            # cut-out.
+            np.testing.assert_allclose((high - low)[:n].sum(), 2.0 * spec.p_rated,
+                                       rtol=1e-6)
